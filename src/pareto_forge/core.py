@@ -165,11 +165,24 @@ class RPDataset:
         M = len(cons[0])
         if any(len(row) != M for row in cons) or any(len(row) != M for row in strats):
             raise ValueError("ragged T x M grids")
+        for t in range(T):
+            for i in range(M):
+                f = cons[t][i]
+                if not np.isfinite([*f.alpha, f.b, f.a_t, *f.beta]).all():
+                    raise ValueError(f"constraint ({t},{i}) has a non-finite coefficient")
+                if not np.isfinite(strats[t][i].samples).all():
+                    raise ValueError(f"strategy ({t},{i}) has a non-finite sample")
         gbar = np.empty((T, T, M))
         for i in range(M):
             for t in range(T):
                 for s in range(T):
                     gbar[t, s, i] = expected_constraint(cons[t][i], strats[s][i])
+        if not np.isfinite(gbar).all():
+            t, s, i = np.argwhere(~np.isfinite(gbar))[0]
+            raise ValueError(
+                f"constraint ({t},{i}) is not finite on strategy ({s},{i}): "
+                f"g = {gbar[t, s, i]}"
+            )
         for t in range(T):
             for i in range(M):
                 if gbar[t, t, i] > TOL_FEAS:

@@ -116,10 +116,17 @@ def run_dro_replication(
 
 
 def default_parallelism() -> int:
+    """Worker processes for ``monte_carlo``: ``PARETO_FORGE_THREADS``, else the usable CPUs."""
     env = os.environ.get("PARETO_FORGE_THREADS")
     if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ValueError(f"PARETO_FORGE_THREADS must be a positive integer, got {env!r}")
+        return workers
+    return len(os.sched_getaffinity(0))
 
 
 def monte_carlo(task, replications: int, base_seed: int = 0, parallelism: int | None = None):

@@ -5,9 +5,9 @@ whether play is consistent with maximization of a common social objective,
 and when it is not, quantify the failure:
 
 * ``mm_garp`` — combinatorial consistency test over the revealed-preference
-  relation (transitive closure by Floyd-Warshall);
+  relation;
 * ``pareto_gap`` — smallest relaxation r making the utility-number inequality
-  system feasible (bisection over r, per-agent LP feasibility at each level);
+  system feasible, with a certificate from one LP per agent;
 * ``garp_f`` / ``ccei_scalar`` — additive / multiplicative relaxations of the
   combinatorial test;
 * ``hoeffding_confidence`` — finite-sample concentration bound on the
@@ -15,6 +15,13 @@ and when it is not, quantify the failure:
 * ``reconstruct_utility`` — piecewise-linear concave utility built from a
   feasibility certificate;
 * ``rank_optimality_check`` — expected k-rank test for ordinal outcome data.
+
+Every test above rests on one Floyd-Warshall closure in the (max, min)
+semiring.  Each relaxed system, at level r, fails exactly when some cycle of
+edges with weight >= r has an edge with weight > r (Afriat 1967).  So its
+critical level is the largest cycle bottleneck (over cycles, the smallest
+edge weight), read off the closure's diagonal: exact, with no bisection and
+no tolerance.
 
 For weakly decreasing levels, social(o) = Σ_{k<D} (l_k − l_{k+1})·rnk_k(o)
 + M·l_D, a nonnegative combination of the k-rank counts.  So a strategy that
@@ -34,7 +41,44 @@ from . import lp
 from .core import ConstraintFunction, ParetoCertificate, RPDataset, eval_constraint
 
 ALPHA_DEFAULT = 1e-3
+# Gap up to which the audit calls a dataset consistent; also the step above
+# an unattained gap at which pareto_gap builds its certificate.
 TOL_R = 1e-5
+
+
+# --- cycle tests ------------------------------------------------------------
+
+
+def _closure(W: NDArray) -> NDArray:
+    """Floyd-Warshall closure of a weighted relation in the (max, min) semiring.
+
+    H[t, s] is the largest bottleneck (smallest edge weight) over paths of one
+    or more edges from t to s.  On a boolean relation np.maximum and
+    np.minimum are "or" and "and", so the same loop is the transitive closure.
+    """
+    H = W.copy()
+    for mid in range(H.shape[0]):
+        np.maximum(H, np.minimum(H[:, mid : mid + 1], H[mid : mid + 1, :]), out=H)
+    return H
+
+
+def _critical_level(W: NDArray[np.float64]) -> float:
+    """Largest cycle bottleneck of W: _garp(W, level) fails below it, passes above."""
+    return float(np.diag(_closure(W)).max())
+
+
+def _garp(W: NDArray[np.float64], level: float) -> bool:
+    """GARP on the relation W >= level: no cycle of its edges has an edge W > level."""
+    # a path s -> t in the relation and a strict edge t -> s close a bad cycle
+    return not (_closure(W >= level).T & (W > level)).any()
+
+
+def _slack(gbar_i: NDArray[np.float64]) -> NDArray[np.float64]:
+    """w[k, j] = g_k(mu_k) - g_k(mu_j): how much cheaper play j is than play k on budget k."""
+    return np.diag(gbar_i)[:, None] - gbar_i
+
+
+# --- Pareto gap -------------------------------------------------------------
 
 # The inequality system is homogeneous in (u, lam): any solution with lam > 0
 # rescales to one with lam >= 1.  Solving with lam >= 1 (and u free) keeps the
@@ -100,6 +144,12 @@ def afriat_feasible(
 
 @dataclass(frozen=True)
 class GapResult:
+    """A Pareto gap with its certificate.
+
+    ``bisection_iters`` counts the LP solves made, one per agent (the name is
+    kept for ``perfbench/spans.py``, which reads it).
+    """
+
     gap: float
     certificate: ParetoCertificate
     per_agent_gaps: tuple[float, ...]
@@ -114,178 +164,97 @@ def _normalize_agent_cert(u, lam, alpha):
     return u * c, lam * c
 
 
-def _agent_gap(gbar_i, alpha, tol_r, backend=None):
-    r_upper = max(0.0, float(-gbar_i.min()))
-    ok, u, lam = _agent_feasible(gbar_i, 0.0, alpha, backend)
-    if ok:
-        return 0.0, u, lam, 1
-    iters = 1
-    lo = 0.0
-    hi = r_upper
-    ok_hi, u_hi, lam_hi = _agent_feasible(gbar_i, hi, alpha, backend)
-    iters += 1
-    if not ok_hi:
-        # analytically feasible at r_upper via u == 0; fall back to that witness
-        T = gbar_i.shape[0]
-        u_hi, lam_hi = np.zeros(T), np.full(T, alpha)
-    while hi - lo > tol_r:
-        mid = 0.5 * (lo + hi)
-        ok, u, lam = _agent_feasible(gbar_i, mid, alpha, backend)
-        iters += 1
-        if ok:
-            hi, u_hi, lam_hi = mid, u, lam
-        else:
-            lo = mid
-    return hi, u_hi, lam_hi, iters
+def pareto_gap(d: RPDataset, alpha: float = ALPHA_DEFAULT) -> GapResult:
+    """Smallest relaxation r making the inequality system feasible (an infimum).
 
+    Agent i's system is feasible at r exactly when GARP holds on the relation
+    -gbar[:, :, i] >= r, so the agent's gap is the largest cycle bottleneck of
+    -gbar[:, :, i], floored at 0; the gap is the max over agents.
 
-def pareto_gap(
-    d: RPDataset,
-    alpha: float = ALPHA_DEFAULT,
-    tol_r: float = TOL_R,
-    backend=None,
-) -> GapResult:
-    """Smallest relaxation r making the inequality system feasible.
-
-    Feasibility is monotone in r (every constraint relaxes as r grows), so
-    per-agent bisection over [0, r_upper] is exact to tol_r; the overall gap
-    is the max of the per-agent gaps.
+    One LP per agent builds the certificate: at the agent's gap when the
+    system is feasible there, else at gap + TOL_R (a bottleneck cycle with a
+    heavier edge leaves the infimum unattained).  ``certificate.r`` is the
+    largest level an LP ran at, so it exceeds ``gap``, by at most TOL_R, only
+    when some agent's gap is unattained.  An LP that finds no certificate
+    raises RuntimeError.
     """
-    if alpha <= 0 or tol_r <= 0:
-        raise ValueError("alpha and tol_r must be positive")
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
     T, M = d.T, d.M
-    gaps = []
+    gaps, levels = [], []
     u = np.zeros((T, M))
     lam = np.zeros((T, M))
-    total_iters = 0
     for i in range(M):
-        g_i, u_i, lam_i, iters = _agent_gap(d.gbar[:, :, i], alpha, tol_r, backend)
-        u_i, lam_i = _normalize_agent_cert(u_i, lam_i, alpha)
-        gaps.append(g_i)
-        u[:, i], lam[:, i] = u_i, lam_i
-        total_iters += iters
-    gap = max(gaps)
-    cert = ParetoCertificate(u, lam, gap, alpha)
-    return GapResult(gap, cert, tuple(gaps), total_iters)
+        c = -d.gbar[:, :, i]
+        gap = max(0.0, _critical_level(c))
+        r = gap if _garp(c, gap) else gap + TOL_R
+        ok, u_i, lam_i = _agent_feasible(d.gbar[:, :, i], r, alpha)
+        if not ok:
+            raise RuntimeError(f"LP found no certificate for agent {i} at r = {r!r}")
+        u[:, i], lam[:, i] = _normalize_agent_cert(u_i, lam_i, alpha)
+        gaps.append(gap)
+        levels.append(r)
+    cert = ParetoCertificate(u, lam, max(levels), alpha)
+    return GapResult(max(gaps), cert, tuple(gaps), M)
 
 
-def empirical_pareto_gap(
-    d: RPDataset,
-    alpha: float = ALPHA_DEFAULT,
-    tol_r: float = TOL_R,
-    backend=None,
-) -> GapResult:
+def empirical_pareto_gap(d: RPDataset, alpha: float = ALPHA_DEFAULT) -> GapResult:
     """Gap on sample-mean budget values (the dataset already stores them).
 
     Identical computation to :func:`pareto_gap`; exposed separately so that
     callers distinguish the exact gap from its finite-sample estimate.
     """
-    return pareto_gap(d, alpha, tol_r, backend)
+    return pareto_gap(d, alpha)
 
 
 # --- combinatorial tests ----------------------------------------------------
 
 
-def _closure(R: NDArray[np.bool_]) -> NDArray[np.bool_]:
-    """Transitive closure by Floyd-Warshall on a boolean relation."""
-    H = R.copy()
-    T = H.shape[0]
-    for mid in range(T):
-        H |= H[:, mid : mid + 1] & H[mid : mid + 1, :]
-    return H
-
-
-def mm_garp(d: RPDataset, printed_form: bool = False) -> bool:
+def mm_garp(d: RPDataset) -> bool:
     """Revealed-preference consistency, checked per agent.
 
     Relation: k R j iff gbar[k,j,i] <= gbar[k,k,i] (period j's play affordable
-    under period k's budget).  Standard verdict: for every k, j with k H j
-    (H the transitive closure), gbar[j,k,i] >= gbar[j,j,i].
-
-    ``printed_form=True`` applies the direct relation R in the implication and
-    compares against gbar[k,k,i] on the right-hand side instead; kept for
-    comparison only.
+    under period k's budget).  Verdict: for every k, j with k H j (H the
+    transitive closure), gbar[j,k,i] >= gbar[j,j,i].  This is garp_f at F = 0.
     """
-    for i in range(d.M):
-        g = d.gbar[:, :, i]
-        diag = np.diag(g)
-        R = g <= diag[:, None]
-        if printed_form:
-            # k R j  =>  g_j(mu_k) >= g_k(mu_k)
-            bad = R & (g.T < diag[:, None])
-        else:
-            H = _closure(R)
-            # k H j  =>  g_j(mu_k) >= g_j(mu_j)
-            bad = H & (g.T < diag[None, :])
-        if bad.any():
-            return False
-    return True
+    return garp_f(d, 0.0)
 
 
 def garp_f(d: RPDataset, F: float) -> bool:
-    """GARP with additive budget slack F, on satiated budgets gbar + 1."""
+    """GARP with additive budget slack F: k R j iff gbar[k,j,i] + F <= gbar[k,k,i]."""
     if F < 0:
         raise ValueError("F must be >= 0")
-    for i in range(d.M):
-        g = d.gbar[:, :, i] + 1.0
-        diag = np.diag(g)
-        R = g + F <= diag[:, None]
-        H = _closure(R)
-        # k H j  =>  g_j(mu_j) <= g_j(mu_k) + F
-        bad = H & (diag[None, :] > g.T + F)
-        if bad.any():
-            return False
-    return True
+    return all(_garp(_slack(d.gbar[:, :, i]), F) for i in range(d.M))
 
 
-def garp_f_threshold(d: RPDataset, tol: float = 1e-4, F_hi: float | None = None) -> float:
-    """Smallest F at which garp_f passes, located by bisection.
+def garp_f_threshold(d: RPDataset) -> float:
+    """Smallest F at which garp_f passes (an infimum).
 
-    garp_f is monotone in F: growing F both empties the relation and loosens
-    the verdict.
+    garp_f fails at F exactly when a cycle of slack edges >= F has an edge
+    > F, so the threshold is the largest cycle bottleneck of the slacks over
+    agents (never negative: each self-loop has slack 0).  garp_f passes at
+    every F above it, and at the threshold itself unless a bottleneck cycle
+    has a heavier edge.
     """
-    if garp_f(d, 0.0):
-        return 0.0
-    if F_hi is None:
-        F_hi = max(0.0, float(-d.gbar.min())) + 2.0
-    lo, hi = 0.0, F_hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if garp_f(d, mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return max(_critical_level(_slack(d.gbar[:, :, i])) for i in range(d.M))
 
 
-def _garp_e(g: NDArray[np.float64], e: float) -> bool:
-    diag = np.diag(g)
-    R = g <= e * diag[:, None]
-    H = _closure(R)
-    # t H s  =>  e * g_s(mu_s) <= g_s(mu_t)
-    bad = H & (e * diag[None, :] > g.T)
-    return not bad.any()
+def ccei_scalar(d: RPDataset, agent: int) -> float:
+    """Largest common efficiency e in [0,1] passing GARP_e for one agent (a supremum).
 
-
-def ccei_scalar(d: RPDataset, agent: int, tol_e: float = 1e-4) -> float:
-    """Largest common efficiency e in [0,1] passing GARP_e for one agent.
-
-    Uses satiated budgets gbar + 1 so that budget values are positive and the
-    multiplicative deflation e is meaningful.
+    Uses satiated budgets g = gbar + 1 so that budget values are positive and
+    the multiplicative deflation e is meaningful.  GARP_e relates t R s iff
+    rho[t,s] = g[t,s] / g[t,t] <= e and fails exactly when a cycle of such
+    edges has one with rho < e.  So the index is minus the largest cycle
+    bottleneck of -rho, clipped to [0, 1].  GARP_e passes at every smaller e,
+    and at the index itself unless a bottleneck cycle has a lighter edge.
     """
-    if not 0 < tol_e < 1:
-        raise ValueError("tol_e must be in (0,1)")
     g = d.gbar[:, :, agent] + 1.0
-    if _garp_e(g, 1.0):
-        return 1.0
-    lo, hi = 0.0, 1.0  # passing is monotone decreasing in e
-    while hi - lo > tol_e:
-        mid = 0.5 * (lo + hi)
-        if _garp_e(g, mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    own = np.diag(g)
+    if np.any(own <= 0):
+        raise ValueError(f"agent {agent}: satiated own-budget values g[t,t] must be positive")
+    rho = g / own[:, None]
+    return float(np.clip(-_critical_level(-rho), 0.0, 1.0))
 
 
 # --- concentration bound ----------------------------------------------------
@@ -313,8 +282,9 @@ def reconstruct_utility(cert: ParetoCertificate, d: RPDataset, agent: int, tol: 
     """Concave utility for one agent from a feasibility certificate.
 
     Returns gamma -> min_s (u_s + lam_s * g_s(gamma)): the lower envelope of
-    the supporting affine-in-g pieces.  At certificate relaxation r <= tol_r
-    the observed strategies maximize this utility on their own budgets.
+    the supporting affine-in-g pieces.  At certificate relaxation r = 0 (a
+    consistent dataset) the observed strategies maximize this utility on
+    their own budgets.
     """
     if not 0 <= agent < d.M:
         raise IndexError(f"agent index {agent} out of range")

@@ -93,39 +93,6 @@ def violating_dataset(T: int, M: int, k: int, seed: int = 0) -> RPDataset:
     return RPDataset(tuple(map(tuple, cons)), tuple(map(tuple, strats)))
 
 
-def sampled_dataset(
-    T: int,
-    M: int,
-    k: int,
-    N: int,
-    seed: int = 0,
-    centers_spread: float = 0.3,
-) -> RPDataset:
-    """Random strategies as N-sample uniform clouds strictly inside random budgets."""
-    rng = np.random.default_rng(seed)
-    cons, strats = [], []
-    for _t in range(T):
-        row_c, row_s = [], []
-        for _i in range(M):
-            alpha = rng.uniform(0.5, 2.0, size=k)
-            b = rng.uniform(0.8, 2.0)
-            center = cobb_douglas_demand(rng.uniform(0.5, 2.0, size=k), alpha, b)
-            center *= rng.uniform(0.4, 1.0)
-            half = centers_spread * center
-            pts = rng.uniform(center - half, center + half, size=(N, k))
-            pts = np.clip(pts, 0.0, None)
-            # pull any stray sample back inside the budget
-            load = pts @ alpha
-            over = load > b
-            if over.any():
-                pts[over] *= (b / load[over])[:, None]
-            row_c.append(_affine(alpha, b))
-            row_s.append(EmpiricalStrategy(pts))
-        cons.append(tuple(row_c))
-        strats.append(tuple(row_s))
-    return RPDataset(tuple(cons), tuple(strats))
-
-
 # --- finite-sample robust-estimation instance --------------------------------
 
 

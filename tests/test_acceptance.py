@@ -60,7 +60,7 @@ class TestCombinatorialLpEquivalence:
             T, M, k = _random_dims(rng, t_max=5)
             maker = consistent_dataset if j % 2 == 0 else violating_dataset
             d = maker(T=T, M=M, k=k, seed=1000 + j)
-            thr = garp_f_threshold(d, tol=1e-4)
+            thr = garp_f_threshold(d)
             gap = pareto_gap(d).gap
             worst = max(worst, abs(thr - gap))
         assert worst <= 2e-4
@@ -329,7 +329,7 @@ class TestEmpiricalGapConsistency:
             errs = []
             for seed in range(100):
                 d = _mixed_strategy_dataset(N, seed)
-                est = empirical_pareto_gap(d, tol_r=1e-6).gap
+                est = empirical_pareto_gap(d).gap
                 errs.append(abs(est - self.EXACT_GAP))
             errors[N] = float(np.mean(errs))
         assert errors[100] <= errors[10] + 1e-6

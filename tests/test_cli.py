@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from pareto_forge.cli import main
-from pareto_forge.core import save_dataset
+from pareto_forge.core import ParetoCertificate, load_dataset, save_dataset
+from pareto_forge.experiments import default_parallelism
 from pareto_forge.rp import pareto_gap
 from pareto_forge.synthetic import violating_dataset
 
@@ -83,6 +84,29 @@ class TestGenerateAndAudit:
         path.write_text('{"T": 2, "M": 1,')
         assert main(["audit", str(path), "--out-dir", str(tmp_path)]) == 2
         assert "audit error" in capsys.readouterr().err
+
+    def test_audit_nan_sample_exits_two(self, tmp_path, capsys):
+        # json reads a bare NaN literal, so the dataset check must catch it
+        path = tmp_path / "nan.json"
+        save_dataset(violating_dataset(T=3, M=2, k=2, seed=1), path)
+        doc = json.loads(path.read_text())
+        doc["strategies"][1][0]["samples"][0][0] = float("nan")
+        path.write_text(json.dumps(doc))
+        assert "NaN" in path.read_text()
+        assert main(["audit", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "audit error" in err and "strategy (1,0)" in err
+
+    def test_audit_t20_dataset_exits_one_with_valid_certificate(self, tmp_path):
+        # this dataset once drove the LP bisection into a numerical failure (exit 2)
+        path = tmp_path / "t20.json"
+        save_dataset(violating_dataset(T=20, M=3, k=3, seed=3), path)
+        assert main(["audit", str(path), "--out-dir", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "audit_report.json").read_text())
+        cert = report["certificate"]
+        cert = ParetoCertificate(np.array(cert["u"]), np.array(cert["lam"]), cert["r"], cert["alpha"])
+        assert cert.validates(load_dataset(path))
+        assert cert.r >= report["pareto_gap"] > report["tol"]
 
 
 class TestSpsaCommand:
@@ -180,3 +204,15 @@ class TestMonteCarloCommand:
         assert main(["mc", "--config", str(cfg_path), "--out-dir", str(out1)]) == 0
         assert main(["mc", "--config", str(cfg_path), "--out-dir", str(out2)]) == 0
         assert (out1 / "mc_spsa.csv").read_bytes() == (out2 / "mc_spsa.csv").read_bytes()
+
+
+class TestDefaultParallelism:
+    def test_positive_value_is_used(self, monkeypatch):
+        monkeypatch.setenv("PARETO_FORGE_THREADS", "2")
+        assert default_parallelism() == 2
+
+    @pytest.mark.parametrize("value", ["0", "junk"])
+    def test_invalid_value_names_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv("PARETO_FORGE_THREADS", value)
+        with pytest.raises(ValueError, match="PARETO_FORGE_THREADS must be a positive integer"):
+            default_parallelism()

@@ -141,6 +141,30 @@ class TestRPDataset:
         with pytest.raises(ValueError):
             RPDataset(((f,), (f, f)), ((s,), (s, s)))
 
+    def test_non_finite_sample_rejected(self):
+        # a NaN sample yields NaN budget values, which pass every "> tol" check
+        cons = ((_affine([1.0], 1.0),), (_affine([1.0], 1.0),))
+        strats = (
+            (EmpiricalStrategy(np.array([[0.5]])),),
+            (EmpiricalStrategy(np.array([[np.nan]])),),
+        )
+        with pytest.raises(ValueError, match=r"strategy \(1,0\) has a non-finite sample"):
+            RPDataset(cons, strats)
+
+    def test_non_finite_coefficient_rejected(self):
+        cons = ((_affine([1.0, np.inf], 1.0),),)
+        strats = ((EmpiricalStrategy(np.array([[0.5, 0.0]])),),)
+        with pytest.raises(ValueError, match=r"constraint \(0,0\) has a non-finite coefficient"):
+            RPDataset(cons, strats)
+
+    def test_non_finite_gbar_rejected(self):
+        # finite inputs, but log(2*sigma(-1000)) underflows to -inf
+        f = ConstraintFunction(Family.LOG_SIGMOID, 1, a_t=1000.0, beta=(1.0,))
+        strats = ((EmpiricalStrategy(np.array([[0.0]])),),)
+        with np.errstate(over="ignore", divide="ignore"):
+            with pytest.raises(ValueError, match=r"constraint \(0,0\) is not finite on strategy \(0,0\)"):
+                RPDataset(((f,),), strats)
+
 
 class TestParetoCertificate:
     def test_max_violation_hand_value(self):

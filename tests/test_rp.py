@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pareto_forge.core import ConstraintFunction, EmpiricalStrategy, Family, RPDataset
+from pareto_forge.lp import TOL_LP
 from pareto_forge.rp import (
+    TOL_R,
     PreferenceProfile,
     afriat_feasible,
     ccei_scalar,
@@ -45,16 +47,56 @@ def _reversal_dataset():
     return RPDataset(cons, strats)
 
 
+def _asymmetric_reversal_dataset():
+    """Budgets 2x+y <= 1 and x+2y <= 1 with plays (0.5, 0) and (0.2, 0.4).
+
+    gbar = [[0, -0.2], [-0.5, 0]]: the cycle's bottleneck is 0.2 and its other
+    edge is heavier, so the relaxed system is infeasible at r = 0.2 itself and
+    the gap 0.2 is an unattained infimum.
+    """
+    cons = (
+        (_affine([2.0, 1.0], 1.0),),
+        (_affine([1.0, 2.0], 1.0),),
+    )
+    strats = (
+        (EmpiricalStrategy(np.array([[0.5, 0.0]])),),
+        (EmpiricalStrategy(np.array([[0.2, 0.4]])),),
+    )
+    return RPDataset(cons, strats)
+
+
+def _random_dataset(seed):
+    """A consistent (even seed) or violating (odd seed) dataset with T <= 6."""
+    rng = np.random.default_rng(seed)
+    T = int(rng.integers(2, 7))
+    M = int(rng.integers(1, 4))
+    k = int(rng.integers(2, 4))
+    maker = consistent_dataset if seed % 2 == 0 else violating_dataset
+    return maker(T=T, M=M, k=k, seed=seed)
+
+
+def _reference_gap(d):
+    """Bisection over r on the LP verdicts of afriat_feasible (the slow reference)."""
+    if afriat_feasible(d, 0.0)[0]:
+        return 0.0
+    lo, hi = 0.0, max(0.0, float(-d.gbar.min()))  # u = 0 is feasible at hi
+    while hi - lo > TOL_R:
+        mid = 0.5 * (lo + hi)
+        if afriat_feasible(d, mid)[0]:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 class TestMmGarp:
     def test_consistent_play_passes(self):
         d = consistent_dataset(T=4, M=2, k=2, seed=0)
         assert mm_garp(d)
-        assert mm_garp(d, printed_form=True)
 
     def test_reversal_detected(self):
         d = _reversal_dataset()
         assert not mm_garp(d)
-        assert not mm_garp(d, printed_form=True)
 
     def test_single_period_trivially_consistent(self):
         cons = ((_affine([1.0], 1.0),),)
@@ -87,6 +129,27 @@ class TestParetoGap:
         res = pareto_gap(_reversal_dataset())
         assert res.gap == pytest.approx(0.5, abs=2e-5)
         assert res.per_agent_gaps == (res.gap,)
+
+    def test_asymmetric_reversal_gap_is_exact(self):
+        d = _asymmetric_reversal_dataset()
+        res = pareto_gap(d)
+        assert res.gap == pytest.approx(0.2, abs=1e-12)
+        # the infimum is not attained, so the certificate holds one step above it
+        assert res.certificate.r == pytest.approx(0.2 + TOL_R, abs=1e-12)
+        assert res.certificate.validates(d)
+        assert res.bisection_iters == 1
+        assert not afriat_feasible(d, res.gap)[0]
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_matches_reference_lp_bisection(self, seed):
+        d = _random_dataset(seed)
+        res = pareto_gap(d)
+        ref = _reference_gap(d)
+        # The LP accepts residuals up to 10 * TOL_LP; with lam >= 1 that relaxes
+        # r by at most as much, so the reference may sit that far below the gap.
+        assert res.gap - 10 * TOL_LP <= ref <= res.gap + TOL_R + 1e-9
+        assert res.certificate.validates(d)
 
     def test_certificate_validates_at_gap(self):
         d = violating_dataset(T=3, M=2, k=2, seed=5)
@@ -125,8 +188,6 @@ class TestParetoGap:
             afriat_feasible(d, -0.1)
         with pytest.raises(ValueError):
             pareto_gap(d, alpha=0.0)
-        with pytest.raises(ValueError):
-            pareto_gap(d, tol_r=0.0)
 
     def test_empirical_gap_matches_gap_on_point_masses(self):
         d = violating_dataset(T=3, M=2, k=2, seed=3)
@@ -159,6 +220,15 @@ class TestGarpF:
         assert garp_f(d, thr + 0.05)
         assert garp_f(d, 10.0)
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_threshold_is_the_critical_slack(self, seed):
+        d = _random_dataset(seed)
+        thr = garp_f_threshold(d)
+        assert garp_f(d, thr + 1e-9)
+        if thr > 1e-9:
+            assert not garp_f(d, thr - 1e-9)
+
     def test_negative_f_rejected(self):
         with pytest.raises(ValueError):
             garp_f(_reversal_dataset(), -0.1)
@@ -179,9 +249,15 @@ class TestCcei:
         assert ccei_scalar(d, 0) < 1.0
         assert ccei_scalar(d, 1) == 1.0
 
-    def test_invalid_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            ccei_scalar(_reversal_dataset(), 0, tol_e=0.0)
+    def test_non_positive_satiated_budget_rejected(self):
+        # play 1.5 inside its own budget: g = gbar + 1 = -0.5 has no deflation
+        d = RPDataset(((_affine([1.0], 2.0),),), ((EmpiricalStrategy(np.array([[0.5]])),),))
+        with pytest.raises(ValueError, match="must be positive"):
+            ccei_scalar(d, 0)
+
+    def test_asymmetric_reversal_efficiency_is_exact(self):
+        # rho = [[1, 0.8], [0.5, 1]]: GARP_e fails for every e >= 0.8
+        assert ccei_scalar(_asymmetric_reversal_dataset(), 0) == pytest.approx(0.8, abs=1e-12)
 
 
 class TestHoeffdingConfidence:
