@@ -78,6 +78,14 @@ def _write_manifest(out_dir: Path, name: str, cfg: dict, seed, extra=None) -> No
         fh.write("\n")
 
 
+def _ccei_or_none(d, agent: int):
+    """The agent's CCEI, or None where it is undefined (a satiated own budget <= 0)."""
+    try:
+        return ccei_scalar(d, agent)
+    except ValueError:
+        return None
+
+
 def cmd_audit(args) -> int:
     try:
         d = load_dataset(args.dataset)
@@ -91,7 +99,7 @@ def cmd_audit(args) -> int:
         "pareto_gap": res.gap,
         "per_agent_gaps": list(res.per_agent_gaps),
         "garp_f_threshold": garp_f_threshold(d),
-        "ccei": [ccei_scalar(d, i) for i in range(d.M)],
+        "ccei": [_ccei_or_none(d, i) for i in range(d.M)],
         "certificate": {
             "u": res.certificate.u.tolist(),
             "lam": res.certificate.lam.tolist(),

@@ -126,7 +126,9 @@ def default_parallelism() -> int:
         if workers < 1:
             raise ValueError(f"PARETO_FORGE_THREADS must be a positive integer, got {env!r}")
         return workers
-    return len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity"):  # Linux only
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def monte_carlo(task, replications: int, base_seed: int = 0, parallelism: int | None = None):

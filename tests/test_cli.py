@@ -4,12 +4,21 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
 
 from pareto_forge.cli import main
-from pareto_forge.core import ParetoCertificate, load_dataset, save_dataset
+from pareto_forge.core import (
+    ConstraintFunction,
+    EmpiricalStrategy,
+    Family,
+    ParetoCertificate,
+    RPDataset,
+    load_dataset,
+    save_dataset,
+)
 from pareto_forge.experiments import default_parallelism
 from pareto_forge.rp import pareto_gap
 from pareto_forge.synthetic import violating_dataset
@@ -31,6 +40,12 @@ class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"game": {"flux_capacitor": 1.21}}))
+        assert main(["generate", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert "invalid config" in capsys.readouterr().err
+
+    def test_removed_rp_block_rejected(self, tmp_path, capsys):
+        path = tmp_path / "rp.json"
+        path.write_text(json.dumps({"rp": {"tol_r": 1e-6}}))
         assert main(["generate", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
         assert "invalid config" in capsys.readouterr().err
 
@@ -96,6 +111,19 @@ class TestGenerateAndAudit:
         assert main(["audit", str(path), "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "audit error" in err and "strategy (1,0)" in err
+
+    def test_audit_reports_undefined_ccei_as_null(self, tmp_path):
+        # play 1.5 inside its own budget: gbar + 1 = -0.5, so CCEI is undefined
+        path = tmp_path / "inside.json"
+        d = RPDataset(
+            ((ConstraintFunction(Family.AFFINE, 1, alpha=(1.0,), b=2.0),),),
+            ((EmpiricalStrategy(np.array([[0.5]])),),),
+        )
+        save_dataset(d, path)
+        assert main(["audit", str(path), "--out-dir", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "audit_report.json").read_text())
+        assert report["ccei"] == [None]
+        assert report["pareto_gap"] == pytest.approx(1.5, abs=1e-12)  # budget left unspent
 
     def test_audit_t20_dataset_exits_one_with_valid_certificate(self, tmp_path):
         # this dataset once drove the LP bisection into a numerical failure (exit 2)
@@ -216,3 +244,8 @@ class TestDefaultParallelism:
         monkeypatch.setenv("PARETO_FORGE_THREADS", value)
         with pytest.raises(ValueError, match="PARETO_FORGE_THREADS must be a positive integer"):
             default_parallelism()
+
+    def test_falls_back_to_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delenv("PARETO_FORGE_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert default_parallelism() == (os.cpu_count() or 1)
