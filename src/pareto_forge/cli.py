@@ -172,19 +172,28 @@ def cmd_spsa(args) -> int:
     return EXIT_OK
 
 
+def _dro_options(s: dict) -> dict:
+    """``DROConfig`` fields of a config's ``dro`` block, with the CLI defaults."""
+    return {
+        "lambda_hat": s.get("lambda_hat", 1.0),
+        "lam_max": s.get("lam_max", 10.0),
+        "use_paper_v": s.get("use_paper_v", False),
+        "max_exchange_iters": s.get("max_exchange_iters", 60),
+    }
+
+
+def _dro_mc_replication(rep_seed: int, options: dict, **kwargs) -> dict:
+    """One Monte-Carlo ``dro`` replication whose ``DROConfig`` is seeded by the replication."""
+    return run_dro_replication(rep_seed, cfg=DROConfig(**options, seed=rep_seed), **kwargs)
+
+
 def cmd_dro(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
     s = cfg.get("dro", {})
     seed = args.seed if args.seed is not None else s.get("seed", 0)
     eps_list = s.get("eps", [0.001, 1.0, 10.0])
     delta = s.get("delta", 0.1)
-    dro_cfg = DROConfig(
-        lambda_hat=s.get("lambda_hat", 1.0),
-        lam_max=s.get("lam_max", 10.0),
-        use_paper_v=s.get("use_paper_v", False),
-        max_exchange_iters=s.get("max_exchange_iters", 60),
-        seed=seed,
-    )
+    dro_cfg = DROConfig(**_dro_options(s), seed=seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = {}
@@ -237,12 +246,14 @@ def cmd_mc(args) -> int:
         }
     else:
         s = cfg.get("dro", {})
+        options = _dro_options(s)
         eps_list = s.get("eps", [0.001, 1.0, 10.0])
         rows = []
         summary = {}
         for eps in eps_list:
             task = partial(
-                run_dro_replication,
+                _dro_mc_replication,
+                options=options,
                 eps=eps,
                 delta=s.get("delta", 0.1),
                 T=s.get("T", 5),

@@ -189,6 +189,21 @@ class TestDroCommand:
         manifest = json.loads((out / "dro_manifest.json").read_text())
         assert "0.5" in manifest["results"]
 
+    @pytest.mark.parametrize(
+        "block, field",
+        [
+            ({"lambda_hat": 5, "lam_max": 1}, "lam_max"),
+            ({"lambda_hat": 0.5, "lam_max": float("nan")}, "lam_max"),
+        ],
+    )
+    def test_bad_lambda_box_exits_two_naming_the_field(self, tmp_path, capsys, block, field):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"dro": {"eps": [1.0], "T": 2, "M": 1, "N": 2, **block}}))
+        assert main(["dro", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert field in err
+        assert "high - low" not in err
+
 
 class TestMonteCarloCommand:
     def test_spsa_replications_csv(self, tmp_path):
@@ -216,6 +231,44 @@ class TestMonteCarloCommand:
         assert len(rows) == 3
         manifest = json.loads((out / "mc_manifest.json").read_text())
         assert set(manifest["summary"]) == {"mean_iterations", "success_rate"}
+
+    def test_dro_replications_use_the_dro_block(self, tmp_path):
+        # the block's max_exchange_iters (and lambda box) reach every replication
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "monte_carlo": {"command": "dro", "replications": 2, "parallelism": 1},
+                    "dro": {
+                        "eps": [1.0],
+                        "delta": 1e-6,
+                        "T": 3,
+                        "M": 2,
+                        "N": 2,
+                        "max_exchange_iters": 1,
+                    },
+                }
+            )
+        )
+        out = tmp_path / "out"
+        assert main(["mc", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        with open(out / "mc_dro.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["iterations"] for r in rows] == ["1", "1"]
+        assert [r["certified"] for r in rows] == ["False", "False"]
+
+    def test_bad_dro_block_exits_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "monte_carlo": {"command": "dro", "replications": 1, "parallelism": 1},
+                    "dro": {"lambda_hat": 5, "lam_max": 1},
+                }
+            )
+        )
+        assert main(["mc", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "lam_max" in capsys.readouterr().err
 
     def test_reruns_are_reproducible(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

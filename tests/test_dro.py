@@ -4,8 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pareto_forge.core import ConstraintFunction, EmpiricalStrategy, Family, RPDataset
+from pareto_forge.core import (
+    ConstraintFunction,
+    EmpiricalStrategy,
+    Family,
+    RPDataset,
+    eval_constraint_many,
+)
 from pareto_forge.dro import (
     DROConfig,
     DROState,
@@ -18,6 +26,7 @@ from pareto_forge.dro import (
     robust_gap,
     wasserstein_ball_check,
 )
+from pareto_forge import dro
 from pareto_forge.synthetic import dro_instance
 
 
@@ -43,6 +52,138 @@ def _samples_tensor(d):
     )
 
 
+# --- serial reference master (one descent per (v_{N+1}, start) pair) ---------
+
+
+def _serial_objective(u, lam, v_n1, cut_data, eps, N, two_v):
+    Gs, dists, kidx = cut_data
+    term = (u[None, None, :, :] - u[None, :, None, :]) / lam[None, :, None, :] - Gs
+    flat = term.reshape(len(dists), -1)
+    arg = flat.argmax(axis=1)
+    scores = np.maximum(flat[np.arange(len(dists)), arg], 0.0) - v_n1 * dists
+    v = np.zeros(N)
+    np.maximum.at(v, kidx, scores)
+    return eps * v_n1 + np.clip(v, 0.0, two_v).sum() / N, np.clip(v, 0.0, two_v), scores, arg
+
+
+def _psi_descent(u0, lam0, v_n1, cut_data, eps, N, two_v, cfg, u_lo, u_hi, l_lo, l_hi):
+    """Projected subgradient descent over ψ for fixed v_{N+1}, one start."""
+    Gs, _dists, kidx = cut_data
+    shape = Gs.shape[1:]
+    u, lam = u0.copy(), lam0.copy()
+    best_obj = _serial_objective(u, lam, v_n1, cut_data, eps, N, two_v)[0]
+    best = (u.copy(), lam.copy())
+    step0 = 0.2 * max(u_hi - u_lo, l_hi - l_lo)
+    for it in range(cfg.subgrad_iters):
+        _, _, scores, arg = _serial_objective(u, lam, v_n1, cut_data, eps, N, two_v)
+        gu = np.zeros_like(u)
+        gl = np.zeros_like(lam)
+        any_grad = False
+        for k in range(N):
+            idx = np.flatnonzero(kidx == k)
+            if idx.size == 0:
+                continue
+            j = idx[int(scores[idx].argmax())]
+            if scores[j] <= 0.0 or scores[j] >= two_v:
+                continue  # clipped regions contribute zero subgradient
+            t, s, i = np.unravel_index(arg[j], shape)
+            gu[s, i] += 1.0 / (lam[t, i] * N)
+            gu[t, i] -= 1.0 / (lam[t, i] * N)
+            gl[t, i] -= (u[s, i] - u[t, i]) / (lam[t, i] ** 2 * N)
+            any_grad = True
+        if not any_grad:
+            break
+        step = step0 / np.sqrt(it + 1.0)
+        u = np.clip(u - step * gu, u_lo, u_hi)
+        lam = np.clip(lam - step * gl, l_lo, l_hi)
+        obj = _serial_objective(u, lam, v_n1, cut_data, eps, N, two_v)[0]
+        if obj < best_obj:
+            best_obj = obj
+            best = (u.copy(), lam.copy())
+    return best[0], best[1], best_obj
+
+
+def _serial_master(scen, d, eps, cfg):
+    """master_solve as one serial descent per v-grid point and start."""
+    rng = np.random.default_rng(cfg.seed)
+    T, M, N = d.T, d.M, scen.N
+    two_v = 2.0 * cfg.big_v(dro._dataset_g_bound(d))
+    u_lo, u_hi, l_lo, l_hi = -cfg.u_bound, cfg.u_bound, cfg.lambda_hat, cfg.lam_max
+    center = (np.zeros((T, M)), np.full((T, M), 0.5 * (l_lo + l_hi)))
+    cut_data = dro._cut_data(d, dro._samples(d), scen)
+    vmax = two_v / 2.0 / eps
+    lo, hi = 0.0, vmax
+    best = None
+    for _round in range(2):
+        results = []
+        for v_n1 in np.linspace(lo, hi, cfg.v_grid):
+            starts = [center] + [
+                (rng.uniform(u_lo, u_hi, size=(T, M)), rng.uniform(l_lo, l_hi, size=(T, M)))
+                for _ in range(cfg.multistarts - 1)
+            ]
+            inner = None
+            for u0, lam0 in starts:
+                r = _psi_descent(
+                    u0, lam0, v_n1, cut_data, eps, N, two_v, cfg, u_lo, u_hi, l_lo, l_hi
+                )
+                if inner is None or r[2] < inner[2]:
+                    inner = r
+            results.append((v_n1, inner))
+        v_star, inner = min(results, key=lambda r: r[1][2])
+        if best is None or inner[2] < best[1][2]:
+            best = (v_star, inner)
+        width = (hi - lo) / (cfg.v_grid - 1)
+        lo = max(0.0, best[0] - width)
+        hi = min(vmax, best[0] + width)
+    v_n1, (u, lam, obj) = best
+    v = _serial_objective(u, lam, v_n1, cut_data, eps, N, two_v)[1]
+    return u, lam, np.concatenate([v, [v_n1]]), obj
+
+
+def _random_cuts(d, scen, rng, max_per_k=3):
+    samples = _samples_tensor(d)
+    for k in range(scen.N):
+        for _ in range(int(rng.integers(0, max_per_k + 1))):
+            phi = samples[:, :, k, :] + rng.uniform(0.0, 0.3, size=samples[:, :, k, :].shape)
+            scen.cuts[k].append(phi)
+
+
+# --- dense-grid references for the exact oracle -------------------------------
+
+GRID = 301  # points per axis of the reference grids
+
+
+def _budget_grid(f):
+    """GRID x GRID points of the 2-D budget set {γ ≥ 0 : f(γ) ≤ 0}, vertices included."""
+    hi = -float(eval_constraint_many(f, np.zeros((1, 2)))[0]) / np.asarray(f.alpha)
+    axes = [np.linspace(0.0, h, GRID) for h in hi]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    return pts[eval_constraint_many(f, pts) <= 1e-12]
+
+
+def _term(d, psi, s, i, pts):
+    """max_t [(u_s^i − u_t^i)/λ_t^i − g_t^i(γ)] at each row of pts."""
+    return np.max(
+        [
+            (psi.u[s, i] - psi.u[t, i]) / psi.lam[t, i]
+            - eval_constraint_many(d.constraints[t][i], pts)
+            for t in range(d.T)
+        ],
+        axis=0,
+    )
+
+
+def _oracle_case(seed):
+    """A small dro_instance with random ψ, distance weight v_{N+1} and v_k."""
+    rng = np.random.default_rng(seed)
+    T, M, N = int(rng.integers(2, 4)), int(rng.integers(1, 3)), int(rng.integers(2, 4))
+    d = dro_instance(T=T, M=M, N=N, seed=seed)
+    psi = PsiVector(rng.uniform(-1.0, 1.0, size=(T, M)), rng.uniform(0.3, 3.0, size=(T, M)))
+    v_n1 = [0.0, rng.uniform(0.0, 0.5), rng.uniform(0.0, 5.0)][int(rng.integers(0, 3))]
+    v_hat = np.concatenate([rng.uniform(0.0, 0.5, size=N), [v_n1]])
+    return d, psi, v_hat
+
+
 class TestPsiVector:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -55,6 +196,27 @@ class TestPsiVector:
         assert scen.total == 0
         scen.cuts[1].append(np.zeros((2, 1, 1)))
         assert scen.total == 1
+
+
+class TestDROConfig:
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"lambda_hat": 0.0}, "lambda_hat"),
+            ({"lambda_hat": -1.0}, "lambda_hat"),
+            ({"lambda_hat": 5.0, "lam_max": 1.0}, "lam_max"),
+            ({"lam_max": float("nan")}, "lam_max"),
+            ({"u_bound": 0.0}, "u_bound"),
+            ({"multistarts": 0}, "multistarts"),
+            ({"v_grid": 1}, "v_grid"),
+        ],
+    )
+    def test_bad_boxes_and_budgets_name_the_field(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            DROConfig(**kwargs)
+
+    def test_degenerate_lambda_box_is_allowed(self):
+        assert DROConfig(lambda_hat=1.0, lam_max=1.0).lam_max == 1.0
 
 
 class TestHValue:
@@ -135,6 +297,37 @@ class TestMasterSolve:
         _, _, obj_reduced = master_solve(reduced, d, eps=0.5, cfg=cfg)
         assert obj_reduced <= obj_full + 1e-6
 
+    @pytest.mark.parametrize("eps", [0.001, 1.0, 10.0])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_batched_descents_match_the_serial_reference(self, eps, seed):
+        d = dro_instance(T=4, M=2, N=4, seed=seed)
+        cfg = DROConfig(lambda_hat=1.0, lam_max=10.0, seed=seed)
+        rng = np.random.default_rng(50 + seed)
+        scen = ScenarioSet(4)
+        _random_cuts(d, scen, rng)
+        if scen.total == 0:
+            scen.cuts[0].append(_samples_tensor(d)[:, :, 0, :] + 0.1)
+        for _grow in range(2):  # second pass reuses the cached per-cut tensors
+            psi, v, obj = master_solve(scen, d, eps=eps, cfg=cfg)
+            u_ref, lam_ref, v_ref, obj_ref = _serial_master(scen, d, eps, cfg)
+            assert obj == pytest.approx(obj_ref, abs=1e-12)
+            np.testing.assert_allclose(psi.u, u_ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(psi.lam, lam_ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-12)
+            _random_cuts(d, scen, rng, max_per_k=1)
+
+    def test_cut_cache_follows_replaced_lists(self):
+        d = dro_instance(T=3, M=2, N=2, seed=2)
+        scen = ScenarioSet(2)
+        _random_cuts(d, scen, np.random.default_rng(0))
+        scen.cuts[0].append(_samples_tensor(d)[:, :, 0, :] + 0.2)
+        samples = _samples_tensor(d)
+        dro._cut_data(d, samples, scen)
+        scen.cuts[0] = scen.cuts[0][::-1]
+        fresh = ScenarioSet(2, cuts=[list(c) for c in scen.cuts])
+        for a, b in zip(dro._cut_data(d, samples, scen), dro._cut_data(d, samples, fresh)):
+            np.testing.assert_array_equal(a, b)
+
 
 class TestConstraintViolation:
     def _state(self, d, v_hat, eps=1.0):
@@ -154,7 +347,7 @@ class TestConstraintViolation:
         d = _small_dataset()
         state = self._state(d, v_hat=[0.0, 0.0, 0.0])
         cv, phi = constraint_violation(0, state, d, cfg=DROConfig())
-        # with no distance penalty the oracle maximizes h over the domain grid:
+        # with no distance penalty the oracle maximizes h over the budget set:
         # the worst block pushes g as negative as possible (gamma = 0)
         base = h_value(state.psi_hat, _samples_tensor(d)[:, :, 0, :], d)
         assert cv >= base - 1e-9
@@ -167,6 +360,69 @@ class TestConstraintViolation:
         cv0, _ = constraint_violation(0, s0, d, cfg=DROConfig())
         cv1, _ = constraint_violation(0, s1, d, cfg=DROConfig())
         assert cv1 == pytest.approx(cv0 - 0.5)
+
+
+class TestExactOracle:
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_dominates_a_dense_grid_and_attains_its_value(self, seed):
+        d, psi, v_hat = _oracle_case(seed)
+        samples = _samples_tensor(d)
+        T, M, N, _k = samples.shape
+        v_n1 = v_hat[-1]
+        state = DROState(psi, v_hat, np.zeros(N), 1, 1.0, 0.1)
+        vals, phis = dro._cv_all(state, d, samples)
+        at_samples = np.array(
+            [[_term(d, psi, s, i, samples[s, i]) for i in range(M)] for s in range(T)]
+        )  # (T, M, N)
+        for k in range(N):
+            dist = np.linalg.norm(phis[k] - samples[:, :, k, :], axis=-1).sum()
+            attained = h_value(psi, phis[k], d) - v_n1 * dist - v_hat[k]
+            assert attained == pytest.approx(vals[k], abs=1e-9)
+            grid_best = max(0.0, at_samples[:, :, k].max()) - v_hat[k]
+            for s in range(T):
+                for i in range(M):
+                    pts = _budget_grid(d.constraints[s][i])
+                    others = np.delete(at_samples[:, :, k].ravel(), s * M + i)
+                    rest = max(0.0, others.max()) if others.size else 0.0
+                    gap = np.linalg.norm(pts - samples[s, i, k], axis=1)
+                    score = np.maximum(_term(d, psi, s, i, pts), rest) - v_n1 * gap - v_hat[k]
+                    grid_best = max(grid_best, score.max())
+            assert vals[k] >= grid_best - 1e-12
+
+    def _edge_case(self):
+        """One block, F = {γ ≥ 0 : γ1 + 0.2·γ2 ≤ 1}, one sample a = (0.3, 2)."""
+        cons = ((_affine([1.0, 0.2], 1.0),),)
+        d = RPDataset(cons, ((EmpiricalStrategy(np.array([[0.3, 2.0]])),),))
+        psi = PsiVector(np.zeros((1, 1)), np.ones((1, 1)))  # h = max(0, 1 − α·γ)
+        return d, psi
+
+    def test_interior_of_an_edge_hand_value(self):
+        # ‖α‖ > v = 0.5 pushes the optimum to the boundary; on the edge γ1 = 0
+        # the stationary point lies y = 0.3·0.2/√(0.5² − 0.2²) below the foot (0, 2)
+        d, psi = self._edge_case()
+        state = DROState(psi, np.array([0.0, 0.5]), np.zeros(1), 1, 1.0, 0.1)
+        cv, phi = constraint_violation(0, state, d)
+        y = 0.3 * 0.2 / np.sqrt(0.5**2 - 0.2**2)
+        np.testing.assert_allclose(phi[0, 0], [0.0, 2.0 - y], atol=1e-12)
+        assert cv == pytest.approx(1.0 - 0.2 * (2.0 - y) - 0.5 * np.hypot(0.3, y), abs=1e-12)
+
+    def test_robust_gap_on_the_sphere_hand_value(self):
+        # the ball of radius 0.5 meets the edge γ1 = 0 down to (0, 2 − 0.4)
+        d, psi = self._edge_case()
+        assert robust_gap(psi, d, eps=0.5) == pytest.approx(1.0 - 0.2 * 1.6, abs=1e-12)
+
+    def test_unbounded_budget_set_is_rejected(self):
+        cons = ((_affine([1.0, 0.0], 1.0),), (_affine([0.5, 1.0], 1.0),))
+        strat = EmpiricalStrategy(np.full((2, 2), 0.2))
+        d = RPDataset(cons, ((strat,), (strat,)))
+        state = DROState(
+            PsiVector(np.zeros((2, 1)), np.ones((2, 1))), np.zeros(3), np.zeros(2), 1, 1.0, 0.1
+        )
+        with pytest.raises(ValueError, match=r"block \(s=0, i=0\).*unbounded"):
+            constraint_violation(0, state, d)
+        with pytest.raises(ValueError, match=r"block \(s=0, i=0\)"):
+            robust_gap(state.psi_hat, d, eps=0.5)
 
 
 class TestExchangeLoop:
@@ -213,3 +469,27 @@ class TestRobustGap:
         g2 = robust_gap(psi, d, eps=2.0)
         assert g0 <= g1 + 1e-9
         assert g1 <= g2 + 1e-9
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10_000), radii=st.lists(st.floats(0.0, 2.0), min_size=2, max_size=3))
+    def test_dominates_a_dense_grid_in_the_ball_and_is_monotone(self, seed, radii):
+        d, psi, _v = _oracle_case(seed)
+        samples = _samples_tensor(d)
+        T, M, N, _k = samples.shape
+        radii = sorted(radii)
+        gaps = [robust_gap(psi, d, eps=eps) for eps in radii]
+        for lo, hi in zip(gaps, gaps[1:]):
+            assert lo <= hi + 1e-12
+        eps = radii[-1]
+        grid_best = 0.0
+        for s in range(T):
+            for i in range(M):
+                pts = _budget_grid(d.constraints[s][i])
+                terms = _term(d, psi, s, i, pts)
+                for k in range(N):
+                    anchor = samples[s, i, k]
+                    inside = np.linalg.norm(pts - anchor, axis=1) <= eps
+                    grid_best = max(grid_best, _term(d, psi, s, i, anchor[None])[0])
+                    if inside.any():
+                        grid_best = max(grid_best, terms[inside].max())
+        assert gaps[-1] >= grid_best - 1e-12
