@@ -1,10 +1,10 @@
-"""Minimal dense linear-programming backend.
+"""Linear-programming backend: HiGHS's dual simplex with verified verdicts.
 
-Solves min c'x s.t. A x <= b with per-variable bounds, via a two-phase dense
-simplex using Bland's rule (anti-cycling).  Problem sizes here are small
-(hundreds of variables at most), so a dense tableau is the simplest thing that
-works.  The backend is pluggable: anything with a ``solve(lp)`` method can be
-swapped in.
+Solves min c'x s.t. A x <= b with per-variable bounds through
+``scipy.optimize.linprog(method="highs-ds")``.  A point HiGHS calls optimal is
+checked against the original rows and bounds before it is reported OPTIMAL;
+one that fails the check is reported NUMERICAL, and :func:`feasible` raises on
+it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 TOL_LP = 1e-7
-_PIVOT_TOL = 1e-9
 
 
 class Status(str, Enum):
@@ -58,231 +57,58 @@ class LPResult:
     objective: float | None = None
 
 
+# linprog status codes: 0 optimal, 2 infeasible, 3 unbounded; the rest
+# (iteration limit, numerical trouble) are numerical failures
+_STATUS = {2: Status.INFEASIBLE, 3: Status.UNBOUNDED}
+
+
 class SimplexSolver:
-    """Built-in dense two-phase simplex backend."""
-
-    def __init__(self, tol: float = TOL_LP, max_pivots: int = 20000):
-        self.tol = tol
-        self.max_pivots = max_pivots
+    """HiGHS dual simplex (``scipy.optimize.linprog``, method ``highs-ds``)."""
 
     def solve(self, lp: LinearProgram) -> LPResult:
-        n = lp.c.size
-        # Shift variables into y >= 0 form; finite ranges become extra rows.
-        cols: list[tuple[int, float, float]] = []  # (orig index, sign, offset)
-        extra_rows: list[tuple[int, float]] = []  # (std column, rhs) for y <= range
-        for j in range(n):
-            lo, hi = lp.lower[j], lp.upper[j]
-            if np.isfinite(lo):
-                cols.append((j, 1.0, lo))
-                if np.isfinite(hi):
-                    extra_rows.append((len(cols) - 1, hi - lo))
-            elif np.isfinite(hi):
-                cols.append((j, -1.0, hi))
-            else:
-                cols.append((j, 1.0, 0.0))
-                cols.append((j, -1.0, 0.0))
-
-        ns = len(cols)
-        m0 = lp.A.shape[0]
-        A_std = np.zeros((m0 + len(extra_rows), ns))
-        offset_x = np.zeros(n)
-        for jc, (j, sign, off) in enumerate(cols):
-            A_std[:m0, jc] = sign * lp.A[:, j]
-            offset_x[j] = off  # free variables contribute offset 0 (twice)
-        b_std = np.concatenate([lp.b - lp.A @ offset_x, np.zeros(len(extra_rows))])
-        for r, (jc, rng_len) in enumerate(extra_rows):
-            A_std[m0 + r, jc] = 1.0
-            b_std[m0 + r] = rng_len
-        c_std = np.zeros(ns)
-        for jc, (j, sign, _off) in enumerate(cols):
-            c_std[jc] = sign * lp.c[j]
-        status, y = self._two_phase(A_std, b_std, c_std, m_user=m0)
-        if status is not Status.OPTIMAL:
-            return LPResult(status)
-        x = offset_x.copy()
-        for jc, (j, sign, _off) in enumerate(cols):
-            x[j] += sign * y[jc]
-        if not _verified_feasible(lp, x, self.tol):
-            return LPResult(Status.NUMERICAL)
-        return LPResult(Status.OPTIMAL, x, float(lp.c @ x))
-
-    # --- standard form: min c'y  s.t.  A y <= b, y >= 0 ---------------------
-
-    def _two_phase(self, A, b, c, m_user=None):
-        m, n = A.shape
-        if m_user is None:
-            m_user = m
-        # equality form with slacks; rows with negative rhs are flipped and
-        # given artificial variables
-        flip = b < 0
-        Aeq = A.copy()
-        beq = b.copy()
-        slack_sign = np.ones(m)
-        Aeq[flip] *= -1.0
-        beq[flip] *= -1.0
-        slack_sign[flip] = -1.0
-        art_rows = np.flatnonzero(flip)
-        n_art = art_rows.size
-
-        ncols = n + m + n_art
-        T = np.zeros((m, ncols + 1))
-        T[:, :n] = Aeq
-        T[np.arange(m), n + np.arange(m)] = slack_sign
-        for a_idx, row in enumerate(art_rows):
-            T[row, n + m + a_idx] = 1.0
-        T[:, -1] = beq
-
-        basis = np.empty(m, dtype=int)
-        basis[:] = n + np.arange(m)
-        for a_idx, row in enumerate(art_rows):
-            basis[row] = n + m + a_idx
-
-        if n_art:
-            # phase 1: minimize sum of artificials
-            c1 = np.zeros(ncols)
-            c1[n + m :] = 1.0
-            st = self._iterate(T, basis, c1, restrict=ncols)
-            if st is not Status.OPTIMAL:
-                return Status.NUMERICAL, None
-            # infeasibility threshold scaled by the user rows' RHS only — the
-            # synthetic bound-range rows can dwarf the meaningful scale
-            b_scale = abs(b[:m_user]).max() if m_user else 1.0
-            if c1[basis] @ T[:, -1] > self.tol * max(1.0, b_scale):
-                return Status.INFEASIBLE, None
-            # pivot artificials out of the basis where possible
-            for row in range(m):
-                if basis[row] >= n + m:
-                    piv_col = -1
-                    for j in range(n + m):
-                        if abs(T[row, j]) > _PIVOT_TOL:
-                            piv_col = j
-                            break
-                    if piv_col >= 0:
-                        self._pivot(T, basis, row, piv_col)
-
-        # phase 2 on real costs, artificial columns frozen out
-        c2 = np.zeros(ncols)
-        c2[:n] = c
-        st = self._iterate(T, basis, c2, restrict=n + m)
-        if st is not Status.OPTIMAL:
-            return st, None
-        y = np.zeros(n)
-        for row, bj in enumerate(basis):
-            if bj < n:
-                y[bj] = T[row, -1]
-        return Status.OPTIMAL, y
-
-    def _iterate(self, T, basis, c, restrict):
-        """Revised simplex iterations on the dense tableau.
-
-        Default pricing is Dantzig (most negative reduced cost) with the
-        leaving row chosen by largest pivot element among the min-ratio ties
-        (numerical stability); after a long degenerate stall we switch to
-        Bland's rule, which guarantees termination.
-        """
-        m = T.shape[0]
-        in_basis = np.zeros(T.shape[1] - 1, dtype=bool)
-        in_basis[basis] = True
-        bland = False
-        stall = 0
-        for _ in range(self.max_pivots):
-            cb = c[basis]
-            red = c[:restrict] - cb @ T[:, :restrict]
-            red[in_basis[:restrict]] = 0.0
-            if bland:
-                neg = np.flatnonzero(red < -1e-9)
-                if neg.size == 0:
-                    return Status.OPTIMAL
-                enter = int(neg[0])
-            else:
-                enter = int(np.argmin(red))
-                if red[enter] >= -1e-9:
-                    return Status.OPTIMAL
-            col = T[:, enter]
-            pos = col > _PIVOT_TOL
-            if not pos.any():
-                return Status.UNBOUNDED
-            ratios = np.full(m, np.inf)
-            ratios[pos] = np.maximum(T[pos, -1], 0.0) / col[pos]
-            best = ratios.min()
-            cand = np.flatnonzero(ratios <= best * (1 + 1e-9) + 1e-12)
-            if bland:
-                leave = int(cand[np.argmin(basis[cand])])
-            else:
-                leave = int(cand[np.argmax(np.abs(col[cand]))])
-            stall = stall + 1 if best <= 1e-12 else 0
-            if stall > 10 * m:
-                bland = True
-            in_basis[basis[leave]] = False
-            in_basis[enter] = True
-            self._pivot(T, basis, leave, enter)
-        return Status.NUMERICAL
-
-    @staticmethod
-    def _pivot(T, basis, row, col):
-        T[row] /= T[row, col]
-        for r in range(T.shape[0]):
-            if r != row and abs(T[r, col]) > 1e-14:
-                T[r] -= T[r, col] * T[row]
-        basis[row] = col
-
-
-def _verified_feasible(lp: LinearProgram, x, tol: float) -> bool:
-    """Check a candidate point against the original constraints and bounds.
-
-    Applied before any backend may report Optimal — never a wrong Optimal.
-    """
-    resid_ok = lp.A.size == 0 or (lp.A @ x - lp.b).max() <= 10 * tol
-    bound_ok = np.all(x >= lp.lower - 10 * tol) and np.all(x <= lp.upper + 10 * tol)
-    return bool(resid_ok and bound_ok)
-
-
-class ScipyBackend:
-    """LP backend delegating to scipy's HiGHS solver (same interface)."""
-
-    def __init__(self, tol: float = TOL_LP):
-        self.tol = tol
-
-    def solve(self, lp: LinearProgram) -> LPResult:
+        # imported here: scipy.optimize takes about three times as long to
+        # import as the whole package
         from scipy.optimize import linprog
 
         res = linprog(
             lp.c,
             A_ub=lp.A if lp.A.size else None,
             b_ub=lp.b if lp.b.size else None,
-            bounds=list(zip(lp.lower, lp.upper)),
-            method="highs",
+            bounds=np.column_stack([lp.lower, lp.upper]),
+            method="highs-ds",
         )
-        if res.status == 0:
-            x = np.asarray(res.x, dtype=float)
-            if not _verified_feasible(lp, x, self.tol):
-                return LPResult(Status.NUMERICAL)
-            return LPResult(Status.OPTIMAL, x, float(lp.c @ x))
-        if res.status == 2:
-            return LPResult(Status.INFEASIBLE)
-        if res.status == 3:
-            return LPResult(Status.UNBOUNDED)
-        return LPResult(Status.NUMERICAL)
+        if res.status != 0:
+            return LPResult(_STATUS.get(res.status, Status.NUMERICAL))
+        x = np.asarray(res.x, dtype=float)
+        if not _verified_feasible(lp, x):
+            return LPResult(Status.NUMERICAL)
+        return LPResult(Status.OPTIMAL, x, float(lp.c @ x))
 
 
-_DEFAULT = SimplexSolver()
-_FALLBACK = ScipyBackend()
+def _verified_feasible(lp: LinearProgram, x) -> bool:
+    """Check a candidate point against the original constraints and bounds.
+
+    Applied before a result may be reported OPTIMAL: never a wrong OPTIMAL.
+    """
+    resid_ok = lp.A.size == 0 or (lp.A @ x - lp.b).max() <= 10 * TOL_LP
+    bound_ok = np.all(x >= lp.lower - 10 * TOL_LP) and np.all(x <= lp.upper + 10 * TOL_LP)
+    return bool(resid_ok and bound_ok)
 
 
-def solve(lp: LinearProgram, backend=None) -> LPResult:
-    res = (backend or _DEFAULT).solve(lp)
-    if backend is None and res.status is Status.NUMERICAL:
-        # borderline instances can defeat the dense tableau; retry with the
-        # alternate backend before reporting a numerical failure
-        res = _FALLBACK.solve(lp)
-    return res
+_SOLVER = SimplexSolver()
 
 
-def feasible(A, b, lower, upper, backend=None) -> tuple[bool, NDArray[np.float64] | None]:
-    """Feasibility of A x <= b within bounds; returns (verdict, witness)."""
+def solve(lp: LinearProgram) -> LPResult:
+    return _SOLVER.solve(lp)
+
+
+def feasible(A, b, lower, upper) -> tuple[bool, NDArray[np.float64] | None]:
+    """Feasibility of A x <= b within bounds; returns (verdict, witness).
+
+    Any other verdict (NUMERICAL) raises RuntimeError naming it.
+    """
     lower = np.asarray(lower, dtype=float)
-    lp = LinearProgram(np.zeros(lower.size), A, b, lower, upper)
-    res = solve(lp, backend)
+    res = solve(LinearProgram(np.zeros(lower.size), A, b, lower, upper))
     if res.status is Status.OPTIMAL:
         return True, res.x
     if res.status is Status.INFEASIBLE:

@@ -106,21 +106,25 @@ def _agent_system(gbar_i: NDArray[np.float64], r: float):
     return A, b, lower, upper
 
 
-def _agent_feasible(gbar_i, r, alpha, backend=None):
-    T = gbar_i.shape[0]
-    A, b, lower, upper = _agent_system(gbar_i, r)
-    ok, x = lp.feasible(A, b, lower, upper, backend)
+def _agent_feasible(gbar_i, r):
+    """One agent's system at level r: the raw LP point (u, lam), or None if infeasible."""
+    ok, x = lp.feasible(*_agent_system(gbar_i, r))
     if not ok:
-        return False, None, None
-    u, lam = x[:T], x[T:]
-    if lam.min() < alpha:  # scale up to honor the alpha floor
+        return None
+    T = gbar_i.shape[0]
+    return x[:T], x[T:]
+
+
+def _normalize_agent_cert(u, lam, alpha):
+    """Rescale so max lam = 1 while keeping lam >= alpha (tidier certificates)."""
+    c = 1.0 / lam.max()
+    if lam.min() * c < alpha:
         c = alpha / lam.min()
-        u, lam = u * c, lam * c
-    return True, u, lam
+    return u * c, lam * c
 
 
 def afriat_feasible(
-    d: RPDataset, r: float, alpha: float = ALPHA_DEFAULT, backend=None
+    d: RPDataset, r: float, alpha: float = ALPHA_DEFAULT
 ) -> tuple[bool, ParetoCertificate | None]:
     """Feasibility of the relaxed utility-number system at level r.
 
@@ -135,10 +139,10 @@ def afriat_feasible(
     u = np.zeros((T, M))
     lam = np.zeros((T, M))
     for i in range(M):
-        ok, u_i, lam_i = _agent_feasible(d.gbar[:, :, i], r, alpha, backend)
-        if not ok:
+        point = _agent_feasible(d.gbar[:, :, i], r)
+        if point is None:
             return False, None
-        u[:, i], lam[:, i] = u_i, lam_i
+        u[:, i], lam[:, i] = _normalize_agent_cert(*point, alpha)
     return True, ParetoCertificate(u, lam, float(r), alpha)
 
 
@@ -154,14 +158,6 @@ class GapResult:
     certificate: ParetoCertificate
     per_agent_gaps: tuple[float, ...]
     bisection_iters: int
-
-
-def _normalize_agent_cert(u, lam, alpha):
-    """Rescale so max lam = 1 while keeping lam >= alpha (tidier certificates)."""
-    c = 1.0 / lam.max()
-    if lam.min() * c < alpha:
-        c = alpha / lam.min()
-    return u * c, lam * c
 
 
 def pareto_gap(d: RPDataset, alpha: float = ALPHA_DEFAULT) -> GapResult:
@@ -188,10 +184,10 @@ def pareto_gap(d: RPDataset, alpha: float = ALPHA_DEFAULT) -> GapResult:
         c = -d.gbar[:, :, i]
         gap = max(0.0, _critical_level(c))
         r = gap if _garp(c, gap) else gap + TOL_R
-        ok, u_i, lam_i = _agent_feasible(d.gbar[:, :, i], r, alpha)
-        if not ok:
+        point = _agent_feasible(d.gbar[:, :, i], r)
+        if point is None:
             raise RuntimeError(f"LP found no certificate for agent {i} at r = {r!r}")
-        u[:, i], lam[:, i] = _normalize_agent_cert(u_i, lam_i, alpha)
+        u[:, i], lam[:, i] = _normalize_agent_cert(*point, alpha)
         gaps.append(gap)
         levels.append(r)
     cert = ParetoCertificate(u, lam, max(levels), alpha)

@@ -20,6 +20,7 @@ from pareto_forge.core import (
     save_dataset,
 )
 from pareto_forge.experiments import default_parallelism
+from pareto_forge.lp import LPResult, SimplexSolver, Status
 from pareto_forge.rp import pareto_gap
 from pareto_forge.synthetic import violating_dataset
 
@@ -124,6 +125,15 @@ class TestGenerateAndAudit:
         report = json.loads((tmp_path / "audit_report.json").read_text())
         assert report["ccei"] == [None]
         assert report["pareto_gap"] == pytest.approx(1.5, abs=1e-12)  # budget left unspent
+
+    def test_audit_lp_numerical_failure_exits_two(self, tmp_path, capsys, monkeypatch):
+        # a NUMERICAL verdict must reach the user, not be retried elsewhere
+        monkeypatch.setattr(SimplexSolver, "solve", lambda self, lp: LPResult(Status.NUMERICAL))
+        path = tmp_path / "violating.json"
+        save_dataset(violating_dataset(T=3, M=2, k=2, seed=1), path)
+        assert main(["audit", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert "LP backend failure: numerical" in capsys.readouterr().err
+        assert not (tmp_path / "audit_report.json").exists()
 
     def test_audit_t20_dataset_exits_one_with_valid_certificate(self, tmp_path):
         # this dataset once drove the LP bisection into a numerical failure (exit 2)

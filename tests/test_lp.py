@@ -1,15 +1,25 @@
-"""Unit tests for the dense LP backend and the scipy cross-check."""
+"""Unit tests for the LP backend (HiGHS dual simplex behind a verification
+check) and its cross-check against brute-force vertex enumeration."""
 
 from __future__ import annotations
 
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pareto_forge
 from pareto_forge.lp import (
     LinearProgram,
-    ScipyBackend,
+    LPResult,
     SimplexSolver,
     Status,
     feasible,
@@ -86,6 +96,28 @@ class TestDuality:
         assert res.objective == pytest.approx(-dual.objective, abs=1e-7)
 
 
+def _vertex_optimum(lp, tol=1e-9):
+    """min c'x by enumerating every vertex of a bounded LP (slow reference).
+
+    Stacks rows and finite bounds into G x <= h and solves each n-subset of
+    them as equalities; the best feasible solution is the optimum.
+    """
+    n = lp.c.size
+    eye = np.eye(n)
+    lo, hi = np.isfinite(lp.lower), np.isfinite(lp.upper)
+    G = np.vstack([lp.A, -eye[lo], eye[hi]])
+    h = np.concatenate([lp.b, -lp.lower[lo], lp.upper[hi]])
+    best = np.inf
+    for rows in itertools.combinations(range(G.shape[0]), n):
+        sub = G[list(rows)]
+        if abs(np.linalg.det(sub)) < 1e-12:
+            continue
+        x = np.linalg.solve(sub, h[list(rows)])
+        if np.all(G @ x <= h + tol):
+            best = min(best, float(lp.c @ x))
+    return best
+
+
 class TestBackendAgreement:
     def _random_lp(self, rng, n=4, m=6):
         A = rng.uniform(-1.0, 1.0, size=(m, n))
@@ -94,16 +126,13 @@ class TestBackendAgreement:
         c = rng.uniform(-1.0, 1.0, size=n)
         return _lp(c, A, b, lower=np.zeros(n), upper=np.full(n, 5.0))
 
-    def test_matches_scipy_on_random_instances(self):
+    def test_matches_vertex_enumeration_on_random_instances(self):
         rng = np.random.default_rng(0)
-        simplex, scipy_be = SimplexSolver(), ScipyBackend()
         for _ in range(40):
             lp = self._random_lp(rng)
-            r1 = simplex.solve(lp)
-            r2 = scipy_be.solve(lp)
-            assert r1.status is Status.OPTIMAL
-            assert r2.status is Status.OPTIMAL
-            assert r1.objective == pytest.approx(r2.objective, abs=1e-6)
+            res = solve(lp)
+            assert res.status is Status.OPTIMAL
+            assert res.objective == pytest.approx(_vertex_optimum(lp), abs=1e-6)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), scale=st.floats(0.01, 100.0))
@@ -152,3 +181,33 @@ class TestFeasibleHelper:
             if res.status is Status.OPTIMAL:
                 assert np.all(A @ res.x <= b + 1e-6)
                 assert np.all(res.x >= -1e-6) and np.all(res.x <= 1.0 + 1e-6)
+
+
+class TestFailuresSurface:
+    def test_numerical_verdict_raises_from_feasible(self, monkeypatch):
+        # no second backend may turn a NUMERICAL verdict into an answer
+        monkeypatch.setattr(SimplexSolver, "solve", lambda self, lp: LPResult(Status.NUMERICAL))
+        with pytest.raises(RuntimeError, match="numerical"):
+            feasible(np.array([[1.0]]), np.array([1.0]), lower=[0.0], upper=[np.inf])
+
+    def test_unverified_optimum_is_numerical(self, monkeypatch):
+        # HiGHS reports success with a point that breaks the row x <= 1
+        def fake_linprog(c, **kwargs):
+            return SimpleNamespace(status=0, x=np.array([2.0]))
+
+        monkeypatch.setattr(scipy.optimize, "linprog", fake_linprog)
+        res = solve(_lp([1.0], [[1.0]], [1.0], lower=[0.0]))
+        assert res.status is Status.NUMERICAL
+        assert res.x is None
+
+
+def test_package_import_leaves_scipy_optimize_unloaded():
+    # a fresh interpreter: this one has scipy.optimize loaded already
+    src = str(Path(pareto_forge.__file__).parents[1])
+    code = "import sys, pareto_forge; print('scipy.optimize' in sys.modules)"
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"

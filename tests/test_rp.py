@@ -181,6 +181,9 @@ class TestParetoGap:
         assert not ok_low
         assert ok_high
         assert cert.validates(d, tol=1e-6)
+        # normalised like pareto_gap's certificates: max lam = 1, lam >= alpha
+        assert cert.lam.max() == pytest.approx(1.0)
+        assert cert.lam.min() >= cert.alpha
 
     def test_invalid_arguments_raise(self):
         d = _reversal_dataset()
