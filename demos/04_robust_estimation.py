@@ -32,7 +32,7 @@ def main():
             )
         print(f"  certified: {state.certified}")
         print(f"  robust gap at eps=0.05 for the returned psi: "
-              f"{robust_gap(psi, d, eps=0.05, cfg=cfg):.4f}\n")
+              f"{robust_gap(psi, d, eps=0.05):.4f}\n")
 
     print("the master objective trades the per-sample worst cases against the")
     print("transport penalty; once no scenario violates the cuts by more than")

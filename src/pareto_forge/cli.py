@@ -20,6 +20,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from functools import partial
 from importlib import resources
@@ -47,12 +48,28 @@ class ConfigError(Exception):
     pass
 
 
+def _non_finite_at(obj, where=()):
+    """Key path of the first NaN or infinite number in a parsed JSON value, else None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else where
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        found = _non_finite_at(value, (*where, str(key)))
+        if found is not None:
+            return found
+    return None
+
+
 def _load_config(path) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
+    # json accepts NaN/Infinity literals and turns overflowing ones (1e400) into inf
+    bad = _non_finite_at(cfg)
+    if bad is not None:
+        raise ConfigError(f"cannot read config {path}: non-finite number at {'/'.join(bad) or 'top level'}")
     import jsonschema
 
     schema = json.loads(

@@ -330,50 +330,6 @@ def _eval_unclamped(f: ConstraintFunction, x: NDArray[np.float64]) -> float:
     return float(eval_constraint_many(f, np.asarray(x, dtype=float)[None, :])[0])
 
 
-def is_elementwise_increasing(
-    f: ConstraintFunction | Callable,
-    dim: int,
-    trials: int = 64,
-    seed: int = 0,
-    scale: float = 2.0,
-) -> bool:
-    """Numerical monotonicity check on random coordinate bumps."""
-    g = f if callable(f) and not isinstance(f, ConstraintFunction) else (
-        lambda z, fn=f: _eval_unclamped(fn, z)
-    )
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        x = rng.uniform(0, scale, size=dim)
-        j = rng.integers(dim)
-        step = rng.uniform(1e-3, 0.5)
-        y = x.copy()
-        y[j] += step
-        if g(y) < g(x) - 1e-10:
-            return False
-    return True
-
-
-def is_concave(
-    f: ConstraintFunction | Callable,
-    dim: int,
-    trials: int = 64,
-    seed: int = 0,
-    scale: float = 2.0,
-) -> bool:
-    """Midpoint concavity check on random segments."""
-    g = f if callable(f) and not isinstance(f, ConstraintFunction) else (
-        lambda z, fn=f: _eval_unclamped(fn, z)
-    )
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        x = rng.uniform(0, scale, size=dim)
-        y = rng.uniform(0, scale, size=dim)
-        mid = 0.5 * (x + y)
-        if g(mid) < 0.5 * (g(x) + g(y)) - 1e-9:
-            return False
-    return True
-
-
 # --- dataset file format ----------------------------------------------------
 
 

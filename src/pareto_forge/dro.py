@@ -465,17 +465,14 @@ def _cv_all(state: DROState, d: RPDataset, samples):
     return best_val, best_phi
 
 
-def constraint_violation(
-    k: int, state: DROState, d: RPDataset, cfg: DROConfig | None = None, rng=None
-) -> tuple[float, NDArray[np.float64]]:
+def constraint_violation(k: int, state: DROState, d: RPDataset) -> tuple[float, NDArray[np.float64]]:
     """Most violated scenario for sample index k under the current master point.
 
     Since h is a pointwise max of single-block terms and the distance penalty
     is additive and nonnegative, an optimal scenario deviates from the index-k
     samples in at most one block; within a block the maximum over the budget
     polytope is found exactly among one closed-form candidate per face and
-    piece, plus the anchor.  The oracle has no options: ``cfg`` and ``rng``
-    are accepted and ignored.
+    piece, plus the anchor.
     """
     vals, phis = _cv_all(state, d, _samples(d))
     return float(vals[k]), phis[k]
@@ -532,7 +529,7 @@ def exchange_loop(
     return state.psi_hat, state, trace
 
 
-def robust_gap(psi_hat: PsiVector, d: RPDataset, eps: float, cfg: DROConfig | None = None) -> float:
+def robust_gap(psi_hat: PsiVector, d: RPDataset, eps: float) -> float:
     """Worst-case h over scenarios within total displacement eps of the samples.
 
     h decomposes over single-block terms, so the displacement budget is best
@@ -540,7 +537,7 @@ def robust_gap(psi_hat: PsiVector, d: RPDataset, eps: float, cfg: DROConfig | No
     the budget polytope within the eps-ball around the sample (or the sample
     itself).  Each linear piece peaks on some face, at the vertex, at the
     foot a′ of the sample on the face hull, or on the sphere at
-    a′ + √(eps² − d²)·q/‖q‖.  ``cfg`` is accepted and ignored.
+    a′ + √(eps² − d²)·q/‖q‖.
     """
     samples = _samples(d)
     T, M, N, kdim = samples.shape

@@ -1,14 +1,17 @@
-"""Concave games, Nash equilibria and dataset collection.
+"""Games with exact best responses, Nash equilibria and dataset collection.
 
 The black-box multi-agent system behind the workbench: a game exposes
-per-agent payoffs on convex feasible sets; Nash equilibria are computed by the
-relaxation method driven by the Nikaido-Isoda function; ``collect_dataset``
-plays the game under a sequence of budget probes and records the observed
-strategies in the revealed-preference dataset format.
+per-agent payoffs and an exact best response on each agent's convex feasible
+set; Nash equilibria are computed by the relaxation method driven by the
+Nikaido-Isoda function; ``collect_dataset`` plays the game under a sequence
+of budget probes and records the observed strategies in the
+revealed-preference dataset format.
 
 The flagship instance is a three-agent river-pollution game with a
 seven-dimensional mechanism parameter θ (demand slope plus per-agent cost
-coefficients) and station-wise pollution caps.
+coefficients) and station-wise pollution caps.  For θ ≥ 0 its payoff is
+convex in an agent's own action, so every best response sits at an end of
+the budget interval; the best response is exact for any θ.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .core import ConstraintFunction, EmpiricalStrategy, Family, RPDataset
 
 TOL_NE = 1e-5
 MAX_OUTER = 500
+PROJECT_SWEEPS = 50
 
 
 # --- feasible sets ------------------------------------------------------------
@@ -63,12 +67,12 @@ class AgentFeasibleSet:
             return False
         return True
 
-    def project(self, x, iters: int = 50) -> NDArray[np.float64]:
+    def project(self, x) -> NDArray[np.float64]:
         """Project onto the set by alternating box clips and halfspace projections."""
         y = np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
         if self.A is None:
             return y
-        for _ in range(iters):
+        for _ in range(PROJECT_SWEEPS):
             moved = False
             for row, rhs in zip(self.A, self.b):
                 excess = row @ y - rhs
@@ -79,18 +83,6 @@ class AgentFeasibleSet:
             if not moved and self.contains(y):
                 break
         return y
-
-    def corners(self, limit: int = 8) -> list[NDArray[np.float64]]:
-        """Feasible box corners (exhaustive for small dim, else empty)."""
-        d = self.dim
-        if 2**d > limit or not np.all(np.isfinite(self.lower) & np.isfinite(self.upper)):
-            return []
-        pts = []
-        for mask in range(2**d):
-            p = np.where([(mask >> j) & 1 for j in range(d)], self.upper, self.lower)
-            if self.contains(p):
-                pts.append(p.astype(float))
-        return pts
 
 
 def probe_feasible_set(probe: ConstraintFunction) -> AgentFeasibleSet:
@@ -114,15 +106,20 @@ def probe_feasible_set(probe: ConstraintFunction) -> AgentFeasibleSet:
 
 
 class GameInterface:
-    """A concave game: M agents, k-dimensional actions, per-agent payoffs.
+    """A game: M agents, k-dimensional actions, per-agent payoffs.
 
-    Subclasses implement :meth:`payoff`.  Joint actions are (M, k) arrays.
+    Subclasses implement :meth:`payoff` and :meth:`best_response`, an exact
+    maximiser of agent i's payoff over its feasible set with the other
+    agents' actions held fixed.  Joint actions are (M, k) arrays.
     """
 
     M: int
     k: int
 
     def payoff(self, x: NDArray[np.float64], i: int) -> float:
+        raise NotImplementedError
+
+    def best_response(self, x: NDArray[np.float64], i: int, fs: AgentFeasibleSet) -> NDArray[np.float64]:
         raise NotImplementedError
 
     @property
@@ -136,7 +133,8 @@ class RiverPollutionGame(GameInterface):
 
     Agent i's profit is d1·x_i − d2·√(x1+x2+x3) − c_{1i}·√x_i − c_{2i}·x_i,
     where θ = [d2, c11, c12, c13, c21, c22, c23] ∈ [0,1]^7 is the mechanism
-    parameter.  Station l caps pollutant concentration: Σ_i δ_il·e_i·x_i ≤ cap.
+    parameter.  Station l caps pollutant concentration: Σ_i δ_il·e_i·x_i ≤ cap,
+    with δ a non-negative (3, L) array whose rows each reach some station.
     """
 
     theta_vec: NDArray[np.float64]
@@ -157,7 +155,23 @@ class RiverPollutionGame(GameInterface):
             raise ValueError("theta must be finite")
         # the design box is [0,1]^7, but the payoff is well defined beyond it
         # and perturbed evaluations during mechanism tuning may step outside
-        dl = np.asarray(self.delta, dtype=float).reshape(3, -1)
+        if not np.isfinite(self.d1):
+            raise ValueError(f"d1 must be finite, got {self.d1}")
+        if not (np.isfinite(self.cap) and self.cap > 0):
+            raise ValueError(f"cap must be finite and positive, got {self.cap}")
+        dl = np.asarray(self.delta, dtype=float)
+        if (
+            dl.ndim != 2
+            or dl.shape[0] != self.M
+            or dl.shape[1] == 0
+            or not np.all(np.isfinite(dl))
+            or np.any(dl < 0)
+            or np.any(dl.max(axis=1) <= 0)
+        ):
+            raise ValueError(
+                "delta must be a finite, non-negative (3, L) array with a positive "
+                f"entry in every row, got shape {dl.shape}"
+            )
         object.__setattr__(self, "theta_vec", th)
         object.__setattr__(self, "delta", dl)
 
@@ -175,6 +189,35 @@ class RiverPollutionGame(GameInterface):
         return float(
             self.d1 * x[i] - d2 * np.sqrt(x.sum()) - c1 * np.sqrt(x[i]) - c2 * x[i]
         )
+
+    def best_response(self, x, i: int, fs: AgentFeasibleSet) -> NDArray[np.float64]:
+        """Exact maximiser of agent i's payoff over its budget interval [lo, hi].
+
+        With s = Σ_{j≠i} x_j, a = d1 − c_{2i} and y = √x_i, the payoff is
+        a·y² − d2·√(y² + s) − c_{1i}·y; squaring its stationarity condition
+        gives the quartic (y² + s)(2a·y − c_{1i})² − d2²·y² = 0.  Every
+        interior maximiser is the square of a real root, so the best of the
+        two endpoints and the clipped squared real parts of all four roots is
+        exact; spurious or complex roots only add feasible candidates.
+        """
+        if fs.dim != 1 or fs.A is not None:
+            raise ValueError("the river game's best response needs an interval feasible set")
+        lo, hi = float(fs.lower[0]), float(fs.upper[0])
+        if not np.isfinite(hi):
+            raise ValueError(f"agent {i} has an unbounded budget: upper bound {hi}")
+        x = np.asarray(x, dtype=float).reshape(self.M)
+        s = x.sum() - x[i]
+        d2, c1 = self.theta_vec[0], self.theta_vec[1 + i]
+        a = self.d1 - self.theta_vec[4 + i]
+        quartic = [4 * a * a, -4 * a * c1, c1 * c1 + 4 * a * a * s - d2 * d2, -4 * a * c1 * s, c1 * c1 * s]
+        cands = np.concatenate([[lo, hi], np.clip(np.roots(quartic).real ** 2, lo, hi)])
+
+        def value(c):
+            joint = x.copy()
+            joint[i] = c
+            return self.payoff(joint, i)
+
+        return np.array([max(cands, key=value)])
 
     def station_loads(self, x: NDArray[np.float64], e: NDArray[np.float64]):
         """Pollutant concentration at each station: Σ_i δ_il·e_i·x_i."""
@@ -199,64 +242,16 @@ def nikaido_isoda(g: GameInterface, x, y) -> float:
     return float(total)
 
 
-def _ascend(fun, x0, fs: AgentFeasibleSet, iters: int = 120, tol: float = 1e-10):
-    """Projected gradient ascent with central differences and backtracking."""
-    x = fs.project(np.asarray(x0, dtype=float))
-    fx = fun(x)
-    scale = float(np.max(np.abs(fs.upper[np.isfinite(fs.upper)]), initial=1.0))
-    h = 1e-6 * max(scale, 1.0)
-    step = 0.5 * max(scale, 1.0)
-    for _ in range(iters):
-        grad = np.empty_like(x)
-        for j in range(x.size):
-            e = np.zeros_like(x)
-            e[j] = h
-            grad[j] = (fun(fs.project(x + e)) - fun(fs.project(x - e))) / (2 * h)
-        improved = False
-        s = step
-        for _bt in range(30):
-            cand = fs.project(x + s * grad)
-            fc = fun(cand)
-            if fc > fx + tol:
-                x, fx, step = cand, fc, s * 1.5
-                improved = True
-                break
-            s *= 0.5
-        if not improved:
-            break
-    return x, fx
-
-
 def best_deviation(
     g: GameInterface,
     x,
     constraints: tuple[AgentFeasibleSet, ...],
 ) -> NDArray[np.float64]:
-    """Z(x): each agent's best response to x_{−i} over its own feasible set.
-
-    Projected gradient ascent from several deterministic starts; feasible box
-    corners are also scored, which covers payoffs whose maximizers sit on the
-    boundary (monotone or convex-in-own-action cases).
-    """
+    """Z(x): each agent's exact best response to x_{−i} over its own feasible set."""
     x = np.asarray(x, dtype=float).reshape(g.M, -1)
     z = x.copy()
     for i in range(g.M):
-        fs = constraints[i]
-
-        def fun(xi, i=i):
-            joint = x.copy()
-            joint[i] = xi
-            return g.payoff(joint, i)
-
-        finite_hi = np.where(np.isfinite(fs.upper), fs.upper, fs.lower + 1.0)
-        starts = [x[i], fs.lower.astype(float), finite_hi, 0.5 * (fs.lower + finite_hi)]
-        cands = []
-        for s in starts:
-            xi, fxi = _ascend(fun, s, fs)
-            cands.append((fxi, xi))
-        for corner in fs.corners():
-            cands.append((fun(corner), corner))
-        z[i] = max(cands, key=lambda c: c[0])[1]
+        z[i] = g.best_response(x, i, constraints[i])
     return z
 
 

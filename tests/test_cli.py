@@ -57,6 +57,35 @@ class TestConfigHandling:
         assert "cannot read config" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, literal):
+        path = tmp_path / "nan.json"
+        path.write_text('{"game": {"jitter": %s}}' % literal)
+        assert main(["generate", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read config" in err
+        assert "game/jitter" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "spsa"])
+    @pytest.mark.parametrize(
+        "delta",
+        [
+            [[0.9, 0.1, 0.6, 0.4, 0.2, 0.8]],
+            [[0.9, 0.1], [-0.6, -0.4], [0.2, 0.8]],
+            [[0.9, 0.1], [0.0, 0.0], [0.2, 0.8]],
+        ],
+    )
+    def test_bad_river_delta_exits_two(self, tmp_path, capsys, command, delta):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"game": {"T": 2, "delta": delta}, "spsa": {"max_iters": 1}}))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out-dir", str(out)]) == 2
+        assert "delta" in capsys.readouterr().err
+        assert not (out / "dataset.json").exists()
+        assert not (out / "spsa_manifest.json").exists()
+
+
 class TestGenerateAndAudit:
     def test_generate_writes_dataset_and_manifest(self, tmp_path, gen_config):
         out = tmp_path / "out"

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pareto_forge.core import (
     ConstraintFunction,
@@ -19,8 +21,6 @@ from pareto_forge.core import (
     eval_constraint_many,
     expected_constraint,
     generate_probes,
-    is_concave,
-    is_elementwise_increasing,
     load_dataset,
     save_dataset,
 )
@@ -238,16 +238,6 @@ class TestStructuralChecks:
         g = lambda z: float(z[0] ** 2 + z[1] ** 2 - 1.0)  # noqa: E731
         assert not check_shift_invariance(g, 2, beta=(1.0, 0.0), shift_range=(0.3, 0.9))
 
-    def test_monotonicity_checks(self):
-        assert is_elementwise_increasing(_affine([1.0, 1.0], 0.0), 2)
-        assert is_elementwise_increasing(ConstraintFunction(Family.LOG_SIGMOID, 2), 2)
-        assert not is_elementwise_increasing(lambda z: float(-z.sum()), 2)
-
-    def test_concavity_checks(self):
-        assert is_concave(_affine([1.0, 1.0], 0.0), 2)
-        assert is_concave(ConstraintFunction(Family.LOG_SIGMOID, 2), 2)
-        assert not is_concave(lambda z: float((z**2).sum()), 2)
-
 
 class TestDatasetFiles:
     def _dataset(self):
@@ -282,6 +272,45 @@ class TestDatasetFiles:
         save_dataset(d, p1)
         save_dataset(load_dataset(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        T=st.integers(1, 4),
+        M=st.integers(1, 3),
+        k=st.integers(1, 3),
+        N=st.integers(1, 3),
+        shift=st.booleans(),
+    )
+    def test_round_trip_property(self, tmp_path_factory, seed, T, M, k, N, shift):
+        rng = np.random.default_rng(seed)
+        cons, strats = [], []
+        for _t in range(T):
+            crow, srow = [], []
+            for _i in range(M):
+                samples = rng.uniform(0.0, 2.0, size=(N, k))
+                alpha = rng.uniform(0.1, 3.0, size=k)
+                a_t = float(rng.uniform(-1.0, 1.0)) if shift else 0.0
+                beta = rng.uniform(0.0, 1.0, size=k) if shift else np.zeros(k)
+                # the samples sit inside their own (shifted) budget
+                b = float((samples @ alpha).max() - a_t * alpha @ beta + rng.uniform(0.0, 1.0))
+                f = _affine(alpha, b)
+                crow.append(f.shifted(a_t, beta) if shift else f)
+                srow.append(EmpiricalStrategy(samples))
+            cons.append(tuple(crow))
+            strats.append(tuple(srow))
+        d = RPDataset(tuple(cons), tuple(strats))
+        path = tmp_path_factory.mktemp("rt") / "d.json"
+        save_dataset(d, path)
+        d2 = load_dataset(path)
+        assert d2.constraints == d.constraints
+        for row, row2 in zip(d.strategies, d2.strategies):
+            for s1, s2 in zip(row, row2):
+                assert np.array_equal(s1.samples, s2.samples)
+        assert np.array_equal(d2.gbar, d.gbar)
+        again = path.with_name("again.json")
+        save_dataset(d2, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_header_mismatch_rejected(self, tmp_path):
         import json

@@ -338,7 +338,7 @@ class TestConstraintViolation:
     def test_huge_distance_weight_pins_scenario_to_samples(self):
         d = _small_dataset()
         state = self._state(d, v_hat=[0.0, 0.0, 1e9])
-        cv, phi = constraint_violation(0, state, d, cfg=DROConfig())
+        cv, phi = constraint_violation(0, state, d)
         samples = _samples_tensor(d)
         assert np.allclose(phi, samples[:, :, 0, :])
         assert cv == pytest.approx(h_value(state.psi_hat, phi, d))
@@ -346,7 +346,7 @@ class TestConstraintViolation:
     def test_zero_distance_weight_frees_the_search(self):
         d = _small_dataset()
         state = self._state(d, v_hat=[0.0, 0.0, 0.0])
-        cv, phi = constraint_violation(0, state, d, cfg=DROConfig())
+        cv, phi = constraint_violation(0, state, d)
         # with no distance penalty the oracle maximizes h over the budget set:
         # the worst block pushes g as negative as possible (gamma = 0)
         base = h_value(state.psi_hat, _samples_tensor(d)[:, :, 0, :], d)
@@ -357,8 +357,8 @@ class TestConstraintViolation:
         d = _small_dataset()
         s0 = self._state(d, v_hat=[0.0, 0.0, 1e9])
         s1 = self._state(d, v_hat=[0.5, 0.0, 1e9])
-        cv0, _ = constraint_violation(0, s0, d, cfg=DROConfig())
-        cv1, _ = constraint_violation(0, s1, d, cfg=DROConfig())
+        cv0, _ = constraint_violation(0, s0, d)
+        cv1, _ = constraint_violation(0, s1, d)
         assert cv1 == pytest.approx(cv0 - 0.5)
 
 

@@ -1,9 +1,11 @@
-"""Unit tests for concave games, Nash computation and dataset collection."""
+"""Unit tests for games, exact best responses, Nash computation and dataset collection."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pareto_forge.core import ConstraintFunction, Family
 from pareto_forge.game import (
@@ -23,8 +25,9 @@ from pareto_forge.game import (
 class QuadraticGame(GameInterface):
     """Two-agent scalar game with a closed-form interior Nash equilibrium.
 
-    f^i(x) = -(x_i - b_i * x_{-i} - t_i)^2: best responses are affine, and the
-    equilibrium solves the 2x2 linear system x_i = b_i * x_{-i} + t_i.
+    f^i(x) = -(x_i - b_i * x_{-i} - t_i)^2: the best response is the target
+    b_i * x_{-i} + t_i clipped to the box, and the interior equilibrium solves
+    the 2x2 linear system x_i = b_i * x_{-i} + t_i.
     """
 
     M = 2
@@ -38,6 +41,10 @@ class QuadraticGame(GameInterface):
         x = np.asarray(x, dtype=float).reshape(self.M)
         target = self.b[i] * x[1 - i] + self.t[i]
         return float(-((x[i] - target) ** 2))
+
+    def best_response(self, x, i, fs):
+        x = np.asarray(x, dtype=float).reshape(self.M)
+        return np.clip(self.b[i] * x[1 - i] + self.t[i], fs.lower, fs.upper)
 
     def nash(self):
         A = np.array([[1.0, -self.b[0]], [-self.b[1], 1.0]])
@@ -65,15 +72,6 @@ class TestAgentFeasibleSet:
     def test_project_is_identity_on_feasible_points(self):
         fs = AgentFeasibleSet(np.zeros(1), np.array([5.0]))
         assert np.allclose(fs.project([2.0]), [2.0])
-
-    def test_corners_respect_halfspace(self):
-        fs = AgentFeasibleSet(
-            np.zeros(2), np.ones(2), A=np.array([[1.0, 1.0]]), b=np.array([1.5])
-        )
-        corners = fs.corners()
-        assert len(corners) == 3  # (1,1) is cut off
-        for c in corners:
-            assert fs.contains(c)
 
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -130,10 +128,97 @@ class TestRiverPollutionGame:
         with pytest.raises(ValueError):
             RiverPollutionGame(np.array([np.nan] + [0.0] * 6))
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"d1": float("nan")}, "d1"),
+            ({"d1": float("inf")}, "d1"),
+            ({"cap": float("inf")}, "cap"),
+            ({"cap": 0.0}, "cap"),
+            ({"cap": -5.0}, "cap"),
+            ({"delta": np.array([[0.9, 0.1, 0.6, 0.4, 0.2, 0.8]])}, "delta"),
+            ({"delta": np.array([0.9, 0.1, 0.6, 0.4, 0.2, 0.8])}, "delta"),
+            ({"delta": np.array([[0.9, 0.1], [-0.6, -0.4], [0.2, 0.8]])}, "delta"),
+            ({"delta": np.array([[0.9, 0.1], [0.0, 0.0], [0.2, 0.8]])}, "delta"),
+            ({"delta": np.array([[0.9, 0.1], [np.nan, 0.4], [0.2, 0.8]])}, "delta"),
+            ({"delta": np.zeros((3, 0))}, "delta"),
+        ],
+    )
+    def test_bad_inputs_rejected_naming_the_field(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            RiverPollutionGame(np.full(7, 0.5), **kwargs)
+
     def test_station_loads_hand_value(self):
         g = RiverPollutionGame(np.full(7, 0.5))
         loads = g.station_loads(np.array([1.0, 1.0, 1.0]), np.ones(3))
         assert np.allclose(loads, g.delta.sum(axis=0))
+
+
+def _river_grid_max(g, x, i, lo, hi, n=20_001):
+    """Agent i's best payoff over n evenly spaced own actions in [lo, hi]."""
+    grid = np.linspace(lo, hi, n)
+    s = x.sum() - x[i]
+    d2, c1, c2 = g.theta[0], g.theta[1 + i], g.theta[4 + i]
+    return float((g.d1 * grid - d2 * np.sqrt(grid + s) - c1 * np.sqrt(grid) - c2 * grid).max())
+
+
+class TestBestResponse:
+    def test_quadratic_game_closed_form(self):
+        g = QuadraticGame()
+        fs = AgentFeasibleSet(np.zeros(1), np.full(1, 2.0))
+        assert g.best_response(np.array([[0.0], [1.0]]), 0, fs) == pytest.approx([0.8])
+        # the target 0.5 + 0.3 * 10 lies above the box and is clipped
+        assert g.best_response(np.array([[0.0], [10.0]]), 0, fs) == pytest.approx([2.0])
+
+    def test_best_deviation_stacks_best_responses(self):
+        g = RiverPollutionGame(np.array([0.0, -1.0, 0.3, 0.3, 1.0, 0.2, 0.2]), d1=0.5)
+        sets = tuple(AgentFeasibleSet(np.zeros(1), np.full(1, 4.0)) for _ in range(3))
+        x = np.array([[2.0], [1.0], [3.0]])
+        z = best_deviation(g, x, sets)
+        for i in range(3):
+            assert np.array_equal(z[i], g.best_response(x, i, sets[i]))
+
+    def test_river_interior_hand_value(self):
+        # d2 = 0, c1 = -1, c2 = 1, d1 = 0.5: agent 0 maximises sqrt(x) - x / 2,
+        # whose stationary point x = 1 is inside the budget [0, 4]
+        g = RiverPollutionGame(np.array([0.0, -1.0, 0.3, 0.3, 1.0, 0.2, 0.2]), d1=0.5)
+        fs = AgentFeasibleSet(np.zeros(1), np.full(1, 4.0))
+        assert g.best_response(np.zeros(3), 0, fs)[0] == 1.0
+
+    def test_river_convex_payoff_picks_an_endpoint(self):
+        g = RiverPollutionGame(np.full(7, 0.5))
+        fs = AgentFeasibleSet(np.array([0.5]), np.array([7.0]))
+        assert g.best_response(np.array([1.0, 2.0, 3.0]), 1, fs)[0] in (0.5, 7.0)
+
+    def test_river_unbounded_budget_rejected(self):
+        g = RiverPollutionGame(np.full(7, 0.5))
+        fs = AgentFeasibleSet(np.zeros(1), np.array([np.inf]))
+        with pytest.raises(ValueError, match="unbounded"):
+            g.best_response(np.zeros(3), 0, fs)
+
+    def test_river_halfspace_set_rejected(self):
+        g = RiverPollutionGame(np.full(7, 0.5))
+        fs = AgentFeasibleSet(np.zeros(1), np.full(1, 4.0), A=np.array([[1.0]]), b=np.array([2.0]))
+        with pytest.raises(ValueError, match="interval"):
+            g.best_response(np.zeros(3), 0, fs)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_river_best_response_beats_dense_grid(self, seed):
+        # about 2% of draws have an interior maximiser, so each example checks 40
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            g = RiverPollutionGame(rng.uniform(-0.5, 1.5, 7), d1=rng.uniform(0.0, 3.0))
+            i = int(rng.integers(3))
+            lo = rng.uniform(0.0, 5.0) * (rng.random() < 0.5)
+            hi = lo + rng.uniform(0.0, 20.0) * (rng.random() < 0.9)
+            x = rng.uniform(0.0, 10.0, 3) * (rng.random(3) < 0.8)
+            fs = AgentFeasibleSet(np.array([lo]), np.array([hi]))
+            xi = g.best_response(x, i, fs)
+            assert fs.contains(xi, tol=0.0)
+            joint = x.copy()
+            joint[i] = xi[0]
+            assert g.payoff(joint, i) >= _river_grid_max(g, x, i, lo, hi) - 1e-12
 
 
 class TestNikaidoIsoda:
