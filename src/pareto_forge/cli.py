@@ -22,7 +22,7 @@ import hashlib
 import json
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 from importlib import resources
 from pathlib import Path
 
@@ -60,6 +60,21 @@ def _non_finite_at(obj, where=()):
     return None
 
 
+@cache
+def _config_validator():
+    """Validator for the bundled schema, built on first use and kept for the process.
+
+    The schema is checked against its metaschema here, once, instead of on every
+    config as ``jsonschema.validate`` does; the errors it reports are the same.
+    """
+    from jsonschema.validators import validator_for
+
+    schema = json.loads(resources.files("pareto_forge").joinpath("schemas/config.schema.json").read_text())
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def _load_config(path) -> dict:
     try:
         with open(path) as fh:
@@ -70,15 +85,11 @@ def _load_config(path) -> dict:
     bad = _non_finite_at(cfg)
     if bad is not None:
         raise ConfigError(f"cannot read config {path}: non-finite number at {'/'.join(bad) or 'top level'}")
-    import jsonschema
+    from jsonschema.exceptions import best_match
 
-    schema = json.loads(
-        resources.files("pareto_forge").joinpath("schemas/config.schema.json").read_text()
-    )
-    try:
-        jsonschema.validate(cfg, schema)
-    except jsonschema.ValidationError as err:
-        raise ConfigError(f"invalid config: {err.message} (at {'/'.join(map(str, err.path))})") from err
+    err = best_match(_config_validator().iter_errors(cfg))
+    if err is not None:
+        raise ConfigError(f"invalid config: {err.message} (at {'/'.join(map(str, err.path))})")
     return cfg
 
 
@@ -159,7 +170,9 @@ def cmd_spsa(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
     s = dict(cfg.get("spsa", {}))
     g = cfg.get("game", {})
-    seed = args.seed if args.seed is not None else s.pop("seed", 0)
+    seed = s.pop("seed", 0)
+    if args.seed is not None:
+        seed = args.seed
     theta0 = s.pop("theta0", None)
     if "theta_box" in s:
         s["theta_box"] = np.asarray(s["theta_box"], dtype=float)
@@ -248,9 +261,11 @@ def cmd_mc(args) -> int:
     if command == "spsa":
         from .experiments import river_spsa_replication
 
-        s = cfg.get("spsa", {})
+        # tuner settings come from the spsa block and game settings from the game
+        # block, as in the spsa command
         g = cfg.get("game", {})
-        task = partial(river_spsa_replication, **{**s, **g})
+        game_kwargs = {k: g[k] for k in ("d1", "delta", "cap", "N", "jitter") if k in g}
+        task = partial(river_spsa_replication, **cfg.get("spsa", {}), **game_kwargs)
         results = monte_carlo(task, reps, base_seed=base_seed, parallelism=parallelism)
         with open(out_dir / "mc_spsa.csv", "w", newline="") as fh:
             w = csv.writer(fh)
@@ -293,7 +308,9 @@ def cmd_mc(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``pareto-forge`` parser, built once per process; callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="pareto-forge",
         description="Revealed-preference auditing and adaptive mechanism design workbench",
@@ -302,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_audit = sub.add_parser("audit", help="revealed-preference report for a dataset file")
     p_audit.add_argument("dataset")
+    p_audit.add_argument("--tol", type=float, default=None)
     p_audit.set_defaults(func=cmd_audit)
 
     p_gen = sub.add_parser("generate", help="generate a dataset by playing the river game")
@@ -317,11 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc = sub.add_parser("mc", help="Monte-Carlo replication wrapper")
     p_mc.set_defaults(func=cmd_mc)
 
-    for p in (p_audit, p_gen, p_spsa, p_dro, p_mc):
+    for p in (p_gen, p_spsa, p_dro, p_mc):
         p.add_argument("--config", default=None)
         p.add_argument("--seed", type=int, default=None)
+    for p in (p_audit, p_gen, p_spsa, p_dro, p_mc):
         p.add_argument("--out-dir", default=".")
-        p.add_argument("--tol", type=float, default=None)
     return parser
 
 

@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import os
+import subprocess
+import sys
+from importlib import resources
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+from jsonschema.validators import validator_for
 
-from pareto_forge.cli import main
+import pareto_forge
+from pareto_forge import experiments
+from pareto_forge.cli import _config_validator, build_parser, main
 from pareto_forge.core import (
     ConstraintFunction,
     EmpiricalStrategy,
@@ -50,6 +59,13 @@ class TestConfigHandling:
         assert main(["generate", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
         assert "invalid config" in capsys.readouterr().err
 
+    def test_removed_output_block_rejected(self, tmp_path, capsys):
+        path = tmp_path / "output.json"
+        path.write_text(json.dumps({"output": {"dir": str(tmp_path / "elsewhere")}}))
+        assert main(["generate", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "'output' was unexpected" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_json_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"game": {')
@@ -84,6 +100,105 @@ class TestConfigHandling:
         assert "delta" in capsys.readouterr().err
         assert not (out / "dataset.json").exists()
         assert not (out / "spsa_manifest.json").exists()
+
+
+def _bundled_schema() -> dict:
+    return json.loads(resources.files("pareto_forge").joinpath("schemas/config.schema.json").read_text())
+
+
+def _write(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestValidatorAndParserReuse:
+    def test_bundled_schema_passes_its_metaschema(self):
+        schema = _bundled_schema()
+        validator_for(schema).check_schema(schema)
+
+    def test_schema_checked_and_parser_built_once_per_process(self, tmp_path, monkeypatch):
+        cls = validator_for(_bundled_schema())
+        check_schema = cls.check_schema
+        checked, built = [], []
+        monkeypatch.setattr(cls, "check_schema", lambda schema: checked.append(1) or check_schema(schema))
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        _config_validator.cache_clear()
+        build_parser.cache_clear()
+        cfg = _write(tmp_path / "cfg.json", {"game": {"T": 2}, "spsa": {"max_iters": 0}})
+        out = str(tmp_path / "out")
+        for command in ("spsa", "generate", "spsa"):
+            assert main([command, "--config", cfg, "--out-dir", out]) == 0
+        assert len(checked) == 1
+        assert built.count("pareto-forge") == 1
+
+    def test_invalid_config_after_valid_one_still_rejected(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        good = _write(tmp_path / "good.json", {"game": {"T": 2}})
+        bad = _write(tmp_path / "bad.json", {"game": {"T": 0}})
+        assert main(["generate", "--config", good, "--out-dir", out]) == 0
+        capsys.readouterr()
+        assert main(["generate", "--config", bad, "--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert "invalid config" in err and "(at game/T)" in err
+        assert main(["generate", "--config", good, "--out-dir", out]) == 0
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"game": {"flux_capacitor": 1.21}},
+            {"output": {"dir": "elsewhere"}},
+            {"spsa": {"eta": 0.9}},
+            {"game": {"N": 0}},
+            {"game": {"theta0": [0.1, 0.2]}},
+            {"dro": {"eps": [1.0, -1.0]}},
+            {"monte_carlo": {"command": "audit"}},
+            {"game": {"N": 1.5}, "spsa": {"a": -1, "theta_box": [[0, 1, 2]]}},
+            [],
+        ],
+    )
+    def test_config_errors_match_jsonschema_validate(self, tmp_path, capsys, doc):
+        with pytest.raises(jsonschema.ValidationError) as info:
+            jsonschema.validate(doc, _bundled_schema())
+        err = info.value
+        expected = f"invalid config: {err.message} (at {'/'.join(map(str, err.path))})"
+        cfg = _write(tmp_path / "cfg.json", doc)
+        assert main(["generate", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == expected + "\n"
+
+    def test_import_leaves_jsonschema_unloaded(self):
+        # a fresh interpreter: this one has jsonschema loaded already
+        src = str(Path(pareto_forge.__file__).parents[1])
+        code = "import sys, pareto_forge.cli; print('jsonschema' in sys.modules)"
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert out.stdout.strip() == "False"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spsa", "--tol", "5", "--max-iters", "0"],
+            ["audit", "data.json", "--config", "cfg.json"],
+            ["audit", "data.json", "--seed", "9"],
+        ],
+    )
+    def test_flags_are_registered_only_where_read(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--out-dir", str(tmp_path)])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestGenerateAndAudit:
@@ -199,6 +314,25 @@ class TestSpsaCommand:
         manifest = json.loads((out / "spsa_manifest.json").read_text())
         assert manifest["iterations"] == len(rows) - 1
 
+    def test_seed_flag_overrides_the_config_seed(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = _write(tmp_path / "cfg.json", {"spsa": {"seed": 5, "max_iters": 1}})
+        assert main(["spsa", "--config", cfg, "--seed", "2", "--out-dir", str(out)]) == 0
+        assert json.loads((out / "spsa_manifest.json").read_text())["seed"] == 2
+
+    def test_max_iters_flag_applies_to_its_call_only(self, tmp_path, monkeypatch):
+        seen = []
+        run = experiments.run_river_spsa
+        monkeypatch.setattr(
+            "pareto_forge.cli.run_river_spsa", lambda cfg, **kw: seen.append(cfg.max_iters) or run(cfg, **kw)
+        )
+        out = tmp_path / "out"
+        cfg = _write(tmp_path / "cfg.json", {"spsa": {"max_iters": 2, "T": 3}})
+        assert main(["spsa", "--config", cfg, "--max-iters", "0", "--out-dir", str(out)]) == 0
+        assert main(["spsa", "--config", cfg, "--out-dir", str(out)]) == 0
+        assert seen == [2]
+        assert json.loads((out / "spsa_manifest.json").read_text())["iterations"] >= 1
+
 
 class TestDroCommand:
     def test_traces_per_radius(self, tmp_path):
@@ -270,6 +404,22 @@ class TestMonteCarloCommand:
         assert len(rows) == 3
         manifest = json.loads((out / "mc_manifest.json").read_text())
         assert set(manifest["summary"]) == {"mean_iterations", "success_rate"}
+
+    def test_spsa_replications_read_the_spsa_block_like_spsa(self, tmp_path, monkeypatch):
+        # game.T is the generate horizon; the tuner's T comes from the spsa block
+        seen = []
+        run = experiments.run_river_spsa
+        monkeypatch.setattr(experiments, "run_river_spsa", lambda cfg, **kw: seen.append((cfg.T, kw)) or run(cfg, **kw))
+        cfg = _write(
+            tmp_path / "cfg.json",
+            {
+                "monte_carlo": {"command": "spsa", "replications": 1, "parallelism": 1},
+                "spsa": {"T": 4, "max_iters": 1},
+                "game": {"T": 7, "cap": 50.0, "seed": 3},
+            },
+        )
+        assert main(["mc", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+        assert seen == [(4, {"cap": 50.0})]
 
     def test_dro_replications_use_the_dro_block(self, tmp_path):
         # the block's max_exchange_iters (and lambda box) reach every replication
