@@ -83,6 +83,8 @@ def river_spsa_replication(rep_seed: int, **kwargs) -> dict:
     """One replication: returns iteration count and final loss."""
     cfg = river_spsa_config(seed=rep_seed, **{k: v for k, v in kwargs.items() if k in {"a", "c", "q", "eta", "T", "max_iters", "stop_tol", "theta_box"}})
     run_kwargs = {k: v for k, v in kwargs.items() if k in {"d1", "delta", "cap", "N", "jitter"}}
+    if "theta0" in kwargs:
+        run_kwargs["theta0"] = np.asarray(kwargs["theta0"], dtype=float)
     trace = run_river_spsa(cfg, **run_kwargs)
     return {
         "seed": rep_seed,

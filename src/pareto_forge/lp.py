@@ -1,10 +1,14 @@
-"""Linear-programming backend: HiGHS's dual simplex with verified verdicts.
+"""Reference LP solver: HiGHS's dual simplex with verified verdicts.
 
 Solves min c'x s.t. A x <= b with per-variable bounds through
 ``scipy.optimize.linprog(method="highs-ds")``.  A point HiGHS calls optimal is
 checked against the original rows and bounds before it is reported OPTIMAL;
 one that fails the check is reported NUMERICAL, and :func:`feasible` raises on
 it.
+
+No command solves an LP: ``rp`` builds its gap certificates from the
+revealed-preference closure.  The tests cross-check those verdicts against
+this solver, and the benchmark harness imports and instruments it.
 """
 
 from __future__ import annotations

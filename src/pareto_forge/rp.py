@@ -7,7 +7,7 @@ and when it is not, quantify the failure:
 * ``mm_garp`` — combinatorial consistency test over the revealed-preference
   relation;
 * ``pareto_gap`` — smallest relaxation r making the utility-number inequality
-  system feasible, with a certificate from one LP per agent;
+  system feasible, with a certificate built combinatorially per agent;
 * ``garp_f`` / ``ccei_scalar`` — additive / multiplicative relaxations of the
   combinatorial test;
 * ``hoeffding_confidence`` — finite-sample concentration bound on the
@@ -21,7 +21,7 @@ semiring.  Each relaxed system, at level r, fails exactly when some cycle of
 edges with weight >= r has an edge with weight > r (Afriat 1967).  So its
 critical level is the largest cycle bottleneck (over cycles, the smallest
 edge weight), read off the closure's diagonal: exact, with no bisection and
-no tolerance.
+no tolerance.  Gap certificates are built from the same closure (Varian 1982).
 
 For weakly decreasing levels, social(o) = Σ_{k<D} (l_k − l_{k+1})·rnk_k(o)
 + M·l_D, a nonnegative combination of the k-rank counts.  So a strategy that
@@ -37,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from . import lp
 from .core import ConstraintFunction, ParetoCertificate, RPDataset, eval_constraint
 
 ALPHA_DEFAULT = 1e-3
@@ -80,39 +79,30 @@ def _slack(gbar_i: NDArray[np.float64]) -> NDArray[np.float64]:
 
 # --- Pareto gap -------------------------------------------------------------
 
-# The inequality system is homogeneous in (u, lam): any solution with lam > 0
-# rescales to one with lam >= 1.  Solving with lam >= 1 (and u free) keeps the
-# r-units effect of the LP residual tolerance bounded by the tolerance itself:
-# a residual of eps on a row with lam_t >= 1 relaxes r by at most eps.
 
+def _agent_certificate(gbar_i: NDArray[np.float64], r: float):
+    """One agent's point (u, lam >= 1) at a level r where GARP holds (Varian 1982).
 
-def _agent_system(gbar_i: NDArray[np.float64], r: float):
-    """Inequality system for one agent: u_s - u_t - lam_t*(gbar[t,s] + r) <= 0.
-
-    Variables are [u_1..u_T, lam_1..lam_T] with u free and lam >= 1.
+    With c = gbar_i + r the system reads u_s <= u_t + lam_t*c[t,s].  Each
+    component of the relation c <= 0 (only c = 0 edges inside it, by GARP)
+    comes after every component reaching it and takes one level, the largest
+    its predecessors allow; lam covers each drop, since c > 0 on edges back.
     """
-    T = gbar_i.shape[0]
-    A = np.zeros((T * T, 2 * T))
-    b = np.zeros(T * T)
-    row = 0
-    for t in range(T):
-        for s in range(T):
-            A[row, s] += 1.0
-            A[row, t] -= 1.0
-            A[row, T + t] = -(gbar_i[t, s] + r)
-            row += 1
-    lower = np.concatenate([np.full(T, -np.inf), np.ones(T)])
-    upper = np.full(2 * T, np.inf)
-    return A, b, lower, upper
-
-
-def _agent_feasible(gbar_i, r):
-    """One agent's system at level r: the raw LP point (u, lam), or None if infeasible."""
-    ok, x = lp.feasible(*_agent_system(gbar_i, r))
-    if not ok:
-        return None
-    T = gbar_i.shape[0]
-    return x[:T], x[T:]
+    c = gbar_i + r
+    T = c.shape[0]
+    reach = _closure(c <= 0) | np.eye(T, dtype=bool)
+    u = np.zeros(T)
+    lam = np.ones(T)
+    done = np.zeros(T, dtype=bool)
+    for m in np.argsort(reach.sum(axis=0), kind="stable"):
+        if done[m]:
+            continue
+        comp = reach[m] & reach[:, m]
+        if done.any():
+            u[comp] = (u[done, None] + lam[done, None] * c[np.ix_(done, comp)]).min()
+            lam[comp] = np.maximum(1.0, ((u[done] - u[m]) / c[np.ix_(comp, done)]).max(axis=1))
+        done |= comp
+    return u, lam
 
 
 def _normalize_agent_cert(u, lam, alpha):
@@ -123,35 +113,41 @@ def _normalize_agent_cert(u, lam, alpha):
     return u * c, lam * c
 
 
+def _stacked_certificate(d: RPDataset, levels, alpha: float) -> ParetoCertificate:
+    """Agent i's certificate at levels[i], stacked at the largest level; raises unless valid."""
+    points = [
+        _normalize_agent_cert(*_agent_certificate(d.gbar[:, :, i], r), alpha)
+        for i, r in enumerate(levels)
+    ]
+    cert = ParetoCertificate(*(np.column_stack(p) for p in zip(*points)), float(max(levels)), alpha)
+    if not cert.validates(d):
+        raise RuntimeError(f"certificate failed validation at r = {cert.r!r}")
+    return cert
+
+
 def afriat_feasible(
     d: RPDataset, r: float, alpha: float = ALPHA_DEFAULT
 ) -> tuple[bool, ParetoCertificate | None]:
     """Feasibility of the relaxed utility-number system at level r.
 
-    The system never couples agents (no shared variables), so it is solved
-    per agent and the certificates are stacked.
+    The system never couples agents (no shared variables); agent i's part is
+    feasible exactly when GARP holds on the relation -gbar[:, :, i] >= r.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
-    T, M = d.T, d.M
-    u = np.zeros((T, M))
-    lam = np.zeros((T, M))
-    for i in range(M):
-        point = _agent_feasible(d.gbar[:, :, i], r)
-        if point is None:
-            return False, None
-        u[:, i], lam[:, i] = _normalize_agent_cert(*point, alpha)
-    return True, ParetoCertificate(u, lam, float(r), alpha)
+    if not all(_garp(-d.gbar[:, :, i], r) for i in range(d.M)):
+        return False, None
+    return True, _stacked_certificate(d, [r] * d.M, alpha)
 
 
 @dataclass(frozen=True)
 class GapResult:
     """A Pareto gap with its certificate.
 
-    ``bisection_iters`` counts the LP solves made, one per agent (the name is
-    kept for ``perfbench/spans.py``, which reads it).
+    ``bisection_iters`` counts the certificates built, one per agent (the
+    name is kept for ``perfbench/spans.py``, which reads it).
     """
 
     gap: float
@@ -167,31 +163,22 @@ def pareto_gap(d: RPDataset, alpha: float = ALPHA_DEFAULT) -> GapResult:
     -gbar[:, :, i] >= r, so the agent's gap is the largest cycle bottleneck of
     -gbar[:, :, i], floored at 0; the gap is the max over agents.
 
-    One LP per agent builds the certificate: at the agent's gap when the
-    system is feasible there, else at gap + TOL_R (a bottleneck cycle with a
+    Each agent's certificate is built from the closure at the agent's gap
+    when GARP holds there, else at gap + TOL_R (a bottleneck cycle with a
     heavier edge leaves the infimum unattained).  ``certificate.r`` is the
-    largest level an LP ran at, so it exceeds ``gap``, by at most TOL_R, only
-    when some agent's gap is unattained.  An LP that finds no certificate
-    raises RuntimeError.
+    largest of these levels, so it exceeds ``gap``, by at most TOL_R, only
+    when some agent's gap is unattained.  A certificate that fails
+    validation raises RuntimeError.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    T, M = d.T, d.M
     gaps, levels = [], []
-    u = np.zeros((T, M))
-    lam = np.zeros((T, M))
-    for i in range(M):
+    for i in range(d.M):
         c = -d.gbar[:, :, i]
         gap = max(0.0, _critical_level(c))
-        r = gap if _garp(c, gap) else gap + TOL_R
-        point = _agent_feasible(d.gbar[:, :, i], r)
-        if point is None:
-            raise RuntimeError(f"LP found no certificate for agent {i} at r = {r!r}")
-        u[:, i], lam[:, i] = _normalize_agent_cert(*point, alpha)
         gaps.append(gap)
-        levels.append(r)
-    cert = ParetoCertificate(u, lam, max(levels), alpha)
-    return GapResult(max(gaps), cert, tuple(gaps), M)
+        levels.append(gap if _garp(c, gap) else gap + TOL_R)
+    return GapResult(max(gaps), _stacked_certificate(d, levels, alpha), tuple(gaps), d.M)
 
 
 def empirical_pareto_gap(d: RPDataset, alpha: float = ALPHA_DEFAULT) -> GapResult:

@@ -135,11 +135,6 @@ class SPSATrace:
             "content_hash": hashlib.sha256(payload.encode()).hexdigest(),
         }
 
-    def write_manifest(self, path, cfg: SPSAConfig) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.manifest(cfg), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def spsa_step(theta_n, loss, n: int, cfg: SPSAConfig, seed) -> tuple[NDArray[np.float64], dict]:
     """One update: perturb, estimate the gradient, project the noisy step.

@@ -17,7 +17,7 @@ import pytest
 from jsonschema.validators import validator_for
 
 import pareto_forge
-from pareto_forge import experiments
+from pareto_forge import experiments, rp
 from pareto_forge.cli import _config_validator, build_parser, main
 from pareto_forge.core import (
     ConstraintFunction,
@@ -29,7 +29,6 @@ from pareto_forge.core import (
     save_dataset,
 )
 from pareto_forge.experiments import default_parallelism
-from pareto_forge.lp import LPResult, SimplexSolver, Status
 from pareto_forge.rp import pareto_gap
 from pareto_forge.synthetic import violating_dataset
 
@@ -270,14 +269,38 @@ class TestGenerateAndAudit:
         assert report["ccei"] == [None]
         assert report["pareto_gap"] == pytest.approx(1.5, abs=1e-12)  # budget left unspent
 
-    def test_audit_lp_numerical_failure_exits_two(self, tmp_path, capsys, monkeypatch):
-        # a NUMERICAL verdict must reach the user, not be retried elsewhere
-        monkeypatch.setattr(SimplexSolver, "solve", lambda self, lp: LPResult(Status.NUMERICAL))
+    def test_audit_certificate_validation_failure_exits_two(self, tmp_path, capsys, monkeypatch):
+        # a certificate that does not validate must reach the user, never a report
+        def bad_point(gbar_i, r):
+            T = gbar_i.shape[0]
+            return np.arange(T) * 100.0, np.ones(T)
+
+        monkeypatch.setattr(rp, "_agent_certificate", bad_point)
         path = tmp_path / "violating.json"
         save_dataset(violating_dataset(T=3, M=2, k=2, seed=1), path)
         assert main(["audit", str(path), "--out-dir", str(tmp_path)]) == 2
-        assert "LP backend failure: numerical" in capsys.readouterr().err
+        assert "certificate failed validation" in capsys.readouterr().err
         assert not (tmp_path / "audit_report.json").exists()
+
+    def test_audit_leaves_scipy_optimize_unloaded(self, tmp_path):
+        # a fresh interpreter: this one has scipy.optimize loaded already
+        path = tmp_path / "violating.json"
+        save_dataset(violating_dataset(T=8, M=3, k=3, seed=2), path)
+        argv = ["audit", str(path), "--out-dir", str(tmp_path)]
+        code = (
+            "import sys; from pareto_forge.cli import main; "
+            f"c = main({argv!r}); print(c, 'scipy.optimize' in sys.modules)"
+        )
+        src = str(Path(pareto_forge.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert out.stdout.splitlines()[-1] == "1 False"
 
     def test_audit_t20_dataset_exits_one_with_valid_certificate(self, tmp_path):
         # this dataset once drove the LP bisection into a numerical failure (exit 2)
@@ -420,6 +443,25 @@ class TestMonteCarloCommand:
         )
         assert main(["mc", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 0
         assert seen == [(4, {"cap": 50.0})]
+
+    def test_spsa_replications_start_from_the_configured_theta0(self, tmp_path, monkeypatch):
+        # as in the spsa command, a configured theta0 replaces the random start
+        seen = []
+        run = experiments.run_river_spsa
+        monkeypatch.setattr(experiments, "run_river_spsa", lambda cfg, **kw: seen.append(kw) or run(cfg, **kw))
+        theta0 = [0.9, 0.1, 0.8, 0.2, 0.7, 0.3, 0.6]
+        cfg = _write(
+            tmp_path / "cfg.json",
+            {
+                "monte_carlo": {"command": "spsa", "replications": 2, "parallelism": 1},
+                "spsa": {"T": 3, "max_iters": 1, "theta0": theta0},
+            },
+        )
+        assert main(["mc", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+        assert len(seen) == 2
+        for kw in seen:
+            assert isinstance(kw["theta0"], np.ndarray)
+            np.testing.assert_array_equal(kw["theta0"], theta0)
 
     def test_dro_replications_use_the_dro_block(self, tmp_path):
         # the block's max_exchange_iters (and lambda box) reach every replication

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pareto_forge import lp
 from pareto_forge.core import ConstraintFunction, EmpiricalStrategy, Family, RPDataset
 from pareto_forge.lp import TOL_LP
 from pareto_forge.rp import (
@@ -75,14 +76,35 @@ def _random_dataset(seed):
     return maker(T=T, M=M, k=k, seed=seed)
 
 
+def _lp_feasible(d, r):
+    """LP verdict of the relaxed system at level r (the slow reference).
+
+    Per agent: u_s - u_t - lam_t*(gbar[t,s] + r) <= 0 over all (t, s), with
+    u free and lam >= 1 (the system is homogeneous, so lam > 0 rescales to it).
+    """
+    T = d.T
+    t, s = np.divmod(np.arange(T * T), T)
+    rows = np.arange(T * T)
+    lower = np.concatenate([np.full(T, -np.inf), np.ones(T)])
+    upper = np.full(2 * T, np.inf)
+    for i in range(d.M):
+        A = np.zeros((T * T, 2 * T))
+        A[rows, s] += 1.0
+        A[rows, t] -= 1.0
+        A[rows, T + t] = -(d.gbar[t, s, i] + r)
+        if not lp.feasible(A, np.zeros(T * T), lower, upper)[0]:
+            return False
+    return True
+
+
 def _reference_gap(d):
-    """Bisection over r on the LP verdicts of afriat_feasible (the slow reference)."""
-    if afriat_feasible(d, 0.0)[0]:
+    """Bisection over r on the LP verdicts (the slow reference)."""
+    if _lp_feasible(d, 0.0):
         return 0.0
     lo, hi = 0.0, max(0.0, float(-d.gbar.min()))  # u = 0 is feasible at hi
     while hi - lo > TOL_R:
         mid = 0.5 * (lo + hi)
-        if afriat_feasible(d, mid)[0]:
+        if _lp_feasible(d, mid):
             hi = mid
         else:
             lo = mid
@@ -150,6 +172,43 @@ class TestParetoGap:
         # r by at most as much, so the reference may sit that far below the gap.
         assert res.gap - 10 * TOL_LP <= ref <= res.gap + TOL_R + 1e-9
         assert res.certificate.validates(d)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 10_000), frac=st.floats(0.0, 1.0))
+    def test_afriat_feasible_matches_lp_verdict(self, seed, frac):
+        d = _random_dataset(seed)
+        gaps = pareto_gap(d).per_agent_gaps
+        r = frac * (2.0 * max(gaps) + 0.1)
+        # the LP's verdict is only sharp away from each agent's critical level
+        assume(all(abs(r - g) >= 10 * TOL_LP for g in gaps))
+        ok, cert = afriat_feasible(d, r)
+        assert ok == _lp_feasible(d, r)
+        if ok:
+            assert cert.validates(d, tol=1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_t40_certificates_match_lp_verdicts(self, seed):
+        # long revealed-preference chains give the largest lam ratios
+        d = violating_dataset(40, 3, 3, seed=seed)
+        res = pareto_gap(d)
+        assert res.certificate.validates(d, tol=1e-9)
+        for r in (res.gap - 100 * TOL_LP, res.certificate.r + 100 * TOL_LP):
+            ok, cert = afriat_feasible(d, r)
+            assert ok == _lp_feasible(d, r) == (r > res.gap)
+            if ok:
+                assert cert.validates(d, tol=1e-9)
+
+    def test_no_lp_is_solved(self, monkeypatch):
+        def no_lp(*args):
+            raise RuntimeError("lp.feasible called")
+
+        monkeypatch.setattr(lp, "feasible", no_lp)
+        d = violating_dataset(T=5, M=2, k=2, seed=4)
+        res = pareto_gap(d)
+        assert res.gap > 0
+        assert res.certificate.validates(d)
+        assert afriat_feasible(d, res.certificate.r)[0]
+        assert not afriat_feasible(d, 0.5 * res.gap)[0]
 
     def test_certificate_validates_at_gap(self):
         d = violating_dataset(T=3, M=2, k=2, seed=5)
