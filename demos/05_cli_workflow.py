@@ -32,7 +32,7 @@ def main():
             json.dumps(
                 {
                     "game": {"T": 4, "seed": 7},
-                    "spsa": {"max_iters": 3, "seed": 7},
+                    "spsa": {"max_iters": 3},
                     "monte_carlo": {"command": "spsa", "replications": 3, "parallelism": 1},
                 },
                 indent=2,
@@ -41,7 +41,8 @@ def main():
 
         run(["generate", "--config", str(config), "--out-dir", str(out / "gen")])
         run(["audit", str(out / "gen" / "dataset.json"), "--out-dir", str(out / "audit")])
-        run(["spsa", "--config", str(config), "--out-dir", str(out / "spsa")])
+        # mc seeds its replications from monte_carlo.base_seed and rejects spsa.seed
+        run(["spsa", "--config", str(config), "--seed", "7", "--out-dir", str(out / "spsa")])
         run(["mc", "--config", str(config), "--out-dir", str(out / "mc")])
 
         report = json.loads((out / "audit" / "audit_report.json").read_text())

@@ -253,6 +253,8 @@ def cmd_mc(args) -> int:
     cfg = _load_config(args.config)
     mc = cfg.get("monte_carlo", {})
     command = mc.get("command", "spsa")
+    if command == "spsa" and "seed" in cfg.get("spsa", {}):
+        raise ConfigError("mc does not read spsa.seed: replication seeds derive from monte_carlo.base_seed")
     reps = mc.get("replications", 10)
     base_seed = args.seed if args.seed is not None else mc.get("base_seed", 0)
     parallelism = mc.get("parallelism")

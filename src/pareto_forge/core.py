@@ -142,12 +142,65 @@ def expected_constraint(f: ConstraintFunction, s: EmpiricalStrategy) -> float:
     return float(eval_constraint_many(f, s.samples).mean())
 
 
+def _check_finite(cons, strats) -> None:
+    """Raise on the first (t, i), in row order, with a non-finite coefficient or sample."""
+    coefs = [v for row in cons for f in row for v in (*f.alpha, f.b, f.a_t, *f.beta)]
+    samples = np.concatenate([s.samples.ravel() for row in strats for s in row])
+    if np.isfinite(coefs).all() and np.isfinite(samples).all():
+        return
+    for t, (row_c, row_s) in enumerate(zip(cons, strats)):
+        for i, (f, s) in enumerate(zip(row_c, row_s)):
+            if not np.isfinite([*f.alpha, f.b, f.a_t, *f.beta]).all():
+                raise ValueError(f"constraint ({t},{i}) has a non-finite coefficient")
+            if not np.isfinite(s.samples).all():
+                raise ValueError(f"strategy ({t},{i}) has a non-finite sample")
+
+
+def _agent_budget_values(fs, xs) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """One agent's budget values (G, own_max) from its probes fs and sample arrays xs.
+
+    G[t, s] is the mean of g_t over the samples of play s, own_max[t] the
+    largest g_t over the samples of play t.  The samples of all T plays are
+    stacked once.  Single-sample plays under unshifted affine probes take one
+    GEMM, whose per-entry sums round as the one-row products of
+    :func:`expected_constraint` do (a stacked matrix-vector product would
+    not); every other agent takes one :func:`eval_constraint_many` call per
+    probe and segment means.
+    """
+    if len({f.dim for f in fs} | {x.shape[1] for x in xs}) > 1:
+        for f in fs:
+            for x in xs:
+                if x.shape[1] != f.dim:
+                    raise DimensionError(f"strategy dim {x.shape[1]} != constraint dim {f.dim}")
+    X = np.concatenate(xs)
+    if X.shape[0] == len(xs) and all(f.family == Family.AFFINE and f.a_t == 0.0 for f in fs):
+        A = np.array([f.alpha for f in fs], dtype=float)
+        G = (X @ A.T).T - np.array([f.b for f in fs], dtype=float)[:, None]
+        return G, np.diagonal(G)
+    n = np.array([x.shape[0] for x in xs])
+    starts = np.cumsum(n) - n
+    V = np.stack([eval_constraint_many(f, X) for f in fs])
+    G = np.empty((len(fs), len(xs)))
+    own_max = np.empty(len(fs))
+    for count in np.unique(n):
+        # plays with equal sample counts; take() keeps each row contiguous, so its
+        # sum rounds as that play's .mean() does
+        cols = np.flatnonzero(n == count)
+        idx = starts[cols, None] + np.arange(count)
+        G[:, cols] = V.take(idx, axis=1).sum(axis=2) / count
+        own_max[cols] = V[cols[:, None], idx].max(axis=1)
+    return G, own_max
+
+
 @dataclass(frozen=True)
 class RPDataset:
     """Observed constraints and strategies over T periods and M agents.
 
     ``gbar[t, s, i]`` caches the expected value of period-t's budget for agent
-    i evaluated on the strategy played in period s.
+    i evaluated on the strategy played in period s.  It is built per agent
+    from the stacked samples of its T plays (one GEMM, or one vectorized
+    evaluation per probe; see :func:`_agent_budget_values`), not per entry;
+    :func:`expected_constraint` is the per-entry reference it matches.
     """
 
     constraints: tuple[tuple[ConstraintFunction, ...], ...]  # T x M
@@ -165,36 +218,31 @@ class RPDataset:
         M = len(cons[0])
         if any(len(row) != M for row in cons) or any(len(row) != M for row in strats):
             raise ValueError("ragged T x M grids")
-        for t in range(T):
-            for i in range(M):
-                f = cons[t][i]
-                if not np.isfinite([*f.alpha, f.b, f.a_t, *f.beta]).all():
-                    raise ValueError(f"constraint ({t},{i}) has a non-finite coefficient")
-                if not np.isfinite(strats[t][i].samples).all():
-                    raise ValueError(f"strategy ({t},{i}) has a non-finite sample")
+        _check_finite(cons, strats)
         gbar = np.empty((T, T, M))
+        own_max = np.empty((T, M))
         for i in range(M):
-            for t in range(T):
-                for s in range(T):
-                    gbar[t, s, i] = expected_constraint(cons[t][i], strats[s][i])
+            gbar[:, :, i], own_max[:, i] = _agent_budget_values(
+                [row[i] for row in cons], [row[i].samples for row in strats]
+            )
         if not np.isfinite(gbar).all():
             t, s, i = np.argwhere(~np.isfinite(gbar))[0]
             raise ValueError(
                 f"constraint ({t},{i}) is not finite on strategy ({s},{i}): "
                 f"g = {gbar[t, s, i]}"
             )
-        for t in range(T):
-            for i in range(M):
-                if gbar[t, t, i] > TOL_FEAS:
-                    raise ValueError(
-                        f"strategy ({t},{i}) violates its own budget: g = {gbar[t, t, i]:.3e}"
-                    )
-                sample_vals = eval_constraint_many(cons[t][i], strats[t][i].samples)
-                if sample_vals.max() > TOL_FEAS:
-                    raise ValueError(
-                        f"a sample of strategy ({t},{i}) leaves the feasible set "
-                        f"(max g = {sample_vals.max():.3e})"
-                    )
+        own = np.diagonal(gbar).T  # own[t, i] = gbar[t, t, i]
+        outside = (own > TOL_FEAS) | (own_max > TOL_FEAS)
+        if outside.any():
+            t, i = np.argwhere(outside)[0]
+            if own[t, i] > TOL_FEAS:
+                raise ValueError(
+                    f"strategy ({t},{i}) violates its own budget: g = {own[t, i]:.3e}"
+                )
+            raise ValueError(
+                f"a sample of strategy ({t},{i}) leaves the feasible set "
+                f"(max g = {own_max[t, i]:.3e})"
+            )
         gbar.setflags(write=False)
         object.__setattr__(self, "gbar", gbar)
 

@@ -255,6 +255,10 @@ def best_deviation(
     return z
 
 
+class NashConvergenceError(RuntimeError):
+    """A Nash computation that did not reach its residual tolerance."""
+
+
 @dataclass(frozen=True)
 class NashResult:
     x_star: NDArray[np.float64]
@@ -336,7 +340,8 @@ def collect_dataset(
     Each period builds per-agent feasible sets from its probes, computes the
     Nash equilibrium by the relaxation method, and emits N samples per agent:
     the equilibrium action plus optional uniform jitter projected back into the
-    budget set (jitter=0 gives N identical samples, a pure strategy).
+    budget set (jitter=0 gives N identical samples, a pure strategy).  A
+    period whose equilibrium does not converge raises NashConvergenceError.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -356,7 +361,7 @@ def collect_dataset(
         )
         res = relaxation_nash(g, sets, x0, tol_ne=tol_ne)
         if not res.converged:
-            raise RuntimeError(
+            raise NashConvergenceError(
                 f"Nash computation failed at period {t}: residual "
                 f"{res.ni_residual:.3e} after {res.iterations} iterations"
             )

@@ -17,8 +17,9 @@ and when it is not, quantify the failure:
 * ``rank_optimality_check`` — expected k-rank test for ordinal outcome data.
 
 Every test above rests on one Floyd-Warshall closure in the (max, min)
-semiring.  Each relaxed system, at level r, fails exactly when some cycle of
-edges with weight >= r has an edge with weight > r (Afriat 1967).  So its
+semiring, run once over the (M, T, T) stack of all agents' matrices.  Each
+relaxed system, at level r, fails exactly when some cycle of edges with
+weight >= r has an edge with weight > r (Afriat 1967).  So its
 critical level is the largest cycle bottleneck (over cycles, the smallest
 edge weight), read off the closure's diagonal: exact, with no bisection and
 no tolerance.  Gap certificates are built from the same closure (Varian 1982).
@@ -51,30 +52,40 @@ TOL_R = 1e-5
 def _closure(W: NDArray) -> NDArray:
     """Floyd-Warshall closure of a weighted relation in the (max, min) semiring.
 
-    H[t, s] is the largest bottleneck (smallest edge weight) over paths of one
-    or more edges from t to s.  On a boolean relation np.maximum and
-    np.minimum are "or" and "and", so the same loop is the transitive closure.
+    W is one (T, T) relation or an (M, T, T) stack of them, closed slice by
+    slice in one loop.  H[..., t, s] is the largest bottleneck (smallest edge
+    weight) over paths of one or more edges from t to s.  On a boolean
+    relation np.maximum and np.minimum are "or" and "and", so the same loop
+    is the transitive closure.
     """
     H = W.copy()
-    for mid in range(H.shape[0]):
-        np.maximum(H, np.minimum(H[:, mid : mid + 1], H[mid : mid + 1, :]), out=H)
+    for mid in range(H.shape[-1]):
+        np.maximum(H, np.minimum(H[..., :, mid : mid + 1], H[..., mid : mid + 1, :]), out=H)
     return H
 
 
-def _critical_level(W: NDArray[np.float64]) -> float:
-    """Largest cycle bottleneck of W: _garp(W, level) fails below it, passes above."""
-    return float(np.diag(_closure(W)).max())
+def _critical_levels(W: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Largest cycle bottleneck of each slice of W: _garp fails below it, passes above."""
+    return np.diagonal(_closure(W), axis1=-2, axis2=-1).max(axis=-1)
 
 
-def _garp(W: NDArray[np.float64], level: float) -> bool:
-    """GARP on the relation W >= level: no cycle of its edges has an edge W > level."""
+def _garp(W: NDArray[np.float64], level) -> NDArray[np.bool_]:
+    """GARP per slice on the relation W >= level: no cycle of its edges has an edge W > level.
+
+    ``level`` broadcasts against W (a scalar, or one level per slice shaped (M, 1, 1)).
+    """
     # a path s -> t in the relation and a strict edge t -> s close a bad cycle
-    return not (_closure(W >= level).T & (W > level)).any()
+    return ~(np.swapaxes(_closure(W >= level), -1, -2) & (W > level)).any(axis=(-2, -1))
 
 
-def _slack(gbar_i: NDArray[np.float64]) -> NDArray[np.float64]:
-    """w[k, j] = g_k(mu_k) - g_k(mu_j): how much cheaper play j is than play k on budget k."""
-    return np.diag(gbar_i)[:, None] - gbar_i
+def _agents(d: RPDataset) -> NDArray[np.float64]:
+    """gbar as an (M, T, T) stack of per-agent matrices."""
+    return d.gbar.transpose(2, 0, 1)
+
+
+def _slack(g: NDArray[np.float64]) -> NDArray[np.float64]:
+    """w[..., k, j] = g_k(mu_k) - g_k(mu_j): how much cheaper play j is than play k on budget k."""
+    return np.diagonal(g, axis1=-2, axis2=-1)[..., :, None] - g
 
 
 # --- Pareto gap -------------------------------------------------------------
@@ -97,11 +108,12 @@ def _agent_certificate(gbar_i: NDArray[np.float64], r: float):
     for m in np.argsort(reach.sum(axis=0), kind="stable"):
         if done[m]:
             continue
-        comp = reach[m] & reach[:, m]
-        if done.any():
-            u[comp] = (u[done, None] + lam[done, None] * c[np.ix_(done, comp)]).min()
-            lam[comp] = np.maximum(1.0, ((u[done] - u[m]) / c[np.ix_(comp, done)]).max(axis=1))
-        done |= comp
+        comp = np.flatnonzero(reach[m] & reach[:, m])
+        prev = np.flatnonzero(done)
+        if prev.size:
+            u[comp] = (u[prev, None] + lam[prev, None] * c[prev[:, None], comp]).min()
+            lam[comp] = np.maximum(1.0, ((u[prev] - u[m]) / c[comp[:, None], prev]).max(axis=1))
+        done[comp] = True
     return u, lam
 
 
@@ -137,7 +149,7 @@ def afriat_feasible(
         raise ValueError("r must be >= 0")
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
-    if not all(_garp(-d.gbar[:, :, i], r) for i in range(d.M)):
+    if not _garp(-_agents(d), r).all():
         return False, None
     return True, _stacked_certificate(d, [r] * d.M, alpha)
 
@@ -172,12 +184,11 @@ def pareto_gap(d: RPDataset, alpha: float = ALPHA_DEFAULT) -> GapResult:
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    gaps, levels = [], []
-    for i in range(d.M):
-        c = -d.gbar[:, :, i]
-        gap = max(0.0, _critical_level(c))
-        gaps.append(gap)
-        levels.append(gap if _garp(c, gap) else gap + TOL_R)
+    c = -_agents(d)
+    # Python's max: np.maximum would keep the sign of a -0.0 critical level
+    gaps = [max(0.0, float(v)) for v in _critical_levels(c)]
+    attained = _garp(c, np.array(gaps)[:, None, None])
+    levels = [gap if ok else gap + TOL_R for gap, ok in zip(gaps, attained)]
     return GapResult(max(gaps), _stacked_certificate(d, levels, alpha), tuple(gaps), d.M)
 
 
@@ -207,7 +218,7 @@ def garp_f(d: RPDataset, F: float) -> bool:
     """GARP with additive budget slack F: k R j iff gbar[k,j,i] + F <= gbar[k,k,i]."""
     if F < 0:
         raise ValueError("F must be >= 0")
-    return all(_garp(_slack(d.gbar[:, :, i]), F) for i in range(d.M))
+    return bool(_garp(_slack(_agents(d)), F).all())
 
 
 def garp_f_threshold(d: RPDataset) -> float:
@@ -219,7 +230,7 @@ def garp_f_threshold(d: RPDataset) -> float:
     every F above it, and at the threshold itself unless a bottleneck cycle
     has a heavier edge.
     """
-    return max(_critical_level(_slack(d.gbar[:, :, i])) for i in range(d.M))
+    return max(map(float, _critical_levels(_slack(_agents(d)))))
 
 
 def ccei_scalar(d: RPDataset, agent: int) -> float:
@@ -237,7 +248,7 @@ def ccei_scalar(d: RPDataset, agent: int) -> float:
     if np.any(own <= 0):
         raise ValueError(f"agent {agent}: satiated own-budget values g[t,t] must be positive")
     rho = g / own[:, None]
-    return float(np.clip(-_critical_level(-rho), 0.0, 1.0))
+    return float(np.clip(-_critical_levels(-rho), 0.0, 1.0))
 
 
 # --- concentration bound ----------------------------------------------------

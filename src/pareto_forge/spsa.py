@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
+from .game import NashConvergenceError
 from .rp import TOL_R
 
 STOP_TOL_DEFAULT = TOL_R
@@ -173,10 +174,11 @@ def run_mechanism_design(
     """Tune θ until the observed-play loss falls below stop_tol.
 
     ``loss(theta, seed)`` plays the game at θ (probes drawn from ``seed``) and
-    returns the empirical social-optimality gap.  Equilibrium-computation
-    failures (RuntimeError) are retried with fresh probe seeds up to
-    ``retries`` times before aborting.  The run is bit-reproducible given
-    (cfg, theta0).
+    returns the empirical social-optimality gap.  A Nash computation that does
+    not converge (NashConvergenceError) is retried with fresh probe seeds up
+    to ``retries`` times before aborting; any other error, such as a gap
+    certificate that fails validation, propagates at once.  The run is
+    bit-reproducible given (cfg, theta0).
     """
     ss = np.random.SeedSequence(cfg.seed)
     init_rng = np.random.default_rng(ss.spawn(1)[0])
@@ -195,7 +197,7 @@ def run_mechanism_design(
             for attempt, s in enumerate(base_seed.spawn(retries)):
                 try:
                     return loss(th, s)
-                except RuntimeError as err:
+                except NashConvergenceError as err:
                     last_err = err
             raise RuntimeError(
                 f"loss evaluation failed after {retries} attempts at n={n}: {last_err}"

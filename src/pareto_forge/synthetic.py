@@ -31,12 +31,8 @@ def cobb_douglas_demand(expo, alpha, b):
     return expo * b / (alpha * expo.sum())
 
 
-def consistent_dataset(T: int, M: int, k: int, seed: int = 0) -> RPDataset:
-    """Socially optimal play: per-agent Cobb-Douglas maximization on random budgets.
-
-    Budgets are exhausted exactly (closed-form demand), so the dataset is
-    rationalizable with zero relaxation.
-    """
+def _consistent_rows(T: int, M: int, k: int, seed: int):
+    """Rows (constraints, strategies) of :func:`consistent_dataset`, as T lists of M."""
     rng = np.random.default_rng(seed)
     cons, strats = [], []
     expos = [rng.uniform(0.5, 2.0, size=k) for _ in range(M)]
@@ -48,9 +44,18 @@ def consistent_dataset(T: int, M: int, k: int, seed: int = 0) -> RPDataset:
             x = cobb_douglas_demand(expos[i], alpha, b)
             row_c.append(_affine(alpha, b))
             row_s.append(EmpiricalStrategy(x[None, :]))
-        cons.append(tuple(row_c))
-        strats.append(tuple(row_s))
-    return RPDataset(tuple(cons), tuple(strats))
+        cons.append(row_c)
+        strats.append(row_s)
+    return cons, strats
+
+
+def consistent_dataset(T: int, M: int, k: int, seed: int = 0) -> RPDataset:
+    """Socially optimal play: per-agent Cobb-Douglas maximization on random budgets.
+
+    Budgets are exhausted exactly (closed-form demand), so the dataset is
+    rationalizable with zero relaxation.
+    """
+    return RPDataset(*_consistent_rows(T, M, k, seed))
 
 
 def _reversal_pair(k: int, rng) -> tuple[list[ConstraintFunction], list[EmpiricalStrategy]]:
@@ -83,14 +88,11 @@ def violating_dataset(T: int, M: int, k: int, seed: int = 0) -> RPDataset:
         raise ValueError("need T >= 2 to embed a violation")
     if k < 2:
         raise ValueError("budget reversals require k >= 2")
-    base = consistent_dataset(T, M, k, seed=seed)
-    rng = np.random.default_rng(seed + 1)
-    cons = [list(row) for row in base.constraints]
-    strats = [list(row) for row in base.strategies]
-    pair_c, pair_s = _reversal_pair(k, rng)
+    cons, strats = _consistent_rows(T, M, k, seed)
+    pair_c, pair_s = _reversal_pair(k, np.random.default_rng(seed + 1))
     cons[0][0], cons[1][0] = pair_c
     strats[0][0], strats[1][0] = pair_s
-    return RPDataset(tuple(map(tuple, cons)), tuple(map(tuple, strats)))
+    return RPDataset(cons, strats)
 
 
 # --- finite-sample robust-estimation instance --------------------------------

@@ -343,6 +343,29 @@ class TestSpsaCommand:
         assert main(["spsa", "--config", cfg, "--seed", "2", "--out-dir", str(out)]) == 0
         assert json.loads((out / "spsa_manifest.json").read_text())["seed"] == 2
 
+    def test_config_seed_reaches_the_tuner(self, tmp_path, monkeypatch):
+        seen = []
+        run = experiments.run_river_spsa
+        monkeypatch.setattr("pareto_forge.cli.run_river_spsa", lambda cfg, **kw: seen.append(cfg.seed) or run(cfg, **kw))
+        out = tmp_path / "out"
+        cfg = _write(tmp_path / "cfg.json", {"spsa": {"seed": 7, "max_iters": 1, "T": 3}})
+        assert main(["spsa", "--config", cfg, "--out-dir", str(out)]) == 0
+        assert seen == [7]
+        assert json.loads((out / "spsa_manifest.json").read_text())["seed"] == 7
+
+    def test_certificate_validation_failure_exits_two(self, tmp_path, capsys, monkeypatch):
+        # the tuner retries only Nash failures, so a bad gap certificate reaches the user
+        def bad_point(gbar_i, r):
+            T = gbar_i.shape[0]
+            return np.arange(T) * 100.0, np.ones(T)
+
+        monkeypatch.setattr(rp, "_agent_certificate", bad_point)
+        out = tmp_path / "out"
+        cfg = _write(tmp_path / "cfg.json", {"spsa": {"seed": 1, "max_iters": 1, "T": 3}})
+        assert main(["spsa", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert "certificate failed validation" in capsys.readouterr().err
+        assert not (out / "spsa_manifest.json").exists()
+
     def test_max_iters_flag_applies_to_its_call_only(self, tmp_path, monkeypatch):
         seen = []
         run = experiments.run_river_spsa
@@ -462,6 +485,20 @@ class TestMonteCarloCommand:
         for kw in seen:
             assert isinstance(kw["theta0"], np.ndarray)
             np.testing.assert_array_equal(kw["theta0"], theta0)
+
+    def test_spsa_seed_is_rejected(self, tmp_path, capsys):
+        # replications are seeded from monte_carlo.base_seed; a spsa.seed would be ignored
+        out = tmp_path / "out"
+        cfg = _write(
+            tmp_path / "cfg.json",
+            {
+                "monte_carlo": {"command": "spsa", "replications": 1, "parallelism": 1},
+                "spsa": {"T": 3, "max_iters": 1, "seed": 7},
+            },
+        )
+        assert main(["mc", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert "monte_carlo.base_seed" in capsys.readouterr().err
+        assert not (out / "mc_spsa.csv").exists()
 
     def test_dro_replications_use_the_dro_block(self, tmp_path):
         # the block's max_exchange_iters (and lambda box) reach every replication

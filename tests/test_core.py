@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pareto_forge import core
 from pareto_forge.core import (
+    TOL_FEAS,
     ConstraintFunction,
     DimensionError,
     EmpiricalStrategy,
@@ -24,6 +28,7 @@ from pareto_forge.core import (
     load_dataset,
     save_dataset,
 )
+from pareto_forge.synthetic import dro_instance, violating_dataset
 
 
 def _affine(alpha, b):
@@ -164,6 +169,203 @@ class TestRPDataset:
         with np.errstate(over="ignore", divide="ignore"):
             with pytest.raises(ValueError, match=r"constraint \(0,0\) is not finite on strategy \(0,0\)"):
                 RPDataset(((f,),), strats)
+
+
+def _reference_gbar(cons, strats):
+    """The per-entry construction: gbar and validation, one expected_constraint call per entry."""
+    T, M = len(cons), len(cons[0])
+    for t in range(T):
+        for i in range(M):
+            f = cons[t][i]
+            if not np.isfinite([*f.alpha, f.b, f.a_t, *f.beta]).all():
+                raise ValueError(f"constraint ({t},{i}) has a non-finite coefficient")
+            if not np.isfinite(strats[t][i].samples).all():
+                raise ValueError(f"strategy ({t},{i}) has a non-finite sample")
+    gbar = np.empty((T, T, M))
+    for i in range(M):
+        for t in range(T):
+            for s in range(T):
+                gbar[t, s, i] = expected_constraint(cons[t][i], strats[s][i])
+    if not np.isfinite(gbar).all():
+        t, s, i = np.argwhere(~np.isfinite(gbar))[0]
+        raise ValueError(
+            f"constraint ({t},{i}) is not finite on strategy ({s},{i}): g = {gbar[t, s, i]}"
+        )
+    for t in range(T):
+        for i in range(M):
+            if gbar[t, t, i] > TOL_FEAS:
+                raise ValueError(
+                    f"strategy ({t},{i}) violates its own budget: g = {gbar[t, t, i]:.3e}"
+                )
+            sample_vals = eval_constraint_many(cons[t][i], strats[t][i].samples)
+            if sample_vals.max() > TOL_FEAS:
+                raise ValueError(
+                    f"a sample of strategy ({t},{i}) leaves the feasible set "
+                    f"(max g = {sample_vals.max():.3e})"
+                )
+    return gbar
+
+
+def _term_scale(f, s):
+    """Mean over the samples of |b| + sum_j |alpha_j * y_j|, y = x - a_t*beta: the size
+    of the terms an affine evaluation sums (0 for log-sigmoid, which sums none)."""
+    if f.family != Family.LOG_SIGMOID:
+        y = s.samples - f.a_t * np.asarray(f.beta or np.zeros(f.dim))
+        return float((np.abs(y) @ np.abs(np.asarray(f.alpha))).mean()) + abs(f.b)
+    return 0.0
+
+
+KINDS = ("affine", "shifted", "log_sigmoid", "mixed")
+
+
+def _valid_grid(seed, T, M, k, kinds, counts):
+    """A T x M grid whose every sample lies inside its own budget.
+
+    ``kinds[i]`` picks agent i's probes ("mixed" draws a kind per period);
+    ``counts[t][i]`` is the sample count of strategy (t, i).
+    """
+    rng = np.random.default_rng(seed)
+    cons = [[None] * M for _ in range(T)]
+    strats = [[None] * M for _ in range(T)]
+    for t in range(T):
+        for i in range(M):
+            kind = kinds[i] if kinds[i] != "mixed" else KINDS[rng.integers(3)]
+            beta = tuple(rng.uniform(0.0, 1.0, size=k) + 0.1)
+            if kind == "log_sigmoid":
+                x = rng.uniform(-2.0, 1.0, size=(counts[t][i], k))
+                # g(x - a*beta) <= 0 exactly when sum(x) <= a*sum(beta)
+                a = max(0.0, float(x.sum(axis=1).max())) / sum(beta) + rng.uniform(0.0, 0.5)
+                f = ConstraintFunction(Family.LOG_SIGMOID, k, a_t=float(a), beta=beta)
+            else:
+                x = rng.uniform(0.0, 2.0, size=(counts[t][i], k))
+                f = _affine(rng.uniform(0.1, 2.0, size=k), 0.0)
+                if kind == "shifted":
+                    f = f.shifted(float(rng.uniform(0.1, 1.0)), beta)
+                # budget level at or above the largest sample value
+                f = replace(f, b=float(eval_constraint_many(f, x).max()) + rng.choice([0.0, rng.uniform(0.0, 2.0)]))
+            cons[t][i] = f
+            strats[t][i] = EmpiricalStrategy(x)
+    return cons, strats
+
+
+@st.composite
+def _grid_shapes(draw):
+    T = draw(st.integers(1, 8))
+    M = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=M, max_size=M))
+    if draw(st.booleans()):
+        n = draw(st.sampled_from([1, 1, 2, 3, 5, 12]))
+        counts = [[n] * M for _ in range(T)]
+    else:
+        counts = draw(st.lists(st.lists(st.integers(1, 12), min_size=M, max_size=M), min_size=T, max_size=T))
+    return draw(st.integers(0, 2**32 - 1)), T, M, k, kinds, counts
+
+
+class TestBudgetMatrix:
+    """gbar is built per agent from stacked samples; expected_constraint is its reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_grid_shapes())
+    def test_matches_the_per_entry_reference(self, shape):
+        seed, T, M, k, kinds, counts = shape
+        cons, strats = _valid_grid(seed, T, M, k, kinds, counts)
+        ref = _reference_gbar(cons, strats)
+        gbar = RPDataset(cons, strats).gbar
+        for i in range(M):
+            n = [counts[t][i] for t in range(T)]
+            equal = len(set(n)) == 1
+            # a single-sample play inside a stacked matrix-vector product (instead
+            # of numpy's one-row dot) may round differently when k >= 2
+            single_in_gemv = k >= 2 and 1 in n and not (
+                equal and all(f.kind == Kind.AFFINE for f in (row[i] for row in cons))
+            )
+            if equal and not single_in_gemv:
+                assert np.array_equal(gbar[:, :, i], ref[:, :, i])
+                continue
+            scale = np.array([[_term_scale(cons[t][i], strats[s][i]) for s in range(T)] for t in range(T)])
+            assert (np.abs(gbar[:, :, i] - ref[:, :, i]) <= 4 * np.spacing(scale)).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _grid_shapes(),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["dim_strategy", "dim_constraint", "nan_sample", "inf_coefficient", "own", "sample"]),
+                st.integers(0, 7),
+                st.integers(0, 2),
+                st.floats(0.05, 5.0),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_invalid_grids_fail_as_the_reference(self, shape, faults):
+        seed, T, M, k, kinds, counts = shape
+        cons, strats = _valid_grid(seed, T, M, k, kinds, counts)
+        for fault, t, i, size in faults:
+            t, i = t % T, i % M
+            f, x = cons[t][i], strats[t][i].samples.copy()
+            if fault == "dim_strategy":
+                x = np.hstack([x, np.zeros((x.shape[0], 1))])
+            elif fault == "dim_constraint":
+                cons[t][i] = ConstraintFunction(Family.LOG_SIGMOID, f.dim + 1)
+            elif fault == "nan_sample":
+                x[-1, 0] = np.nan if size < 2.5 else -np.inf
+            elif fault == "inf_coefficient":
+                cons[t][i] = replace(f, b=np.inf, a_t=f.a_t or np.nan)
+            elif fault == "own":
+                x += size  # every sample moves out: g rises along each coordinate
+            else:
+                x[0] += size  # one sample moves out, the mean may stay inside
+            strats[t][i] = EmpiricalStrategy(x)
+        with np.errstate(all="ignore"):
+            try:
+                _reference_gbar(cons, strats)
+            except Exception as err:  # noqa: BLE001 - the reference decides what is expected
+                expected = err
+            else:
+                expected = None
+            if expected is None:
+                RPDataset(cons, strats)
+                return
+            with pytest.raises(type(expected)) as got:
+                RPDataset(cons, strats)
+        assert type(got.value) is type(expected)
+        assert str(got.value) == str(expected)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_generator_datasets_match_the_reference_exactly(self, seed):
+        for d in (
+            violating_dataset(14, 3, 3, seed=seed),
+            dro_instance(T=8, M=3, N=1, seed=seed),
+            dro_instance(T=8, M=3, N=10, seed=seed),
+        ):
+            assert np.array_equal(d.gbar, _reference_gbar(d.constraints, d.strategies))
+
+    @pytest.mark.parametrize(
+        "make, limit",
+        [
+            (lambda: violating_dataset(14, 3, 3, seed=0), 0),  # one GEMM per agent
+            (lambda: dro_instance(T=14, M=3, N=5, seed=0), 3 * 14),  # one evaluation per probe
+        ],
+    )
+    def test_build_makes_no_per_entry_call(self, monkeypatch, make, limit):
+        # the T^2 * M loop of expected_constraint calls must not come back
+        d = make()
+        calls = {"expected_constraint": 0, "eval_constraint_many": 0}
+        for name in calls:
+            fn = getattr(core, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(core, name, counted)
+        rebuilt = RPDataset(d.constraints, d.strategies)
+        assert calls["expected_constraint"] == 0
+        assert calls["eval_constraint_many"] <= limit
+        assert np.array_equal(rebuilt.gbar, d.gbar)
 
 
 class TestParetoCertificate:

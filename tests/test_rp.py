@@ -12,6 +12,9 @@ from pareto_forge.core import ConstraintFunction, EmpiricalStrategy, Family, RPD
 from pareto_forge.lp import TOL_LP
 from pareto_forge.rp import (
     TOL_R,
+    _closure,
+    _critical_levels,
+    _garp,
     PreferenceProfile,
     afriat_feasible,
     ccei_scalar,
@@ -264,6 +267,33 @@ class TestParetoGap:
         maker = consistent_dataset if seed % 2 == 0 else violating_dataset
         d = maker(T=T, M=M, k=2, seed=seed)
         assert mm_garp(d) == (pareto_gap(d).gap <= 1e-5)
+
+
+class TestStackedClosure:
+    """One closure over an (M, T, T) stack is the M per-slice closures, bit for bit."""
+
+    @staticmethod
+    def _stack(seed, M, T):
+        rng = np.random.default_rng(seed)
+        # few distinct values, signed zeros among them, so ties are common
+        W = rng.choice(np.array([-1.5, -0.5, -0.0, 0.0, 0.25, 1.0]), size=(M, T, T))
+        return np.where(rng.random((M, T, T)) < 0.5, W, rng.standard_normal((M, T, T)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 3), T=st.integers(1, 8))
+    def test_matches_per_slice_closure(self, seed, M, T):
+        W = self._stack(seed, M, T)
+        H = _closure(W)
+        for i in range(M):
+            assert H[i].tobytes() == _closure(W[i]).tobytes()  # signed zeros included
+            assert np.array_equal(_closure(W >= 0)[i], _closure(W[i] >= 0))
+        levels = _critical_levels(W)
+        assert levels.tobytes() == np.array([_critical_levels(W[i]) for i in range(M)]).tobytes()
+        for level in (0.0, float(levels.max())):
+            assert _garp(W, level).tolist() == [bool(_garp(W[i], level)) for i in range(M)]
+        assert _garp(W, levels[:, None, None]).tolist() == [
+            bool(_garp(W[i], levels[i])) for i in range(M)
+        ]
 
 
 class TestGarpF:

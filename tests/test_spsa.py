@@ -8,6 +8,9 @@ import itertools
 import numpy as np
 import pytest
 
+from pareto_forge import game, rp
+from pareto_forge.experiments import river_spsa_config, run_river_spsa
+from pareto_forge.game import NashConvergenceError, NashResult
 from pareto_forge.spsa import SPSAConfig, gains, run_mechanism_design, spsa_step
 
 
@@ -172,7 +175,7 @@ class TestRun:
         def flaky(theta, seed):
             calls["n"] += 1
             if calls["n"] % 3 != 0:
-                raise RuntimeError("equilibrium failure")
+                raise NashConvergenceError("equilibrium failure")
             return float(np.sum(np.asarray(theta) ** 2))
 
         cfg = _cfg(max_iters=3)
@@ -181,11 +184,48 @@ class TestRun:
 
     def test_persistent_failure_raises(self):
         def broken(theta, seed):
-            raise RuntimeError("always fails")
+            raise NashConvergenceError("always fails")
 
         cfg = _cfg(max_iters=2)
         with pytest.raises(RuntimeError, match="after 3 attempts"):
             run_mechanism_design(broken, cfg)
+
+    def test_other_failures_are_not_retried(self):
+        calls = []
+
+        def broken(theta, seed):
+            calls.append(seed)
+            raise RuntimeError("certificate failed validation at r = 0.0")
+
+        with pytest.raises(RuntimeError, match="^certificate failed validation"):
+            run_mechanism_design(broken, _cfg(max_iters=2))
+        assert len(calls) == 1
+
+    def test_river_certificate_failure_is_raised(self, monkeypatch):
+        # a gap certificate that does not validate must not be replaced by another probe set's loss
+        def bad_point(gbar_i, r):
+            T = gbar_i.shape[0]
+            return np.arange(T) * 100.0, np.ones(T)
+
+        monkeypatch.setattr(rp, "_agent_certificate", bad_point)
+        with pytest.raises(RuntimeError, match="^certificate failed validation"):
+            run_river_spsa(river_spsa_config(seed=1, max_iters=1, T=3))
+
+    def test_river_nash_failure_is_retried(self, monkeypatch):
+        solve = game.relaxation_nash
+        calls = []
+
+        def first_fails(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            calls.append(res)
+            if len(calls) == 1:
+                return NashResult(res.x_star, 1.0, res.iterations, False)
+            return res
+
+        monkeypatch.setattr(game, "relaxation_nash", first_fails)
+        trace = run_river_spsa(river_spsa_config(seed=1, max_iters=1, T=3))
+        assert len(trace.records) == 1
+        assert len(calls) > 3  # the failed period, then a full T = 3 retry
 
 
 class TestTraceOutput:
