@@ -202,14 +202,16 @@ def cmd_spsa(args) -> int:
     return EXIT_OK
 
 
-def _dro_options(s: dict) -> dict:
-    """``DROConfig`` fields of a config's ``dro`` block, with the CLI defaults."""
-    return {
-        "lambda_hat": s.get("lambda_hat", 1.0),
-        "lam_max": s.get("lam_max", 10.0),
-        "use_paper_v": s.get("use_paper_v", False),
-        "max_exchange_iters": s.get("max_exchange_iters", 60),
-    }
+# CLI defaults of the ``dro`` block: DROConfig fields, and settings of each run
+_DRO_OPTIONS = {"lambda_hat": 1.0, "lam_max": 10.0, "use_paper_v": False, "max_exchange_iters": 60}
+_DRO_RUN = {"delta": 0.1, "T": 5, "M": 3, "N": 5, "jitter": 0.05}
+
+
+def _dro_settings(s: dict) -> tuple[dict, list, dict]:
+    """A ``dro`` block read with the CLI defaults: ``DROConfig`` fields, radii, run settings."""
+    options = {key: s.get(key, value) for key, value in _DRO_OPTIONS.items()}
+    run = {key: s.get(key, value) for key, value in _DRO_RUN.items()}
+    return options, s.get("eps", [0.001, 1.0, 10.0]), run
 
 
 def _dro_mc_replication(rep_seed: int, options: dict, **kwargs) -> dict:
@@ -221,23 +223,13 @@ def cmd_dro(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
     s = cfg.get("dro", {})
     seed = args.seed if args.seed is not None else s.get("seed", 0)
-    eps_list = s.get("eps", [0.001, 1.0, 10.0])
-    delta = s.get("delta", 0.1)
-    dro_cfg = DROConfig(**_dro_options(s), seed=seed)
+    options, eps_list, run = _dro_settings(s)
+    dro_cfg = DROConfig(**options, seed=seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = {}
     for eps in eps_list:
-        rep = run_dro_replication(
-            seed,
-            eps=eps,
-            delta=delta,
-            T=s.get("T", 5),
-            M=s.get("M", 3),
-            N=s.get("N", 5),
-            jitter=s.get("jitter", 0.05),
-            cfg=dro_cfg,
-        )
+        rep = run_dro_replication(seed, eps=eps, cfg=dro_cfg, **run)
         tag = str(eps).replace(".", "p")
         with open(out_dir / f"dro_trace_eps_{tag}.csv", "w", newline="") as fh:
             w = csv.writer(fh)
@@ -253,8 +245,10 @@ def cmd_mc(args) -> int:
     cfg = _load_config(args.config)
     mc = cfg.get("monte_carlo", {})
     command = mc.get("command", "spsa")
-    if command == "spsa" and "seed" in cfg.get("spsa", {}):
-        raise ConfigError("mc does not read spsa.seed: replication seeds derive from monte_carlo.base_seed")
+    if "seed" in cfg.get(command, {}):
+        raise ConfigError(
+            f"mc does not read {command}.seed: replication seeds derive from monte_carlo.base_seed"
+        )
     reps = mc.get("replications", 10)
     base_seed = args.seed if args.seed is not None else mc.get("base_seed", 0)
     parallelism = mc.get("parallelism")
@@ -279,22 +273,11 @@ def cmd_mc(args) -> int:
             "success_rate": float(np.mean([r["final_loss"] <= 1e-5 for r in results])),
         }
     else:
-        s = cfg.get("dro", {})
-        options = _dro_options(s)
-        eps_list = s.get("eps", [0.001, 1.0, 10.0])
+        options, eps_list, run = _dro_settings(cfg.get("dro", {}))
         rows = []
         summary = {}
         for eps in eps_list:
-            task = partial(
-                _dro_mc_replication,
-                options=options,
-                eps=eps,
-                delta=s.get("delta", 0.1),
-                T=s.get("T", 5),
-                M=s.get("M", 3),
-                N=s.get("N", 5),
-                jitter=s.get("jitter", 0.05),
-            )
+            task = partial(_dro_mc_replication, options=options, eps=eps, **run)
             results = monte_carlo(task, reps, base_seed=base_seed, parallelism=parallelism)
             for r_id, r in enumerate(results):
                 rows.append([r_id, eps, r["seed"], r["iterations"], r["certified"]])

@@ -15,6 +15,11 @@ exchange (cutting) method:
 Key structural fact used throughout: h(ψ, Φ) is a pointwise maximum of terms
 that each touch a single scenario block γ_s^i, so worst-case searches only
 ever need to deviate one block from the samples at a time.
+
+Only affine probes are supported.  Each budget is read once as
+g_t^i(γ) = A_t^i·(γ − S_t^i) − b_t^i, with S = a_t·β the probe's shift, and
+one batched product evaluates all of them; a dataset with another probe
+family is rejected with a ``ValueError`` naming its first such block.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import Family, RPDataset, eval_constraint_many
+from .core import Family, RPDataset
 
 # slack within which an oracle candidate counts as inside its budget set or ball
 TOL_FACE = 1e-12
@@ -52,14 +57,13 @@ class PsiVector:
 class ScenarioSet:
     """Per-sample-index accumulated cuts: cuts[k] is a list of (T, M, k) scenarios.
 
-    The master's per-cut tensors are cached here, keyed by the scenario array,
-    so a growing cut list costs only its new cuts.  Cut arrays must not be
-    modified in place once added.
+    Nothing derived from the cuts is kept: each master solve evaluates all of
+    them afresh, so cut lists and arrays may be replaced or changed in place
+    between solves.
     """
 
     N: int
     cuts: list[list[NDArray[np.float64]]] = field(default_factory=list)
-    _tensors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.cuts:
@@ -77,9 +81,7 @@ class DROConfig:
     lambda_hat: float = 0.1  # lower bound of the λ box
     lam_max: float = 1.0
     u_bound: float = 1.0  # u box is [-u_bound, u_bound]
-    G: float | None = None  # |g| range bound over Γ; None → from dataset
-    v_bound: float | None = None  # V; None → 2·u_bound/λ̂ + G (augmented)
-    use_paper_v: bool = False  # V = 2·u_bound/λ̂ exactly as printed
+    use_paper_v: bool = False  # V = 2·u_bound/λ̂ as printed; else + G, G from the dataset
     multistarts: int = 3
     subgrad_iters: int = 80
     v_grid: int = 9
@@ -101,8 +103,6 @@ class DROConfig:
             raise ValueError(f"v_grid must be >= 2, got {self.v_grid}")
 
     def big_v(self, G: float) -> float:
-        if self.v_bound is not None:
-            return self.v_bound
         v = 2.0 * self.u_bound / self.lambda_hat
         return v if self.use_paper_v else v + G
 
@@ -123,14 +123,58 @@ def _samples(d: RPDataset) -> NDArray[np.float64]:
     )
 
 
-def _g_tensor(d: RPDataset, phi: NDArray[np.float64]) -> NDArray[np.float64]:
-    """G[t, s, i] = g_t^i(γ_s^i) for a scenario array phi of shape (T, M, k)."""
-    T, M = d.T, d.M
-    out = np.empty((T, T, M))
-    for t in range(T):
-        for i in range(M):
-            out[t, :, i] = eval_constraint_many(d.constraints[t][i], phi[:, i, :])
-    return out
+def _affine_budgets(constraints, bounded: bool = False):
+    """A T×M probe grid as (A, S, b), each (T, M, ·): g_t^i(γ) = A_t^i·(γ − S_t^i) − b_t^i.
+
+    Raises on the first block, in row order, whose probe is not affine or,
+    when ``bounded``, whose budget set is not a bounded polytope.
+    """
+    for s, row in enumerate(constraints):
+        for i, f in enumerate(row):
+            if f.family is not Family.AFFINE:
+                raise ValueError(
+                    f"block (s={s}, i={i}): only affine probes define a polyhedral budget set"
+                )
+            if bounded and min(f.alpha) <= 0:
+                raise ValueError(
+                    f"block (s={s}, i={i}): budget row {list(f.alpha)} has a non-positive "
+                    "entry, so its budget set is unbounded"
+                )
+    T, M, k = len(constraints), len(constraints[0]), constraints[0][0].dim
+    probes = [f for row in constraints for f in row]
+    A = np.array([f.alpha for f in probes], dtype=float).reshape(T, M, k)
+    # the shift a_t·β; an unshifted probe subtracts nothing, as in eval_constraint_many
+    S = np.array(
+        [f.a_t * np.asarray(f.beta or np.zeros(k)) if f.a_t != 0.0 else np.zeros(k) for f in probes]
+    ).reshape(T, M, k)
+    b = np.array([f.b for f in probes], dtype=float).reshape(T, M)
+    return A, S, b
+
+
+def _budget_values(budgets, X) -> NDArray[np.float64]:
+    """g_t^i at points X (…, n, k) broadcast against the (T, M) probes: (T, M, n).
+
+    Rounds as :func:`~pareto_forge.core.eval_constraint_many` does, point for point.
+    """
+    A, S, b = budgets
+    return np.matmul(X - S[..., None, :], A[..., :, None])[..., 0] - b[..., None]
+
+
+def _cross_values(budgets, pts) -> NDArray[np.float64]:
+    """g[t, s, i, n] = g_t^i(pts[s, i, n]) for points pts (T, M, n, k) per block."""
+    T, M, n, k = pts.shape
+    g = _budget_values(budgets, pts.transpose(1, 0, 2, 3).reshape(1, M, T * n, k))
+    return g.reshape(T, M, T, n).transpose(0, 2, 1, 3)
+
+
+def _block_terms(budgets, psi: PsiVector, pts) -> NDArray[np.float64]:
+    """bt[s, i, n] = max_t [(u_s^i − u_t^i)/λ_t^i − g_t^i(pts[s, i, n])].
+
+    pts is (T, M, n, k): n points of each block (s, i).
+    """
+    u, lam = psi.u, psi.lam
+    c = (u[None, :, :] - u[:, None, :]) / lam[:, None, :]  # c[t, s, i]
+    return (c[..., None] - _cross_values(budgets, pts)).max(axis=0)
 
 
 def h_value(psi: PsiVector, phi, d: RPDataset) -> float:
@@ -140,10 +184,8 @@ def h_value(psi: PsiVector, phi, d: RPDataset) -> float:
     for fixed utility numbers the smallest feasible relaxation r needs no LP.
     """
     phi = np.asarray(phi, dtype=float)
-    G = _g_tensor(d, phi)
-    u, lam = psi.u, psi.lam
-    term = (u[None, :, :] - u[:, None, :]) / lam[:, None, :] - G
-    return float(max(0.0, term.max()))
+    bt = _block_terms(_affine_budgets(d.constraints), psi, phi[:, :, None])  # one-sample scenario
+    return float(max(0.0, bt.max()))
 
 
 def wasserstein_ball_check(phi, d: RPDataset, eps: float) -> bool:
@@ -160,20 +202,15 @@ def wasserstein_ball_check(phi, d: RPDataset, eps: float) -> bool:
 def _cut_data(d: RPDataset, samples, scen: ScenarioSet):
     """Stacked cut tensors sorted by k: (G_all (J, T, T, M), dist (J,), k_index (J,)).
 
-    Each cut's tensors are computed once and kept in ``scen``'s cache.
+    G_all[j, t, s, i] = g_t^i(γ_s^i) under cut j; all cuts are evaluated in
+    one call.  G_all is made C-contiguous, the layout the lane scores read.
     """
-    Gs, dists, kidx = [], [], []
-    for k in range(scen.N):
-        for phi in scen.cuts[k]:
-            key = (k, id(phi))
-            if key not in scen._tensors:  # the entry keeps phi alive, so its id stays unique
-                dist = np.linalg.norm(phi - samples[:, :, k, :], axis=-1).sum()
-                scen._tensors[key] = (phi, _g_tensor(d, phi), dist)
-            _phi, G, dist = scen._tensors[key]
-            Gs.append(G)
-            dists.append(dist)
-            kidx.append(k)
-    return np.stack(Gs), np.array(dists), np.array(kidx, dtype=int)
+    phis = np.stack([phi for cuts in scen.cuts for phi in cuts])  # (J, T, M, k)
+    kidx = np.repeat(np.arange(scen.N), [len(cuts) for cuts in scen.cuts])
+    gaps = np.linalg.norm(phis - samples[:, :, kidx].transpose(2, 0, 1, 3), axis=-1)
+    G = _cross_values(_affine_budgets(d.constraints), phis.transpose(1, 2, 0, 3))  # (T, T, M, J)
+    dists = gaps.reshape(len(phis), -1).sum(axis=1)
+    return np.ascontiguousarray(G.transpose(3, 0, 1, 2)), dists, kidx
 
 
 def _lane_scores(u, lam, v_n1, cut_data):
@@ -276,8 +313,7 @@ def master_solve(
     """
     rng = np.random.default_rng(cfg.seed if rng is None else rng)
     T, M, N = d.T, d.M, scen.N
-    G = cfg.G if cfg.G is not None else _dataset_g_bound(d)
-    V = cfg.big_v(G)
+    V = cfg.big_v(_dataset_g_bound(d))
     two_v = 2.0 * V
     box = (-cfg.u_bound, cfg.u_bound, cfg.lambda_hat, cfg.lam_max)
     center_l = 0.5 * (cfg.lambda_hat + cfg.lam_max)
@@ -321,67 +357,43 @@ def master_solve(
 # --- constraint-violation oracle ---------------------------------------------
 
 
-def _budget_rows(d: RPDataset) -> NDArray[np.float64]:
-    """α of every probe, (T, M, k); every budget set must be a bounded polytope."""
-    for s, row in enumerate(d.constraints):
-        for i, f in enumerate(row):
-            if f.family is not Family.AFFINE:
-                raise ValueError(
-                    f"block (s={s}, i={i}): only affine probes define a polyhedral budget set"
-                )
-            if min(f.alpha) <= 0:
-                raise ValueError(
-                    f"block (s={s}, i={i}): budget row {list(f.alpha)} has a non-positive "
-                    "entry, so its budget set is unbounded"
-                )
-    return np.array([[f.alpha for f in row] for row in d.constraints], dtype=float)
-
-
-def _face_points(d: RPDataset, alphas, s: int, i: int, anchors):
-    """Face geometry of block (s, i)'s budget set F = {γ ≥ 0 : α·γ ≤ rhs}.
+def _face_points(budgets, anchors):
+    """Face geometry of every block's budget set F = {γ ≥ 0 : α·γ ≤ rhs}.
 
     A face frees the coordinates in a mask (the others are 0) and may hold
     the budget row tight.  Its hull's direction space has the projector
     P = diag(mask) − [tight]·α_m α_mᵀ/‖α_m‖² (α_m = α masked), and the foot of
-    x on the hull is P x + [tight]·rhs·α_m/‖α_m‖².  Returns, per anchor and
-    face, the foot and its distance, (N, F, k) and (N, F), and per piece t
-    the ascent direction q = −P α_t of c_t − g_t^i, (T, F, k), which is 0 on
+    x on the hull is P x + [tight]·rhs·α_m/‖α_m‖².  For anchors (T, M, N, k)
+    returns, per block, anchor and face, the foot and its distance,
+    (T, M, N, F, k) and (T, M, N, F), and per block, piece t and face the
+    ascent direction q = −P α_t of c_t − g_t^i, (T, M, T, F, k), which is 0 on
     vertices.
     """
-    f = d.constraints[s][i]
-    k = f.dim
-    alpha = alphas[s, i]
-    rhs = -float(eval_constraint_many(f, np.zeros((1, k)))[0])  # g(γ) = α·γ − rhs
+    A = budgets[0]
+    T, M, k = A.shape
+    rhs = -_budget_values(budgets, np.zeros(k))[..., 0]  # g(γ) = α·γ − rhs
     free = (np.arange(2**k)[:, None] >> np.arange(k)) & 1  # (2^k, k); row 0 is the origin
-    am = (free * alpha)[1:]
-    norm2 = (am * am).sum(axis=1)
-    P = np.concatenate([free[:, :, None] * np.eye(k), free[1:, :, None] * np.eye(k)])
-    P[2**k :] -= am[:, :, None] * am[:, None, :] / norm2[:, None, None]
-    off = np.concatenate([np.zeros((2**k, k)), rhs * am / norm2[:, None]])
+    am = (free * A[:, :, None, :])[:, :, 1:]
+    norm2 = (am * am).sum(axis=-1)
+    P = np.tile(np.concatenate([free, free[1:]])[:, :, None] * np.eye(k), (T, M, 1, 1, 1))
+    P[:, :, 2**k :] -= am[..., :, None] * am[..., None, :] / norm2[..., None, None]
+    off = np.zeros(P.shape[:-1])
+    off[:, :, 2**k :] = rhs[..., None, None] * am / norm2[..., None]
     dim = np.concatenate([free.sum(axis=1), free[1:].sum(axis=1) - 1])
-    feet = np.einsum("fij,nj->nfi", P, anchors) + off
-    gap = anchors[:, None, :] - feet
+    feet = np.einsum("smfij,smnj->smnfi", P, anchors) + off[:, :, None]
+    gap = anchors[..., None, :] - feet
     dist = np.sqrt((gap * gap).sum(axis=-1))
-    q = -np.einsum("fij,tj->tfi", P, alphas[:, i]) * (dim > 0)[None, :, None]
+    q = -np.einsum("smfij,tmj->smtfi", P, A) * (dim > 0)[:, None]
     return feet, dist, q
 
 
-def _in_budget(d: RPDataset, s: int, i: int, cands):
-    """Clip candidates (…, k) to γ ≥ 0 and flag those inside block (s, i)'s budget set."""
+def _in_budget(budgets, cands):
+    """Clip candidates (T, M, …, k) to γ ≥ 0 and flag those inside their block's budget set."""
     inside = (cands >= -TOL_FACE).all(axis=-1)
     cands = np.maximum(cands, 0.0)
-    g = eval_constraint_many(d.constraints[s][i], cands.reshape(-1, cands.shape[-1]))
+    T, M, *_, k = cands.shape
+    g = _budget_values(budgets, cands.reshape(T, M, -1, k))
     return cands, inside & (g.reshape(inside.shape) <= TOL_FACE)
-
-
-def _block_term(d: RPDataset, psi: PsiVector, s: int, i: int, pts) -> NDArray[np.float64]:
-    """max_t [(u_s^i − u_t^i)/λ_t^i − g_t^i(γ)] for each candidate γ in pts."""
-    T = d.T
-    vals = np.full(len(pts), -np.inf)
-    for t in range(T):
-        g = eval_constraint_many(d.constraints[t][i], pts)
-        vals = np.maximum(vals, (psi.u[s, i] - psi.u[t, i]) / psi.lam[t, i] - g)
-    return vals
 
 
 @dataclass
@@ -393,19 +405,6 @@ class DROState:
     epsilon: float
     delta: float
     certified: bool = False
-
-
-def _block_terms_at_samples(d: RPDataset, psi: PsiVector, samples) -> NDArray[np.float64]:
-    """bt[s, i, n] = max_t [(u_s^i − u_t^i)/λ_t^i − g_t^i(γ̂_{s,n}^i)]."""
-    T, M, N, _k = samples.shape
-    bt = np.full((T, M, N), -np.inf)
-    for i in range(M):
-        pts = samples[:, i, :, :].reshape(T * N, -1)
-        for t in range(T):
-            g = eval_constraint_many(d.constraints[t][i], pts).reshape(T, N)
-            vals = (psi.u[:, i, None] - psi.u[t, i]) / psi.lam[t, i] - g
-            bt[:, i, :] = np.maximum(bt[:, i, :], vals)
-    return bt
 
 
 def _rest_tensor(bt: NDArray[np.float64]):
@@ -430,38 +429,40 @@ def _cv_all(state: DROState, d: RPDataset, samples):
     c_t − g_t^i(γ) − v‖γ − a‖ is concave, so it peaks in the relative
     interior of some face, at the face's only stationary point: the vertex
     itself, or a′ + q·d/√(v² − ‖q‖²) when ‖q‖ < v (foot a′ of a on the face
-    hull, d = ‖a − a′‖, q the piece's ascent direction on the hull).
+    hull, d = ‖a − a′‖, q the piece's ascent direction on the hull).  All
+    blocks' candidates are scored at once; per sample index the first best
+    one in (s, i) order replaces the zero-deviation scenario if it scores
+    higher.
     """
     psi, v_hat = state.psi_hat, state.v_hat
     T, M, N, kdim = samples.shape
     v_n1 = float(v_hat[-1])
-    alphas = _budget_rows(d)
-    bt = _block_terms_at_samples(d, psi, samples)
+    budgets = _affine_budgets(d.constraints, bounded=True)
+    bt = _block_terms(budgets, psi, samples)
     rest = _rest_tensor(bt)
     base_h = np.maximum(bt.reshape(T * M, N).max(axis=0), 0.0)  # (N,)
     best_val = base_h - v_hat[:N]  # zero-deviation scenario
+    feet, dist, q = _face_points(budgets, samples)
+    qq = (q * q).sum(axis=-1)  # (T, M, T, F)
+    room = v_n1 * v_n1 - qq
+    root = np.sqrt(np.where(room > 0.0, room, 1.0))
+    # per block (s, i), sample, piece t and face: (T, M, N, T, F) and (T, M, N, T, F, k)
+    reach = np.where(qq[:, :, None] > 0.0, dist[:, :, :, None] / root[:, :, None], 0.0)
+    cands = feet[:, :, :, None] + reach[..., None] * q[:, :, None]
+    cands, ok = _in_budget(budgets, cands.reshape(T, M, N, -1, kdim))
+    ok &= ((qq == 0.0) | (room > 0.0)).reshape(T, M, 1, -1)
+    terms = _block_terms(budgets, psi, cands.reshape(T, M, -1, kdim)).reshape(ok.shape)
+    gap = cands - samples[..., None, :]
+    score = np.maximum(np.maximum(terms, rest[..., None]), 0.0)
+    score -= v_n1 * np.sqrt((gap * gap).sum(axis=-1)) + v_hat[:N, None]
+    score[~ok] = -np.inf
+    flat = score.transpose(2, 0, 1, 3).reshape(N, -1)
+    j = flat.argmax(axis=1)
     best_phi = [samples[:, :, k, :].copy() for k in range(N)]
-    for s in range(T):
-        for i in range(M):
-            anchors = samples[s, i]
-            feet, dist, q = _face_points(d, alphas, s, i, anchors)
-            qq = (q * q).sum(axis=-1)  # (T, F)
-            room = v_n1 * v_n1 - qq
-            root = np.sqrt(np.where(room > 0.0, room, 1.0))
-            reach = np.where(qq > 0.0, dist[:, None, :] / root, 0.0)  # (N, T, F)
-            cands = feet[:, None] + reach[..., None] * q[None]  # (N, T, F, k)
-            cands, ok = _in_budget(d, s, i, cands.reshape(N, -1, kdim))
-            ok &= ((qq == 0.0) | (room > 0.0)).reshape(1, -1)
-            terms = _block_term(d, psi, s, i, cands.reshape(-1, kdim)).reshape(ok.shape)
-            gap = cands - anchors[:, None, :]
-            score = np.maximum(np.maximum(terms, rest[s, i, :, None]), 0.0)
-            score -= v_n1 * np.sqrt((gap * gap).sum(axis=-1)) + v_hat[:N, None]
-            score[~ok] = -np.inf
-            j = score.argmax(axis=1)
-            for k in np.flatnonzero(score[np.arange(N), j] > best_val):
-                best_val[k] = score[k, j[k]]
-                best_phi[k] = samples[:, :, k, :].copy()
-                best_phi[k][s, i] = cands[k, j[k]]
+    for k in np.flatnonzero(flat[np.arange(N), j] > best_val):
+        s, i, c = np.unravel_index(j[k], (T, M, ok.shape[-1]))
+        best_val[k] = flat[k, j[k]]
+        best_phi[k][s, i] = cands[s, i, k, c]
     return best_val, best_phi
 
 
@@ -474,7 +475,10 @@ def constraint_violation(k: int, state: DROState, d: RPDataset) -> tuple[float, 
     polytope is found exactly among one closed-form candidate per face and
     piece, plus the anchor.
     """
-    vals, phis = _cv_all(state, d, _samples(d))
+    samples = _samples(d)
+    if not 0 <= k < samples.shape[2]:
+        raise IndexError(f"sample index {k} out of range")
+    vals, phis = _cv_all(state, d, samples)
     return float(vals[k]), phis[k]
 
 
@@ -541,20 +545,18 @@ def robust_gap(psi_hat: PsiVector, d: RPDataset, eps: float) -> float:
     """
     samples = _samples(d)
     T, M, N, kdim = samples.shape
-    alphas = _budget_rows(d)
-    best = max(0.0, float(_block_terms_at_samples(d, psi_hat, samples).max()))
-    for s in range(T):
-        for i in range(M):
-            anchors = samples[s, i]
-            feet, dist, q = _face_points(d, alphas, s, i, anchors)
-            qn = np.sqrt((q * q).sum(axis=-1, keepdims=True))
-            q_hat = np.divide(q, qn, out=np.zeros_like(q), where=qn > 0.0)  # (T, F, k)
-            radius = np.sqrt(np.maximum(eps * eps - dist * dist, 0.0))  # (N, F)
-            cands = feet[:, None] + radius[:, None, :, None] * q_hat[None]  # (N, T, F, k)
-            cands, ok = _in_budget(d, s, i, cands.reshape(N, -1, kdim))
-            gap = cands - anchors[:, None, :]
-            ok &= np.sqrt((gap * gap).sum(axis=-1)) <= eps + TOL_FACE
-            if ok.any():
-                terms = _block_term(d, psi_hat, s, i, cands[ok])
-                best = max(best, float(terms.max()))
+    budgets = _affine_budgets(d.constraints, bounded=True)
+    best = max(0.0, float(_block_terms(budgets, psi_hat, samples).max()))
+    feet, dist, q = _face_points(budgets, samples)
+    qn = np.sqrt((q * q).sum(axis=-1, keepdims=True))
+    q_hat = np.divide(q, qn, out=np.zeros_like(q), where=qn > 0.0)  # (T, M, T, F, k)
+    radius = np.sqrt(np.maximum(eps * eps - dist * dist, 0.0))  # (T, M, N, F)
+    # per block (s, i), sample, piece t and face: (T, M, N, T, F, k)
+    cands = feet[:, :, :, None] + radius[:, :, :, None, :, None] * q_hat[:, :, None]
+    cands, ok = _in_budget(budgets, cands.reshape(T, M, N, -1, kdim))
+    gap = cands - samples[..., None, :]
+    ok &= np.sqrt((gap * gap).sum(axis=-1)) <= eps + TOL_FACE
+    if ok.any():
+        terms = _block_terms(budgets, psi_hat, cands.reshape(T, M, -1, kdim)).reshape(ok.shape)
+        best = max(best, float(terms[ok].max()))
     return float(best)

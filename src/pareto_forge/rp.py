@@ -243,6 +243,8 @@ def ccei_scalar(d: RPDataset, agent: int) -> float:
     bottleneck of -rho, clipped to [0, 1].  GARP_e passes at every smaller e,
     and at the index itself unless a bottleneck cycle has a lighter edge.
     """
+    if not 0 <= agent < d.M:
+        raise IndexError(f"agent index {agent} out of range")
     g = d.gbar[:, :, agent] + 1.0
     own = np.diag(g)
     if np.any(own <= 0):

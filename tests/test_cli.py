@@ -500,6 +500,21 @@ class TestMonteCarloCommand:
         assert "monte_carlo.base_seed" in capsys.readouterr().err
         assert not (out / "mc_spsa.csv").exists()
 
+    def test_dro_seed_is_rejected(self, tmp_path, capsys):
+        # as for spsa.seed: dro replications are seeded from monte_carlo.base_seed
+        out = tmp_path / "out"
+        cfg = _write(
+            tmp_path / "cfg.json",
+            {
+                "monte_carlo": {"command": "dro", "replications": 1, "parallelism": 1},
+                "dro": {"eps": [1.0], "T": 2, "M": 1, "N": 2, "seed": 7},
+            },
+        )
+        assert main(["mc", "--config", cfg, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "dro.seed" in err and "monte_carlo.base_seed" in err
+        assert not (out / "mc_dro.csv").exists()
+
     def test_dro_replications_use_the_dro_block(self, tmp_path):
         # the block's max_exchange_iters (and lambda box) reach every replication
         cfg_path = tmp_path / "cfg.json"

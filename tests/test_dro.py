@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pareto_forge.core import (
@@ -493,3 +493,83 @@ class TestRobustGap:
                     if inside.any():
                         grid_best = max(grid_best, terms[inside].max())
         assert gaps[-1] >= grid_best - 1e-12
+
+
+# --- one affine evaluator ----------------------------------------------------
+
+
+def _random_probe(rng, k, shifted):
+    alpha = tuple(float(a) for a in rng.uniform(-1.0, 3.0, size=k))
+    f = ConstraintFunction(Family.AFFINE, k, alpha=alpha, b=float(rng.uniform(-1.0, 5.0)))
+    if shifted:
+        f = f.shifted(float(rng.uniform(-2.0, 2.0)), rng.uniform(-1.0, 1.0, size=k))
+    return f
+
+
+class TestAffineEvaluator:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        T=st.integers(1, 6),
+        M=st.integers(1, 3),
+        k=st.integers(1, 3),
+        n=st.integers(1, 200),
+        shift=st.sampled_from(["none", "all", "mixed"]),
+    )
+    @example(seed=0, T=1, M=1, k=3, n=1, shift="all")
+    @example(seed=1, T=4, M=2, k=3, n=1, shift="mixed")
+    def test_matches_per_probe_evaluation_bit_for_bit(self, seed, T, M, k, n, shift):
+        # each probe is compared on the same stack of points that it is evaluated on
+        rng = np.random.default_rng(seed)
+        cons = [
+            [_random_probe(rng, k, shift == "all" or (shift == "mixed" and rng.random() < 0.5)) for _ in range(M)]
+            for _ in range(T)
+        ]
+        budgets = dro._affine_budgets(cons)
+        pts = rng.uniform(0.0, 3.0, size=(T, M, n, k))
+        pts[rng.random(pts.shape) < 0.2] = 0.0
+        own = dro._budget_values(budgets, pts)  # probe (t, i) at the n points of block (t, i)
+        shared = dro._budget_values(budgets, pts[0, 0])  # every probe at the points of block (0, 0)
+        cross = dro._cross_values(budgets, pts)  # probe (t, i) at the T·n points of agent i
+        for t in range(T):
+            for i in range(M):
+                f = cons[t][i]
+                assert np.array_equal(own[t, i], eval_constraint_many(f, pts[t, i]))
+                assert np.array_equal(shared[t, i], eval_constraint_many(f, pts[0, 0]))
+                stacked = eval_constraint_many(f, pts[:, i].reshape(-1, k)).reshape(T, n)
+                assert np.array_equal(cross[t, :, i], stacked)
+
+    def test_cut_changed_in_place_is_read_by_the_next_solve(self):
+        d = dro_instance(T=3, M=2, N=2, seed=2)
+        samples = _samples_tensor(d)
+        scen = ScenarioSet(2)
+        _random_cuts(d, scen, np.random.default_rng(0))
+        scen.cuts[0].append(samples[:, :, 0, :] + 0.2)
+        master_solve(scen, d, eps=1.0, cfg=DROConfig(seed=0))
+        scen.cuts[0][-1][0, 1] += 0.1
+        fresh = ScenarioSet(2, cuts=[[phi.copy() for phi in c] for c in scen.cuts])
+        for a, b in zip(dro._cut_data(d, samples, scen), dro._cut_data(d, samples, fresh)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_non_affine_probe_is_rejected_naming_the_block(self):
+        log_sigmoid = ConstraintFunction(Family.LOG_SIGMOID, 1)
+        cons = ((_affine([1.0], 1.0),), (log_sigmoid,))
+        strats = ((EmpiricalStrategy(np.array([[0.3]])),), (EmpiricalStrategy(np.array([[0.0]])),))
+        d = RPDataset(cons, strats)
+        psi = PsiVector(np.zeros((2, 1)), np.ones((2, 1)))
+        scen = ScenarioSet(1)
+        scen.cuts[0].append(_samples_tensor(d)[:, :, 0, :])
+        with pytest.raises(ValueError, match=r"block \(s=1, i=0\): only affine"):
+            h_value(psi, _samples_tensor(d)[:, :, 0, :], d)
+        with pytest.raises(ValueError, match=r"block \(s=1, i=0\): only affine"):
+            master_solve(scen, d, eps=1.0, cfg=DROConfig())
+        with pytest.raises(ValueError, match=r"block \(s=1, i=0\): only affine"):
+            exchange_loop(d, eps=1.0, delta=0.1)
+
+    @pytest.mark.parametrize("k", [-1, 2])
+    def test_sample_index_is_checked(self, k):
+        d = _small_dataset(N=2)
+        psi = PsiVector(np.zeros((2, 1)), np.ones((2, 1)))
+        state = DROState(psi, np.zeros(3), np.zeros(2), 1, 1.0, 0.1)
+        with pytest.raises(IndexError):
+            constraint_violation(k, state, d)

@@ -347,6 +347,11 @@ class TestCcei:
         with pytest.raises(ValueError, match="must be positive"):
             ccei_scalar(d, 0)
 
+    @pytest.mark.parametrize("agent", [-1, 2])
+    def test_agent_index_checked(self, agent):
+        with pytest.raises(IndexError):
+            ccei_scalar(violating_dataset(T=3, M=2, k=2, seed=6), agent)
+
     def test_asymmetric_reversal_efficiency_is_exact(self):
         # rho = [[1, 0.8], [0.5, 1]]: GARP_e fails for every e >= 0.8
         assert ccei_scalar(_asymmetric_reversal_dataset(), 0) == pytest.approx(0.8, abs=1e-12)
