@@ -18,7 +18,7 @@ from pareto_forge.synthetic import dro_instance
 def main():
     d = dro_instance(T=5, M=3, N=5, jitter=0.05, seed=0)
     print(f"instance: T={d.T}, M={d.M}, k={d.k}, N=5 samples per strategy\n")
-    cfg = DROConfig(lambda_hat=1.0, lam_max=10.0, seed=0)
+    cfg = DROConfig(seed=0)  # λ box [1, 10]
     delta = 0.1
 
     for eps in (0.001, 1.0, 10.0):

@@ -29,15 +29,16 @@ from pathlib import Path
 import numpy as np
 
 from .core import load_dataset, save_dataset
-from .dro import DROConfig
 from .experiments import (
     monte_carlo,
     river_spsa_config,
+    river_spsa_replication,
     run_dro_replication,
     run_river_spsa,
 )
 from .game import RiverPollutionGame, collect_dataset, river_probes
 from .rp import TOL_R, ccei_scalar, garp_f_threshold, mm_garp, pareto_gap
+from .spsa import STOP_TOL_DEFAULT
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -115,12 +116,15 @@ def _ccei_or_none(d, agent: int):
 
 
 def cmd_audit(args) -> int:
+    tol = args.tol if args.tol is not None else TOL_R
+    if not (math.isfinite(tol) and tol >= 0):
+        print(f"audit error: --tol must be a finite number >= 0, got {tol}", file=sys.stderr)
+        return EXIT_ERROR
     try:
         d = load_dataset(args.dataset)
     except Exception as err:  # malformed file: report and exit 2
         print(f"audit error: {err}", file=sys.stderr)
         return EXIT_ERROR
-    tol = args.tol if args.tol is not None else TOL_R
     res = pareto_gap(d)
     report = {
         "mm_garp": mm_garp(d),
@@ -148,15 +152,15 @@ def cmd_audit(args) -> int:
 
 def cmd_generate(args) -> int:
     cfg = _load_config(args.config)
-    g = cfg.get("game", {})
-    seed = args.seed if args.seed is not None else g.get("seed", 0)
-    theta0 = np.asarray(g.get("theta0", [0.5, 0.3, 0.4, 0.5, 0.2, 0.3, 0.4]), dtype=float)
-    kwargs = {"d1": g.get("d1", 3.0), "cap": g.get("cap", 100.0)}
-    if "delta" in g:
-        kwargs["delta"] = np.asarray(g["delta"], dtype=float)
-    game = RiverPollutionGame(theta0, **kwargs)
-    probes = river_probes(game, g.get("T", 10), seed=seed)
-    d = collect_dataset(game, probes, N=g.get("N", 1), jitter=g.get("jitter", 0.0), seed=seed)
+    g = dict(cfg.get("game", {}))
+    seed = g.pop("seed", 0)
+    if args.seed is not None:
+        seed = args.seed
+    theta0 = g.pop("theta0", [0.5, 0.3, 0.4, 0.5, 0.2, 0.3, 0.4])
+    T = g.pop("T", 10)
+    sampling = {k: g.pop(k) for k in ("N", "jitter") if k in g}
+    game = RiverPollutionGame(theta0, **g)
+    d = collect_dataset(game, river_probes(game, T, seed=seed), seed=seed, **sampling)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "dataset.json"
@@ -166,16 +170,18 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _river_play(cfg: dict) -> dict:
+    """The ``game`` block keys that tuning reads; T, seed and theta0 are ``generate``'s."""
+    return {k: v for k, v in cfg.get("game", {}).items() if k not in ("T", "seed", "theta0")}
+
+
 def cmd_spsa(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
     s = dict(cfg.get("spsa", {}))
-    g = cfg.get("game", {})
     seed = s.pop("seed", 0)
     if args.seed is not None:
         seed = args.seed
     theta0 = s.pop("theta0", None)
-    if "theta_box" in s:
-        s["theta_box"] = np.asarray(s["theta_box"], dtype=float)
     if args.max_iters is not None:
         s["max_iters"] = args.max_iters
     run_cfg = river_spsa_config(seed=seed, **s)
@@ -184,15 +190,7 @@ def cmd_spsa(args) -> int:
     if run_cfg.max_iters == 0:
         trace = None
     else:
-        trace = run_river_spsa(
-            run_cfg,
-            theta0=None if theta0 is None else np.asarray(theta0, dtype=float),
-            d1=g.get("d1", 3.0),
-            delta=np.asarray(g["delta"], dtype=float) if "delta" in g else None,
-            cap=g.get("cap", 100.0),
-            N=g.get("N", 1),
-            jitter=g.get("jitter", 0.0),
-        )
+        trace = run_river_spsa(run_cfg, theta0=theta0, **_river_play(cfg))
         trace.write_csv(out_dir / "spsa_trace.csv")
     extra = {
         "iterations": len(trace.records) if trace else 0,
@@ -202,34 +200,21 @@ def cmd_spsa(args) -> int:
     return EXIT_OK
 
 
-# CLI defaults of the ``dro`` block: DROConfig fields, and settings of each run
-_DRO_OPTIONS = {"lambda_hat": 1.0, "lam_max": 10.0, "use_paper_v": False, "max_exchange_iters": 60}
-_DRO_RUN = {"delta": 0.1, "T": 5, "M": 3, "N": 5, "jitter": 0.05}
-
-
-def _dro_settings(s: dict) -> tuple[dict, list, dict]:
-    """A ``dro`` block read with the CLI defaults: ``DROConfig`` fields, radii, run settings."""
-    options = {key: s.get(key, value) for key, value in _DRO_OPTIONS.items()}
-    run = {key: s.get(key, value) for key, value in _DRO_RUN.items()}
-    return options, s.get("eps", [0.001, 1.0, 10.0]), run
-
-
-def _dro_mc_replication(rep_seed: int, options: dict, **kwargs) -> dict:
-    """One Monte-Carlo ``dro`` replication whose ``DROConfig`` is seeded by the replication."""
-    return run_dro_replication(rep_seed, cfg=DROConfig(**options, seed=rep_seed), **kwargs)
+# radii of a ``dro`` block without ``eps``
+DRO_RADII = (0.001, 1.0, 10.0)
 
 
 def cmd_dro(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
-    s = cfg.get("dro", {})
-    seed = args.seed if args.seed is not None else s.get("seed", 0)
-    options, eps_list, run = _dro_settings(s)
-    dro_cfg = DROConfig(**options, seed=seed)
+    s = dict(cfg.get("dro", {}))
+    seed = s.pop("seed", 0)
+    if args.seed is not None:
+        seed = args.seed
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     results = {}
-    for eps in eps_list:
-        rep = run_dro_replication(seed, eps=eps, cfg=dro_cfg, **run)
+    for eps in s.pop("eps", DRO_RADII):
+        rep = run_dro_replication(seed, eps=eps, **s)
+        out_dir.mkdir(parents=True, exist_ok=True)  # not before a bad block is rejected
         tag = str(eps).replace(".", "p")
         with open(out_dir / f"dro_trace_eps_{tag}.csv", "w", newline="") as fh:
             w = csv.writer(fh)
@@ -255,13 +240,9 @@ def cmd_mc(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if command == "spsa":
-        from .experiments import river_spsa_replication
-
         # tuner settings come from the spsa block and game settings from the game
         # block, as in the spsa command
-        g = cfg.get("game", {})
-        game_kwargs = {k: g[k] for k in ("d1", "delta", "cap", "N", "jitter") if k in g}
-        task = partial(river_spsa_replication, **cfg.get("spsa", {}), **game_kwargs)
+        task = partial(river_spsa_replication, game=_river_play(cfg), **cfg.get("spsa", {}))
         results = monte_carlo(task, reps, base_seed=base_seed, parallelism=parallelism)
         with open(out_dir / "mc_spsa.csv", "w", newline="") as fh:
             w = csv.writer(fh)
@@ -270,14 +251,14 @@ def cmd_mc(args) -> int:
                 w.writerow([r_id, r["seed"], r["iterations"], repr(r["final_loss"])])
         summary = {
             "mean_iterations": float(np.mean([r["iterations"] for r in results])),
-            "success_rate": float(np.mean([r["final_loss"] <= 1e-5 for r in results])),
+            "success_rate": float(np.mean([r["final_loss"] <= STOP_TOL_DEFAULT for r in results])),
         }
     else:
-        options, eps_list, run = _dro_settings(cfg.get("dro", {}))
+        s = dict(cfg.get("dro", {}))
         rows = []
         summary = {}
-        for eps in eps_list:
-            task = partial(_dro_mc_replication, options=options, eps=eps, **run)
+        for eps in s.pop("eps", DRO_RADII):
+            task = partial(run_dro_replication, eps=eps, **s)
             results = monte_carlo(task, reps, base_seed=base_seed, parallelism=parallelism)
             for r_id, r in enumerate(results):
                 rows.append([r_id, eps, r["seed"], r["iterations"], r["certified"]])

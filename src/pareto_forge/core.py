@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -75,7 +75,13 @@ class ConstraintFunction:
         return Kind(self.family.value)
 
     def shifted(self, a_t: float, beta: Sequence[float]) -> "ConstraintFunction":
-        """Return g(. - a_t*beta) built on the same base."""
+        """Return g(. - a_t*beta) built on the same base.
+
+        Level sets of a shifted probe are level sets of its base, exactly, for
+        both closed-form families: an affine g(x - a*beta) = g(x) - a*alpha.beta,
+        and a log-sigmoid g depends on sum(x) only.  So no numerical check of
+        this structure is kept.
+        """
         return replace(self, a_t=a_t, beta=tuple(float(v) for v in beta))
 
     def __call__(self, x) -> float:
@@ -320,62 +326,6 @@ def generate_probes(spec: ProbeSpec, T: int) -> list[ConstraintFunction]:
     lo, hi = spec.chi
     shifts = rng.uniform(lo, hi, size=T)
     return [spec.base.shifted(float(a), spec.beta) for a in shifts]
-
-
-def check_shift_invariance(
-    base: ConstraintFunction | Callable[[NDArray[np.float64]], float],
-    dim: int,
-    beta: Sequence[float],
-    trials: int = 32,
-    seed: int = 0,
-    tol: float = 1e-6,
-    shift_range: tuple[float, float] = (0.0, 1.0),
-) -> bool:
-    """Check that zero level sets of the shifted function map to level sets of g.
-
-    Samples shifts a and pairs of points x, y with g(x - a*beta) = 0 (found by
-    bisection along random segments) and tests |g(x) - g(y)| <= tol.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    g = base if callable(base) and not isinstance(base, ConstraintFunction) else (
-        lambda z, f=base: _eval_unclamped(f, z)
-    )
-    beta = np.asarray(beta, dtype=float)
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        a = rng.uniform(*shift_range)
-        gs = lambda z: g(z - a * beta)
-        pts = []
-        attempts = 0
-        while len(pts) < 2 and attempts < 50:
-            attempts += 1
-            d = rng.uniform(0.2, 1.0, size=dim)
-            if gs(np.zeros(dim)) > 0:
-                continue  # origin not below the shifted level set; try another shift/ray
-            hi_scale = 1.0
-            while gs(hi_scale * d) < 0 and hi_scale < 1e6:
-                hi_scale *= 2.0
-            if gs(hi_scale * d) < 0:
-                continue
-            lo_s, hi_s = 0.0, hi_scale
-            for _ in range(80):
-                mid = 0.5 * (lo_s + hi_s)
-                if gs(mid * d) < 0:
-                    lo_s = mid
-                else:
-                    hi_s = mid
-            pts.append(hi_s * d)
-        if len(pts) < 2:
-            continue
-        if abs(g(pts[0]) - g(pts[1])) > tol:
-            return False
-    return True
-
-
-def _eval_unclamped(f: ConstraintFunction, x: NDArray[np.float64]) -> float:
-    """Evaluate without the orthant guard (shifted arguments may go negative)."""
-    return float(eval_constraint_many(f, np.asarray(x, dtype=float)[None, :])[0])
 
 
 # --- dataset file format ----------------------------------------------------

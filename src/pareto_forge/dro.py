@@ -33,6 +33,12 @@ from .core import Family, RPDataset
 
 # slack within which an oracle candidate counts as inside its budget set or ball
 TOL_FACE = 1e-12
+# master search: u box [-U_BOUND, U_BOUND]; per round, MULTISTARTS descents of
+# SUBGRAD_ITERS steps at each of V_GRID points of the v_{N+1} grid
+U_BOUND = 1.0
+MULTISTARTS = 3
+SUBGRAD_ITERS = 80
+V_GRID = 9
 
 
 @dataclass(frozen=True)
@@ -76,15 +82,11 @@ class ScenarioSet:
 
 @dataclass(frozen=True)
 class DROConfig:
-    """Boxes, bounds and search budgets for the robust estimation loop."""
+    """λ box, V bound, iteration budget and seed for the robust estimation loop."""
 
-    lambda_hat: float = 0.1  # lower bound of the λ box
-    lam_max: float = 1.0
-    u_bound: float = 1.0  # u box is [-u_bound, u_bound]
-    use_paper_v: bool = False  # V = 2·u_bound/λ̂ as printed; else + G, G from the dataset
-    multistarts: int = 3
-    subgrad_iters: int = 80
-    v_grid: int = 9
+    lambda_hat: float = 1.0  # lower bound of the λ box
+    lam_max: float = 10.0
+    use_paper_v: bool = False  # V = 2·U_BOUND/λ̂ as printed; else + G, G from the dataset
     max_exchange_iters: int = 60
     seed: int = 0
 
@@ -95,15 +97,9 @@ class DROConfig:
             raise ValueError(
                 f"lam_max must be >= lambda_hat ({self.lambda_hat}), got {self.lam_max}"
             )
-        if not self.u_bound > 0:
-            raise ValueError(f"u_bound must be > 0, got {self.u_bound}")
-        if self.multistarts < 1:
-            raise ValueError(f"multistarts must be >= 1, got {self.multistarts}")
-        if self.v_grid < 2:
-            raise ValueError(f"v_grid must be >= 2, got {self.v_grid}")
 
     def big_v(self, G: float) -> float:
-        v = 2.0 * self.u_bound / self.lambda_hat
+        v = 2.0 * U_BOUND / self.lambda_hat
         return v if self.use_paper_v else v + G
 
 
@@ -250,7 +246,7 @@ def _lane_objective(seg_max, v_n1, segs: _Segments, eps, N, two_v):
     return eps * v_n1 + v.sum(axis=1) / N, v
 
 
-def _lane_descent(u, lam, v_n1, cut_data, segs: _Segments, eps, N, two_v, cfg: DROConfig, box):
+def _lane_descent(u, lam, v_n1, cut_data, segs: _Segments, eps, N, two_v, box):
     """Projected subgradient descent over ψ for fixed v_{N+1}, one lane per start.
 
     Each lane follows the iterates of a serial descent from its start: every
@@ -266,7 +262,7 @@ def _lane_descent(u, lam, v_n1, cut_data, segs: _Segments, eps, N, two_v, cfg: D
     best_u, best_lam = u.copy(), lam.copy()
     active = np.ones(len(u), dtype=bool)
     step0 = 0.2 * max(u_hi - u_lo, l_hi - l_lo)
-    for it in range(cfg.subgrad_iters):
+    for it in range(SUBGRAD_ITERS):
         # the first maximising cut of each k scores seg_max
         live = active[:, None] & (seg_max > 0.0) & (seg_max < two_v)
         active = live.any(axis=1)
@@ -307,7 +303,7 @@ def master_solve(
     """Approximate minimizer of the cut-constrained master program.
 
     Outer refining grid over v_{N+1} ∈ [0, V/ε]; inner projected-subgradient
-    descent over ψ with multistart, all v_grid × multistarts descents of a
+    descent over ψ with multistart, all V_GRID × MULTISTARTS descents of a
     round run as one batch; v_k recovered as the attained cut maxima
     clipped to [0, 2V].
     """
@@ -315,7 +311,7 @@ def master_solve(
     T, M, N = d.T, d.M, scen.N
     V = cfg.big_v(_dataset_g_bound(d))
     two_v = 2.0 * V
-    box = (-cfg.u_bound, cfg.u_bound, cfg.lambda_hat, cfg.lam_max)
+    box = (-U_BOUND, U_BOUND, cfg.lambda_hat, cfg.lam_max)
     center_l = 0.5 * (cfg.lambda_hat + cfg.lam_max)
     if scen.total == 0:
         psi = PsiVector(np.zeros((T, M)), np.full((T, M), center_l))
@@ -325,27 +321,27 @@ def master_solve(
     cut_data = _cut_data(d, samples, scen)
     segs = _Segments(cut_data[2])
     vmax = V / eps if eps > 0 else two_v
-    S = cfg.multistarts
+    S = MULTISTARTS
 
     lo, hi = 0.0, vmax
     best = None
     for _round in range(2):
-        grid = np.linspace(lo, hi, cfg.v_grid)
+        grid = np.linspace(lo, hi, V_GRID)
         # lanes in (grid point, start) order; the centre first, then random starts
-        u0 = np.zeros((cfg.v_grid, S, T, M))
-        lam0 = np.full((cfg.v_grid, S, T, M), center_l)
-        for g in range(cfg.v_grid):
+        u0 = np.zeros((V_GRID, S, T, M))
+        lam0 = np.full((V_GRID, S, T, M), center_l)
+        for g in range(V_GRID):
             for m in range(1, S):
                 u0[g, m] = rng.uniform(box[0], box[1], size=(T, M))
                 lam0[g, m] = rng.uniform(box[2], box[3], size=(T, M))
         u, lam, obj = _lane_descent(
             u0.reshape(-1, T, M), lam0.reshape(-1, T, M), np.repeat(grid, S),
-            cut_data, segs, eps, N, two_v, cfg, box,
+            cut_data, segs, eps, N, two_v, box,
         )
         j = int(obj.argmin())
         if best is None or obj[j] < best[3]:
             best = (grid[j // S], u[j], lam[j], obj[j])
-        width = (hi - lo) / (cfg.v_grid - 1)
+        width = (hi - lo) / (V_GRID - 1)
         lo = max(0.0, best[0] - width)
         hi = min(vmax, best[0] + width)
     v_n1, u, lam, obj = best

@@ -28,21 +28,12 @@ from .synthetic import dro_instance
 RIVER_SPSA_DEFAULTS = dict(a=0.5, c=0.5, q=0.001, eta=0.25, T=10, max_iters=30)
 
 
-def river_loss(
-    theta,
-    seed,
-    d1: float = 3.0,
-    delta=None,
-    cap: float = 100.0,
-    T: int = 10,
-    N: int = 1,
-    jitter: float = 0.0,
-) -> float:
-    """Empirical social-optimality gap of observed river-game play at θ."""
-    kwargs = {"d1": d1, "cap": cap}
-    if delta is not None:
-        kwargs["delta"] = np.asarray(delta, dtype=float)
-    game = RiverPollutionGame(np.asarray(theta, dtype=float), **kwargs)
+def river_loss(theta, seed, T: int, N: int = 1, jitter: float = 0.0, **settings) -> float:
+    """Empirical social-optimality gap of observed river-game play at θ.
+
+    ``settings`` override ``RiverPollutionGame``'s d1, delta and cap defaults.
+    """
+    game = RiverPollutionGame(theta, **settings)
     rng = np.random.default_rng(seed)
     probe_seed, sample_seed = rng.integers(0, 2**31 - 1, size=2)
     probes = river_probes(game, T, seed=int(probe_seed))
@@ -58,34 +49,28 @@ def river_spsa_config(seed: int = 0, **overrides) -> SPSAConfig:
     return SPSAConfig(theta_box=box, seed=seed, **params)
 
 
-def run_river_spsa(
-    cfg: SPSAConfig,
-    theta0=None,
-    d1: float = 3.0,
-    delta=None,
-    cap: float = 100.0,
-    N: int = 1,
-    jitter: float = 0.0,
-) -> SPSATrace:
+def run_river_spsa(cfg: SPSAConfig, theta0=None, **play) -> SPSATrace:
     """One full mechanism-tuning run on the river game.
 
-    When ``theta0`` is omitted it is drawn uniformly from [0, 0.5]^p (the
+    ``play`` holds the ``river_loss`` settings (d1, delta, cap, N, jitter)
+    to override; the probe horizon is the tuner's ``cfg.T``.  When
+    ``theta0`` is omitted it is drawn uniformly from [0, 0.5]^p (the
     experiment's initialization), independent of the box upper bounds.
     """
     if theta0 is None:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
         theta0 = rng.uniform(0.0, 0.5, size=cfg.p)
-    loss = partial(river_loss, d1=d1, delta=delta, cap=cap, T=cfg.T, N=N, jitter=jitter)
+    loss = partial(river_loss, T=cfg.T, **play)
     return run_mechanism_design(loss, cfg, theta0=theta0)
 
 
-def river_spsa_replication(rep_seed: int, **kwargs) -> dict:
-    """One replication: returns iteration count and final loss."""
-    cfg = river_spsa_config(seed=rep_seed, **{k: v for k, v in kwargs.items() if k in {"a", "c", "q", "eta", "T", "max_iters", "stop_tol", "theta_box"}})
-    run_kwargs = {k: v for k, v in kwargs.items() if k in {"d1", "delta", "cap", "N", "jitter"}}
-    if "theta0" in kwargs:
-        run_kwargs["theta0"] = np.asarray(kwargs["theta0"], dtype=float)
-    trace = run_river_spsa(cfg, **run_kwargs)
+def river_spsa_replication(rep_seed: int, theta0=None, game: dict | None = None, **spsa) -> dict:
+    """One replication: returns iteration count and final loss.
+
+    ``spsa`` overrides the ``river_spsa_config`` settings and ``game`` the
+    ``run_river_spsa`` play settings.
+    """
+    trace = run_river_spsa(river_spsa_config(seed=rep_seed, **spsa), theta0=theta0, **(game or {}))
     return {
         "seed": rep_seed,
         "iterations": len(trace.records),
@@ -102,12 +87,15 @@ def run_dro_replication(
     M: int = 3,
     N: int = 5,
     jitter: float = 0.05,
-    cfg: DROConfig | None = None,
+    **options,
 ) -> dict:
-    """One exchange-method run on the finite-sample instance family."""
+    """One exchange-method run on the finite-sample instance family.
+
+    ``options`` override the ``DROConfig`` fields other than its seed, which
+    is the replication seed.
+    """
     d = dro_instance(T=T, M=M, N=N, jitter=jitter, seed=rep_seed)
-    cfg = cfg or DROConfig(lambda_hat=1.0, lam_max=10.0, seed=rep_seed)
-    _psi, state, trace = exchange_loop(d, eps=eps, delta=delta, cfg=cfg)
+    _psi, state, trace = exchange_loop(d, eps=eps, delta=delta, cfg=DROConfig(**options, seed=rep_seed))
     return {
         "seed": rep_seed,
         "eps": eps,

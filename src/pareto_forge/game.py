@@ -219,11 +219,6 @@ class RiverPollutionGame(GameInterface):
 
         return np.array([max(cands, key=value)])
 
-    def station_loads(self, x: NDArray[np.float64], e: NDArray[np.float64]):
-        """Pollutant concentration at each station: Σ_i δ_il·e_i·x_i."""
-        x = np.asarray(x, dtype=float).reshape(self.M)
-        return self.delta.T @ (np.asarray(e, dtype=float) * x)
-
 
 def payoff(g: GameInterface, x, i: int) -> float:
     """Agent i's payoff at the joint action x."""

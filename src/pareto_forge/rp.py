@@ -256,17 +256,14 @@ def ccei_scalar(d: RPDataset, agent: int) -> float:
 # --- concentration bound ----------------------------------------------------
 
 
-def hoeffding_confidence(
-    eps: float, N: int, T: int, M: int, G: float, c: float = 0.0
-) -> float:
-    """Lower bound on P(empirical gap <= c + eps), per-sample range G.
+def hoeffding_confidence(eps: float, N: int, T: int, M: int, G: float) -> float:
+    """Lower bound on P(empirical gap <= c + eps), per-sample range G, for any offset c.
 
     Implemented verbatim as the printed double product with per-factor
-    exponent T (net exponent T^2 * M); the bound does not depend on c.
+    exponent T (net exponent T^2 * M).
     """
     if eps < 0 or N < 1 or G <= 0:
         raise ValueError("require eps >= 0, N >= 1, G > 0")
-    del c  # the bound is uniform in the offset
     inner = max(1.0 - 2.0 * np.exp(-2.0 * eps * eps * N / (G * G)), 0.0)
     return float(inner ** (T * T * M))
 

@@ -178,7 +178,8 @@ def run_mechanism_design(
     not converge (NashConvergenceError) is retried with fresh probe seeds up
     to ``retries`` times before aborting; any other error, such as a gap
     certificate that fails validation, propagates at once.  The run is
-    bit-reproducible given (cfg, theta0).
+    bit-reproducible given (cfg, theta0); a given ``theta0`` must have shape
+    (cfg.p,).
     """
     ss = np.random.SeedSequence(cfg.seed)
     init_rng = np.random.default_rng(ss.spawn(1)[0])
@@ -186,7 +187,10 @@ def run_mechanism_design(
         box = cfg.theta_box
         theta = init_rng.uniform(box[:, 0], box[:, 1])
     else:
-        theta = cfg.project(np.asarray(theta0, dtype=float))
+        theta = np.asarray(theta0, dtype=float)
+        if theta.shape != (cfg.p,):
+            raise ValueError(f"theta0 must have shape ({cfg.p},), got {theta.shape}")
+        theta = cfg.project(theta)
     trace = SPSATrace()
     for n in range(1, cfg.max_iters + 1):
         seeds = ss.spawn(2)

@@ -238,6 +238,16 @@ class TestGenerateAndAudit:
         assert report["mm_garp"] is False
         assert report["pareto_gap"] == pytest.approx(pareto_gap(d).gap)
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_audit_bad_tol_exits_two_without_a_report(self, tmp_path, capsys, tol):
+        # json.dump would write NaN or Infinity, and inf would pass every gap
+        path = tmp_path / "violating.json"
+        save_dataset(violating_dataset(T=3, M=2, k=2, seed=1), path)
+        out = tmp_path / "out"
+        assert main(["audit", str(path), "--tol", tol, "--out-dir", str(out)]) == 2
+        assert "--tol must be a finite number >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_audit_truncated_file_exits_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"T": 2, "M": 1,')
@@ -380,6 +390,20 @@ class TestSpsaCommand:
         assert json.loads((out / "spsa_manifest.json").read_text())["iterations"] >= 1
 
 
+    @pytest.mark.parametrize("command", ["spsa", "mc"])
+    def test_short_theta0_exits_two(self, tmp_path, capsys, command):
+        # one value used to be broadcast to all seven coordinates
+        out = tmp_path / "out"
+        cfg = _write(
+            tmp_path / "cfg.json",
+            {"monte_carlo": {"replications": 1, "parallelism": 1}, "spsa": {"theta0": [0.2]}},
+        )
+        assert main([command, "--config", cfg, "--out-dir", str(out)]) == 2
+        assert "theta0 must have shape (7,)" in capsys.readouterr().err
+        assert not (out / "spsa_manifest.json").exists()
+        assert not (out / "mc_spsa.csv").exists()
+
+
 class TestDroCommand:
     def test_traces_per_radius(self, tmp_path):
         out = tmp_path / "out"
@@ -424,6 +448,19 @@ class TestDroCommand:
         assert "high - low" not in err
 
 
+def _record_play(monkeypatch) -> list:
+    """Record (θ, cap, horizon) of every river game the experiments play."""
+    played = []
+    collect = experiments.collect_dataset
+
+    def recording(game, probes, **kwargs):
+        played.append((game.theta.copy(), game.cap, len(probes)))
+        return collect(game, probes, **kwargs)
+
+    monkeypatch.setattr(experiments, "collect_dataset", recording)
+    return played
+
+
 class TestMonteCarloCommand:
     def test_spsa_replications_csv(self, tmp_path):
         out = tmp_path / "out"
@@ -453,9 +490,7 @@ class TestMonteCarloCommand:
 
     def test_spsa_replications_read_the_spsa_block_like_spsa(self, tmp_path, monkeypatch):
         # game.T is the generate horizon; the tuner's T comes from the spsa block
-        seen = []
-        run = experiments.run_river_spsa
-        monkeypatch.setattr(experiments, "run_river_spsa", lambda cfg, **kw: seen.append((cfg.T, kw)) or run(cfg, **kw))
+        played = _record_play(monkeypatch)
         cfg = _write(
             tmp_path / "cfg.json",
             {
@@ -465,13 +500,12 @@ class TestMonteCarloCommand:
             },
         )
         assert main(["mc", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 0
-        assert seen == [(4, {"cap": 50.0})]
+        assert played
+        assert {(cap, horizon) for _theta, cap, horizon in played} == {(50.0, 4)}
 
     def test_spsa_replications_start_from_the_configured_theta0(self, tmp_path, monkeypatch):
         # as in the spsa command, a configured theta0 replaces the random start
-        seen = []
-        run = experiments.run_river_spsa
-        monkeypatch.setattr(experiments, "run_river_spsa", lambda cfg, **kw: seen.append(kw) or run(cfg, **kw))
+        played = _record_play(monkeypatch)
         theta0 = [0.9, 0.1, 0.8, 0.2, 0.7, 0.3, 0.6]
         cfg = _write(
             tmp_path / "cfg.json",
@@ -481,10 +515,9 @@ class TestMonteCarloCommand:
             },
         )
         assert main(["mc", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 0
-        assert len(seen) == 2
-        for kw in seen:
-            assert isinstance(kw["theta0"], np.ndarray)
-            np.testing.assert_array_equal(kw["theta0"], theta0)
+        # each replication first plays at theta0; its perturbed plays lie off it
+        np.testing.assert_array_equal(played[0][0], theta0)
+        assert sum(np.array_equal(theta, theta0) for theta, _cap, _horizon in played) == 2
 
     def test_spsa_seed_is_rejected(self, tmp_path, capsys):
         # replications are seeded from monte_carlo.base_seed; a spsa.seed would be ignored
@@ -568,6 +601,73 @@ class TestMonteCarloCommand:
         assert main(["mc", "--config", str(cfg_path), "--out-dir", str(out1)]) == 0
         assert main(["mc", "--config", str(cfg_path), "--out-dir", str(out2)]) == 0
         assert (out1 / "mc_spsa.csv").read_bytes() == (out2 / "mc_spsa.csv").read_bytes()
+
+
+# every default the README documents for the blocks each command reads
+_RIVER_GAME = {"d1": 3.0, "delta": [[0.9, 0.1], [0.6, 0.4], [0.2, 0.8]], "cap": 100.0, "N": 1, "jitter": 0.0}
+DOCUMENTED_DEFAULTS = {
+    "generate": {
+        "game": {**_RIVER_GAME, "theta0": [0.5, 0.3, 0.4, 0.5, 0.2, 0.3, 0.4], "T": 10, "seed": 0},
+    },
+    "spsa": {
+        "spsa": {
+            "a": 0.5,
+            "c": 0.5,
+            "q": 0.001,
+            "eta": 0.25,
+            "theta_box": [[0.0, 1.0]] * 7,
+            "T": 10,
+            "max_iters": 30,
+            "stop_tol": 1e-5,
+            "seed": 0,
+        },
+        "game": _RIVER_GAME,
+    },
+    "dro": {
+        "dro": {
+            "eps": [0.001, 1.0, 10.0],
+            "delta": 0.1,
+            "T": 5,
+            "M": 3,
+            "N": 5,
+            "jitter": 0.05,
+            "lambda_hat": 1.0,
+            "lam_max": 10.0,
+            "use_paper_v": False,
+            "max_exchange_iters": 60,
+            "seed": 0,
+        },
+    },
+}
+
+
+class TestDocumentedDefaults:
+    @staticmethod
+    def _outputs(out: Path) -> dict:
+        """Every output file, manifests without the echoed config and its hash."""
+        files = {}
+        for path in sorted(out.iterdir()):
+            if path.name.endswith("_manifest.json"):
+                manifest = json.loads(path.read_text())
+                del manifest["config"], manifest["config_hash"]
+                files[path.name] = manifest
+            else:
+                files[path.name] = path.read_bytes()
+        return files
+
+    @pytest.mark.parametrize("command", sorted(DOCUMENTED_DEFAULTS))
+    def test_empty_config_runs_the_documented_defaults(self, tmp_path, command):
+        # a default that drifts between the layers that pass it on fails here;
+        # --max-iters keeps the tuning run short (it overrides spsa.max_iters)
+        flags = ["--max-iters", "2"] if command == "spsa" else []
+        outputs = []
+        for name, doc in (("empty", {}), ("documented", DOCUMENTED_DEFAULTS[command])):
+            out = tmp_path / name
+            cfg = _write(tmp_path / f"{name}.json", doc)
+            assert main([command, "--config", cfg, *flags, "--out-dir", str(out)]) == 0
+            outputs.append(self._outputs(out))
+        assert len(outputs[0]) >= 2
+        assert outputs[0] == outputs[1]
 
 
 class TestDefaultParallelism:

@@ -20,7 +20,6 @@ from pareto_forge.core import (
     ParetoCertificate,
     ProbeSpec,
     RPDataset,
-    check_shift_invariance,
     eval_constraint,
     eval_constraint_many,
     expected_constraint,
@@ -424,21 +423,6 @@ class TestProbeGeneration:
             ProbeSpec(base, beta=(1.0,), chi=(1.0, 1.0), seed=0)
         with pytest.raises(ValueError):
             ProbeSpec(base, beta=(0.0,), chi=(0.0, 1.0), seed=0)
-
-
-class TestStructuralChecks:
-    def test_affine_is_shift_invariant(self):
-        f = _affine([1.0, 2.0], 1.0)
-        assert check_shift_invariance(f, 2, beta=(1.0, 0.5))
-
-    def test_log_sigmoid_is_shift_invariant(self):
-        f = ConstraintFunction(Family.LOG_SIGMOID, 2)
-        assert check_shift_invariance(f, 2, beta=(1.0, 1.0))
-
-    def test_shift_invariance_detects_counterexample(self):
-        # level sets of x1^2 + x2^2 - 1 shifted along e1 do not map to level sets
-        g = lambda z: float(z[0] ** 2 + z[1] ** 2 - 1.0)  # noqa: E731
-        assert not check_shift_invariance(g, 2, beta=(1.0, 0.0), shift_range=(0.3, 0.9))
 
 
 class TestDatasetFiles:

@@ -66,7 +66,7 @@ def _serial_objective(u, lam, v_n1, cut_data, eps, N, two_v):
     return eps * v_n1 + np.clip(v, 0.0, two_v).sum() / N, np.clip(v, 0.0, two_v), scores, arg
 
 
-def _psi_descent(u0, lam0, v_n1, cut_data, eps, N, two_v, cfg, u_lo, u_hi, l_lo, l_hi):
+def _psi_descent(u0, lam0, v_n1, cut_data, eps, N, two_v, u_lo, u_hi, l_lo, l_hi):
     """Projected subgradient descent over ψ for fixed v_{N+1}, one start."""
     Gs, _dists, kidx = cut_data
     shape = Gs.shape[1:]
@@ -74,7 +74,7 @@ def _psi_descent(u0, lam0, v_n1, cut_data, eps, N, two_v, cfg, u_lo, u_hi, l_lo,
     best_obj = _serial_objective(u, lam, v_n1, cut_data, eps, N, two_v)[0]
     best = (u.copy(), lam.copy())
     step0 = 0.2 * max(u_hi - u_lo, l_hi - l_lo)
-    for it in range(cfg.subgrad_iters):
+    for it in range(dro.SUBGRAD_ITERS):
         _, _, scores, arg = _serial_objective(u, lam, v_n1, cut_data, eps, N, two_v)
         gu = np.zeros_like(u)
         gl = np.zeros_like(lam)
@@ -108,7 +108,7 @@ def _serial_master(scen, d, eps, cfg):
     rng = np.random.default_rng(cfg.seed)
     T, M, N = d.T, d.M, scen.N
     two_v = 2.0 * cfg.big_v(dro._dataset_g_bound(d))
-    u_lo, u_hi, l_lo, l_hi = -cfg.u_bound, cfg.u_bound, cfg.lambda_hat, cfg.lam_max
+    u_lo, u_hi, l_lo, l_hi = -dro.U_BOUND, dro.U_BOUND, cfg.lambda_hat, cfg.lam_max
     center = (np.zeros((T, M)), np.full((T, M), 0.5 * (l_lo + l_hi)))
     cut_data = dro._cut_data(d, dro._samples(d), scen)
     vmax = two_v / 2.0 / eps
@@ -116,15 +116,15 @@ def _serial_master(scen, d, eps, cfg):
     best = None
     for _round in range(2):
         results = []
-        for v_n1 in np.linspace(lo, hi, cfg.v_grid):
+        for v_n1 in np.linspace(lo, hi, dro.V_GRID):
             starts = [center] + [
                 (rng.uniform(u_lo, u_hi, size=(T, M)), rng.uniform(l_lo, l_hi, size=(T, M)))
-                for _ in range(cfg.multistarts - 1)
+                for _ in range(dro.MULTISTARTS - 1)
             ]
             inner = None
             for u0, lam0 in starts:
                 r = _psi_descent(
-                    u0, lam0, v_n1, cut_data, eps, N, two_v, cfg, u_lo, u_hi, l_lo, l_hi
+                    u0, lam0, v_n1, cut_data, eps, N, two_v, u_lo, u_hi, l_lo, l_hi
                 )
                 if inner is None or r[2] < inner[2]:
                     inner = r
@@ -132,7 +132,7 @@ def _serial_master(scen, d, eps, cfg):
         v_star, inner = min(results, key=lambda r: r[1][2])
         if best is None or inner[2] < best[1][2]:
             best = (v_star, inner)
-        width = (hi - lo) / (cfg.v_grid - 1)
+        width = (hi - lo) / (dro.V_GRID - 1)
         lo = max(0.0, best[0] - width)
         hi = min(vmax, best[0] + width)
     v_n1, (u, lam, obj) = best
@@ -206,9 +206,6 @@ class TestDROConfig:
             ({"lambda_hat": -1.0}, "lambda_hat"),
             ({"lambda_hat": 5.0, "lam_max": 1.0}, "lam_max"),
             ({"lam_max": float("nan")}, "lam_max"),
-            ({"u_bound": 0.0}, "u_bound"),
-            ({"multistarts": 0}, "multistarts"),
-            ({"v_grid": 1}, "v_grid"),
         ],
     )
     def test_bad_boxes_and_budgets_name_the_field(self, kwargs, field):
@@ -242,7 +239,7 @@ class TestHValue:
         assert h_value(psi, phi, d) == pytest.approx(0.0, abs=1e-6)
 
     def test_bounded_by_box_constants(self):
-        cfg = DROConfig(lambda_hat=0.5, lam_max=2.0, u_bound=1.0)
+        cfg = DROConfig(lambda_hat=0.5, lam_max=2.0)
         d = dro_instance(T=3, M=2, N=2, seed=0)
         G = 5.0
         rng = np.random.default_rng(1)
@@ -252,7 +249,7 @@ class TestHValue:
                 rng.uniform(0.5, 2.0, size=(3, 2)),
             )
             phi = rng.uniform(0.0, 1.0, size=(3, 2, 2))
-            assert h_value(psi, phi, d) <= 2.0 * cfg.u_bound / cfg.lambda_hat + G
+            assert h_value(psi, phi, d) <= 2.0 * dro.U_BOUND / cfg.lambda_hat + G
 
 
 class TestWassersteinBall:
@@ -307,7 +304,7 @@ class TestMasterSolve:
         _random_cuts(d, scen, rng)
         if scen.total == 0:
             scen.cuts[0].append(_samples_tensor(d)[:, :, 0, :] + 0.1)
-        for _grow in range(2):  # second pass reuses the cached per-cut tensors
+        for _grow in range(2):  # the second pass solves again after drawing more cuts
             psi, v, obj = master_solve(scen, d, eps=eps, cfg=cfg)
             u_ref, lam_ref, v_ref, obj_ref = _serial_master(scen, d, eps, cfg)
             assert obj == pytest.approx(obj_ref, abs=1e-12)
@@ -316,7 +313,7 @@ class TestMasterSolve:
             np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-12)
             _random_cuts(d, scen, rng, max_per_k=1)
 
-    def test_cut_cache_follows_replaced_lists(self):
+    def test_replaced_cut_lists_are_read_afresh(self):
         d = dro_instance(T=3, M=2, N=2, seed=2)
         scen = ScenarioSet(2)
         _random_cuts(d, scen, np.random.default_rng(0))

@@ -148,11 +148,6 @@ class TestRiverPollutionGame:
         with pytest.raises(ValueError, match=field):
             RiverPollutionGame(np.full(7, 0.5), **kwargs)
 
-    def test_station_loads_hand_value(self):
-        g = RiverPollutionGame(np.full(7, 0.5))
-        loads = g.station_loads(np.array([1.0, 1.0, 1.0]), np.ones(3))
-        assert np.allclose(loads, g.delta.sum(axis=0))
-
 
 def _river_grid_max(g, x, i, lo, hi, n=20_001):
     """Agent i's best payoff over n evenly spaced own actions in [lo, hi]."""

@@ -371,11 +371,6 @@ class TestHoeffdingConfidence:
         vals = [hoeffding_confidence(e, 200, 4, 2, 1.0) for e in (0.05, 0.1, 0.2, 0.5)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
-    def test_uniform_in_offset(self):
-        assert hoeffding_confidence(0.2, 100, 3, 2, 1.0, c=0.0) == hoeffding_confidence(
-            0.2, 100, 3, 2, 1.0, c=5.0
-        )
-
     def test_invalid_arguments_raise(self):
         with pytest.raises(ValueError):
             hoeffding_confidence(-0.1, 10, 2, 1, 1.0)

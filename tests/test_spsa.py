@@ -161,6 +161,14 @@ class TestRun:
         assert trace.records[-1].loss <= 1e-3
         assert trace.records[-1].gradient_estimate is None
 
+    @pytest.mark.parametrize("theta0", [[0.2], [0.2, 0.2, 0.2], [[0.2, 0.2]]])
+    def test_theta0_of_another_shape_is_rejected(self, theta0):
+        # a short theta0 would otherwise broadcast to every coordinate
+        calls = []
+        with pytest.raises(ValueError, match=r"theta0 must have shape \(2,\)"):
+            run_mechanism_design(lambda th, s: calls.append(th) or 1.0, _cfg(), theta0=theta0)
+        assert not calls
+
     def test_bit_reproducible(self):
         cfg = _cfg(max_iters=20, seed=7)
         loss = self._quadratic_loss(np.array([0.2, 0.2]))
