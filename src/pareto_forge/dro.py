@@ -209,34 +209,41 @@ def _cut_data(d: RPDataset, samples, scen: ScenarioSet):
     return np.ascontiguousarray(G.transpose(3, 0, 1, 2)), dists, kidx
 
 
-def _lane_scores(u, lam, v_n1, cut_data):
-    """Per-lane cut scores h − v_{N+1}·dist and each cut's argmax (t, s, i) index.
-
-    u and lam are (L, T, M), v_n1 is (L,); both results are (L, J).
-    """
-    Gs, dists, _kidx = cut_data
-    term = (u[:, None, None, :, :] - u[:, None, :, None, :]) / lam[:, None, :, None, :] - Gs
-    flat = term.reshape(*term.shape[:2], -1)
-    h = np.maximum(flat.max(axis=2), 0.0)
-    return h - v_n1[:, None] * dists, flat.argmax(axis=2)
-
-
 class _Segments:
-    """The cuts of each sample index k form one contiguous segment (cuts sorted by k)."""
+    """Cut indices grouped by sample index, one padded row per k that has cuts.
+
+    Cuts are sorted by k; cols[r, p] is the p-th cut of sample index ks[r].  A
+    row shorter than the longest repeats its first cut, which changes neither
+    the row's maximum nor its first maximising position.
+    """
 
     def __init__(self, kidx):
-        self.starts = np.flatnonzero(np.diff(kidx, prepend=-1))
-        self.ks = kidx[self.starts]
-        self.of_cut = np.repeat(np.arange(self.ks.size), np.diff(np.append(self.starts, kidx.size)))
-        self.cut_ids = np.arange(kidx.size)
+        starts = np.flatnonzero(np.diff(kidx, prepend=-1))
+        counts = np.diff(np.append(starts, kidx.size))
+        pos = np.arange(counts.max())
+        self.ks = kidx[starts]
+        self.cols = starts[:, None] + np.where(pos < counts[:, None], pos, 0)
+        self.rows = np.arange(starts.size)
 
-    def max(self, scores):
-        return np.maximum.reduceat(scores, self.starts, axis=1)
 
-    def first_argmax(self, scores, seg_max):
-        """Index of the first cut attaining each segment's maximum, per lane."""
-        hit = np.where(scores == seg_max[:, self.of_cut], self.cut_ids, self.cut_ids.size)
-        return np.minimum.reduceat(hit, self.starts, axis=1)
+def _lane_scores(u, lam, v_n1, cut_data, segs: _Segments):
+    """Per-lane attained cut maxima and the (t, s, i) entry behind each.
+
+    A cut scores h − v_{N+1}·dist with h = max(0, max_{t,s,i} term).  For each
+    sample index with cuts, returns its largest cut score and, for its first
+    maximising cut, the flat (t, s, i) index of the first maximising term.
+    u and lam are (L, T, M), v_n1 is (L,); both results are (L, len(segs.ks)).
+    """
+    Gs, dists, _kidx = cut_data
+    L, J = len(u), len(dists)
+    c = (u[:, None] - u[:, :, None]) / lam[:, :, None]  # c[l, t, s, i]
+    term = (c[:, None] - Gs).reshape(L * J, -1)
+    arg = term.argmax(axis=1)
+    h = np.maximum(term.ravel()[np.arange(L * J) * term.shape[1] + arg], 0.0)
+    scores = h.reshape(L, J) - v_n1[:, None] * dists
+    cut = segs.cols[segs.rows, scores[:, segs.cols].argmax(axis=2)]
+    cut += J * np.arange(L)[:, None]
+    return scores.ravel()[cut], arg[cut]
 
 
 def _lane_objective(seg_max, v_n1, segs: _Segments, eps, N, two_v):
@@ -251,45 +258,56 @@ def _lane_descent(u, lam, v_n1, cut_data, segs: _Segments, eps, N, two_v, box):
 
     Each lane follows the iterates of a serial descent from its start: every
     v_k in (0, 2V) contributes the subgradient of its first maximising cut,
-    and a lane stops for good once no v_k does.  The scores of each
-    objective evaluation also give the next step's subgradient.
+    and a lane stops for good once no v_k does.  A lane whose step leaves
+    (u, λ) unchanged also stops for good: at its next step it has the same
+    scores and subgradient and a smaller step size, and since fl(step·g) and
+    fl(u − x) are monotone and the clip is to a fixed box, that step and
+    every later one return the same point.  So only the lanes that still
+    move are scored, and the descent ends when none does; the serial
+    descents' remaining steps would change no iterate and no best point.
     """
     u_lo, u_hi, l_lo, l_hi = box
-    T, M = u.shape[1:]
-    scores, arg = _lane_scores(u, lam, v_n1, cut_data)
-    seg_max = segs.max(scores)
+    L, T, M = u.shape
+    # flat (t, s, i) term index -> flat (s, i) and (t, i) indices into a lane's T·M
+    t, s, i = np.unravel_index(np.arange(T * T * M), (T, T, M))
+    of_st = np.stack([s * M + i, t * M + i], axis=1)
+    sign = np.array([1.0, -1.0])
+    seg_max, entry = _lane_scores(u, lam, v_n1, cut_data, segs)
     best_obj, _ = _lane_objective(seg_max, v_n1, segs, eps, N, two_v)
     best_u, best_lam = u.copy(), lam.copy()
-    active = np.ones(len(u), dtype=bool)
+    lanes = np.arange(L)  # the moving lanes; u and lam hold their iterates
     step0 = 0.2 * max(u_hi - u_lo, l_hi - l_lo)
     for it in range(SUBGRAD_ITERS):
         # the first maximising cut of each k scores seg_max
-        live = active[:, None] & (seg_max > 0.0) & (seg_max < two_v)
+        live = (seg_max > 0.0) & (seg_max < two_v)
         active = live.any(axis=1)
-        if not active.any():
-            break
+        if not active.all():
+            lanes, u, lam, live, entry = (a[active] for a in (lanes, u, lam, live, entry))
+            if not lanes.size:
+                break
         # per-lane subgradient, accumulated in the serial (lane, k) order
-        lane, c = np.nonzero(live)
-        first = segs.first_argmax(scores, seg_max)
-        t, s, i = np.unravel_index(arg[lane, first[lane, c]], (T, T, M))
-        lam_t = lam[lane, t, i]
+        row, c = np.nonzero(live)
+        e = entry[row, c]
+        at = of_st[e] + row[:, None] * (T * M)  # (s, i) and (t, i) of each term
+        at_s, at_t = at[:, 0], at[:, 1]
+        lam_t = lam.ravel()[at_t]
         x = 1.0 / (lam_t * N)
-        at_s = np.ravel_multi_index((lane, s, i), u.shape)
-        at_t = np.ravel_multi_index((lane, t, i), u.shape)
-        gu = np.zeros(u.size)
-        np.add.at(gu, np.stack([at_s, at_t], axis=1).ravel(), np.stack([x, -x], axis=1).ravel())
-        gl = np.zeros(u.size)
-        np.add.at(gl, at_t, -((u[lane, s, i] - u[lane, t, i]) / (lam_t**2 * N)))
+        gu = np.bincount(at.ravel(), (x[:, None] * sign).ravel(), u.size)
+        gl = np.bincount(at_t, -((u.ravel()[at_s] - u.ravel()[at_t]) / (lam_t**2 * N)), u.size)
         step = step0 / np.sqrt(it + 1.0)
-        u = np.clip(u - step * gu.reshape(u.shape), u_lo, u_hi)
-        lam = np.clip(lam - step * gl.reshape(u.shape), l_lo, l_hi)
-        scores, arg = _lane_scores(u, lam, v_n1, cut_data)
-        seg_max = segs.max(scores)
-        obj, _ = _lane_objective(seg_max, v_n1, segs, eps, N, two_v)
-        better = obj < best_obj
-        best_obj = np.where(better, obj, best_obj)
-        best_u[better] = u[better]
-        best_lam[better] = lam[better]
+        u_next = (u - step * gu.reshape(u.shape)).clip(u_lo, u_hi)
+        lam_next = (lam - step * gl.reshape(u.shape)).clip(l_lo, l_hi)
+        moved = (u_next != u).any(axis=(1, 2)) | (lam_next != lam).any(axis=(1, 2))
+        lanes, u, lam = lanes[moved], u_next[moved], lam_next[moved]
+        if not lanes.size:
+            break
+        seg_max, entry = _lane_scores(u, lam, v_n1[lanes], cut_data, segs)
+        obj, _ = _lane_objective(seg_max, v_n1[lanes], segs, eps, N, two_v)
+        better = obj < best_obj[lanes]
+        won = lanes[better]
+        best_obj[won] = obj[better]
+        best_u[won] = u[better]
+        best_lam[won] = lam[better]
     return best_u, best_lam, best_obj
 
 
@@ -345,8 +363,8 @@ def master_solve(
         lo = max(0.0, best[0] - width)
         hi = min(vmax, best[0] + width)
     v_n1, u, lam, obj = best
-    scores, _ = _lane_scores(u[None], lam[None], np.array([v_n1]), cut_data)
-    _, v = _lane_objective(segs.max(scores), np.array([v_n1]), segs, eps, N, two_v)
+    seg_max, _ = _lane_scores(u[None], lam[None], np.array([v_n1]), cut_data, segs)
+    _, v = _lane_objective(seg_max, np.array([v_n1]), segs, eps, N, two_v)
     return PsiVector(u, lam), np.concatenate([v[0], [v_n1]]), float(obj)
 
 

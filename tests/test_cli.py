@@ -447,6 +447,15 @@ class TestDroCommand:
         assert field in err
         assert "high - low" not in err
 
+    @pytest.mark.parametrize("radii", [[0.5, 0.5], [1, 1.0], [0, 0.0]])
+    def test_repeated_radius_exits_two_without_output(self, tmp_path, capsys, radii):
+        # one radius given twice would run twice and write one trace file over the other
+        out = tmp_path / "out"
+        cfg = _write(tmp_path / "cfg.json", {"dro": {"eps": radii, "T": 2, "M": 1, "N": 2}})
+        assert main(["dro", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert "non-unique" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _record_play(monkeypatch) -> list:
     """Record (θ, cap, horizon) of every river game the experiments play."""
@@ -585,6 +594,20 @@ class TestMonteCarloCommand:
         )
         assert main(["mc", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 2
         assert "lam_max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("radii", [[0.5, 0.5], [1, 1.0], [0, 0.0]])
+    def test_repeated_dro_radius_exits_two_without_output(self, tmp_path, capsys, radii):
+        out = tmp_path / "out"
+        cfg = _write(
+            tmp_path / "cfg.json",
+            {
+                "monte_carlo": {"command": "dro", "replications": 1, "parallelism": 1},
+                "dro": {"eps": radii, "T": 2, "M": 1, "N": 2},
+            },
+        )
+        assert main(["mc", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert "non-unique" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_reruns_are_reproducible(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -140,6 +140,15 @@ def _serial_master(scen, d, eps, cfg):
     return u, lam, np.concatenate([v, [v_n1]]), obj
 
 
+def _assert_matches_serial(scen, d, eps, cfg):
+    psi, v, obj = master_solve(scen, d, eps=eps, cfg=cfg)
+    u_ref, lam_ref, v_ref, obj_ref = _serial_master(scen, d, eps, cfg)
+    assert obj == obj_ref
+    assert np.array_equal(psi.u, u_ref)
+    assert np.array_equal(psi.lam, lam_ref)
+    assert np.array_equal(v, v_ref)
+
+
 def _random_cuts(d, scen, rng, max_per_k=3):
     samples = _samples_tensor(d)
     for k in range(scen.N):
@@ -305,13 +314,58 @@ class TestMasterSolve:
         if scen.total == 0:
             scen.cuts[0].append(_samples_tensor(d)[:, :, 0, :] + 0.1)
         for _grow in range(2):  # the second pass solves again after drawing more cuts
-            psi, v, obj = master_solve(scen, d, eps=eps, cfg=cfg)
-            u_ref, lam_ref, v_ref, obj_ref = _serial_master(scen, d, eps, cfg)
-            assert obj == pytest.approx(obj_ref, abs=1e-12)
-            np.testing.assert_allclose(psi.u, u_ref, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(psi.lam, lam_ref, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-12)
+            _assert_matches_serial(scen, d, eps, cfg)
             _random_cuts(d, scen, rng, max_per_k=1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        T=st.integers(2, 4),
+        M=st.integers(1, 3),
+        N=st.integers(1, 4),
+        eps=st.sampled_from([0.001, 1.0, 10.0]),
+        freeze=st.sampled_from(["none", "fixed_lambda", "far_cuts"]),
+    )
+    def test_matches_the_serial_reference_on_random_instances(self, seed, T, M, N, eps, freeze):
+        # a fixed λ box and cuts far outside the budget sets stop or freeze lanes early
+        d = dro_instance(T=T, M=M, N=N, seed=seed)
+        rng = np.random.default_rng(seed)
+        scen = ScenarioSet(N)
+        _random_cuts(d, scen, rng)
+        scen.cuts[0].append(_samples_tensor(d)[:, :, 0, :] + 0.1)
+        if freeze == "far_cuts":
+            scen.cuts[::2] = [[phi + 100.0 for phi in cuts] for cuts in scen.cuts[::2]]
+        lambda_hat, lam_max = (2.0, 2.0) if freeze == "fixed_lambda" else (1.0, 10.0)
+        cfg = DROConfig(lambda_hat=lambda_hat, lam_max=lam_max, seed=seed)
+        _assert_matches_serial(scen, d, eps, cfg)
+
+    def test_descent_ends_once_every_lane_is_frozen(self, monkeypatch):
+        # the cut's largest term, (u_0 − u_1)/λ − g_1(0) = u_0 − u_1 + 10 under the
+        # fixed λ = 1, pushes every live lane to the corner u = (−1, 1) within a few
+        # steps; the clip then returns each later step to the same point
+        cons = ((_affine([1.0], 1.0),), (_affine([1.0], 10.0),))
+        d = RPDataset(
+            cons,
+            (
+                (EmpiricalStrategy(np.linspace(0.3, 0.5, 2)[:, None]),),
+                (EmpiricalStrategy(np.linspace(3.0, 3.2, 2)[:, None]),),
+            ),
+        )
+        scen = ScenarioSet(2, cuts=[[np.array([[[0.0]], [[3.1]]])] for _ in range(2)])
+        cfg = DROConfig(lambda_hat=1.0, lam_max=1.0)
+        passes = 0
+        score = dro._lane_scores
+
+        def counting(*args):
+            nonlocal passes
+            passes += 1
+            return score(*args)
+
+        monkeypatch.setattr(dro, "_lane_scores", counting)
+        psi, _, _ = master_solve(scen, d, eps=1.0, cfg=cfg)
+        assert psi.u.ravel().tolist() == [-1.0, 1.0]
+        assert passes < 2 * dro.SUBGRAD_ITERS
+        _assert_matches_serial(scen, d, 1.0, cfg)
 
     def test_replaced_cut_lists_are_read_afresh(self):
         d = dro_instance(T=3, M=2, N=2, seed=2)
