@@ -2,8 +2,9 @@
 
 Three agents discharge into a river monitored at two stations; a mechanism
 parameter vector sets the demand slope penalty and per-agent costs.  This demo
-computes one Nash equilibrium by the relaxation method, then collects a full
-revealed-preference dataset across random probe periods and audits it.
+computes the Nash equilibria of all probe periods by the relaxation method,
+every period a lane of one stacked solve, then collects a full
+revealed-preference dataset across the probe periods and audits it.
 
 Run:  python3 demos/02_river_game_play.py
 """
@@ -15,7 +16,7 @@ import numpy as np
 from pareto_forge.game import (
     RiverPollutionGame,
     collect_dataset,
-    probe_feasible_set,
+    probe_bounds,
     relaxation_nash,
     river_probes,
 )
@@ -29,14 +30,14 @@ def main():
     print(f"demand slope d1 = {game.d1}, pollution cap = {game.cap}\n")
 
     probes = river_probes(game, T=5, seed=0)
-    sets = tuple(probe_feasible_set(p) for p in probes[0])
-    x0 = np.stack([0.5 * (fs.lower + fs.upper) for fs in sets])
-    res = relaxation_nash(game, sets, x0)
-    print("one equilibrium (first probe period):")
-    print(f"  actions:   {res.x_star.ravel().round(3)}")
-    print(f"  residual:  {res.ni_residual:.2e} after {res.iterations} iterations")
+    lo, hi = probe_bounds(probes, game.M)  # (T, M) budget intervals
+    res = relaxation_nash(game, lo, hi, 0.5 * (lo + hi))
+    x = res.x_star[0].ravel()
+    print(f"equilibria of all {len(probes)} probe periods in one stacked solve; the first:")
+    print(f"  actions:   {x.round(3)}")
+    print(f"  residual:  {res.residuals[0]:.2e} after {res.steps[0]} iterations")
     for i in range(3):
-        print(f"  agent {i} payoff: {game.payoff(res.x_star.ravel(), i):.3f}")
+        print(f"  agent {i} payoff: {game.payoff(x, i):.3f}")
 
     # with d1 = 3 the payoffs increase in own action, so equilibrium play
     # exhausts every budget — exactly the socially optimal pattern

@@ -1,11 +1,12 @@
 """Games with exact best responses, Nash equilibria and dataset collection.
 
 The black-box multi-agent system behind the workbench: a game exposes
-per-agent payoffs and an exact best response on each agent's convex feasible
-set; Nash equilibria are computed by the relaxation method driven by the
-Nikaido-Isoda function; ``collect_dataset`` plays the game under a sequence
-of budget probes and records the observed strategies in the
-revealed-preference dataset format.
+per-agent payoffs and exact best responses on the agents' budget intervals,
+both for a stack of P independent plays at once; Nash equilibria are computed
+by the relaxation method driven by the Nikaido-Isoda function, every play of
+the stack a lane of one loop; ``collect_dataset`` plays the game under a
+sequence of budget probes, all periods in one stacked solve, and records the
+observed strategies in the revealed-preference dataset format.
 
 The flagship instance is a three-agent river-pollution game with a
 seven-dimensional mechanism parameter θ (demand slope plus per-agent cost
@@ -85,46 +86,104 @@ class AgentFeasibleSet:
         return y
 
 
-def probe_feasible_set(probe: ConstraintFunction) -> AgentFeasibleSet:
-    """Feasible set {x >= 0 : g(x) <= 0} of an affine increasing probe."""
+def _budget_rhs(probe: ConstraintFunction) -> float:
+    """rhs of an affine probe's budget <alpha, x> <= rhs, i.e. g(x) <= 0."""
     if probe.family is not Family.AFFINE:
         raise ValueError("only affine probes define a polyhedral feasible set")
-    alpha = np.asarray(probe.alpha, dtype=float)
     # g(x) = <alpha, x - a_t*beta> - b <= 0
     rhs = probe.b
     if probe.a_t:
+        alpha = np.asarray(probe.alpha, dtype=float)
         rhs += float(alpha @ (probe.a_t * np.asarray(probe.beta, dtype=float)))
-    lo = np.zeros(probe.dim)
+    return rhs
+
+
+def _budget_upper(alpha, rhs):
+    """Largest x_j >= 0 with alpha_j * x_j <= rhs: +inf where alpha_j <= 0."""
     hi = np.where(alpha > 0, rhs / np.where(alpha > 0, alpha, 1.0), np.inf)
-    hi = np.maximum(hi, 0.0)
+    return np.maximum(hi, 0.0)
+
+
+def probe_feasible_set(probe: ConstraintFunction) -> AgentFeasibleSet:
+    """Feasible set {x >= 0 : g(x) <= 0} of an affine increasing probe."""
+    rhs = _budget_rhs(probe)
+    alpha = np.asarray(probe.alpha, dtype=float)
+    lo = np.zeros(probe.dim)
+    hi = _budget_upper(alpha, rhs)
     if probe.dim == 1:
         return AgentFeasibleSet(lo, hi)
-    return AgentFeasibleSet(lo, np.maximum(hi, 0.0), A=alpha[None, :], b=np.array([rhs]))
+    return AgentFeasibleSet(lo, hi, A=alpha[None, :], b=np.array([rhs]))
+
+
+def probe_bounds(
+    probes: tuple[tuple[ConstraintFunction, ...], ...], M: int
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Budget intervals [lo, hi] of a table of scalar affine probes, as two (T, M) arrays.
+
+    Entry (t, i) is ``probe_feasible_set(probes[t][i])``'s interval.  Stacked
+    play needs interval budgets, so a probe of dimension above 1 is rejected.
+    """
+    for t, row in enumerate(probes):
+        if len(row) != M:
+            raise ValueError(f"period {t} probes do not cover all {M} agents")
+        for i, p in enumerate(row):
+            if p.dim != 1:
+                raise ValueError(
+                    f"play needs interval budgets: the period {t} probe of agent {i} "
+                    f"has dimension {p.dim}"
+                )
+    rhs = np.array([[_budget_rhs(p) for p in row] for row in probes], dtype=float)
+    alpha = np.array([[p.alpha[0] for p in row] for row in probes], dtype=float)
+    hi = _budget_upper(alpha, rhs).reshape(len(probes), M)
+    return np.zeros_like(hi), hi
 
 
 # --- game interface -----------------------------------------------------------
 
 
 class GameInterface:
-    """A game: M agents, k-dimensional actions, per-agent payoffs.
+    """A game: M agents with scalar actions (k = 1), played as stacks of plays.
 
-    Subclasses implement :meth:`payoff` and :meth:`best_response`, an exact
-    maximiser of agent i's payoff over its feasible set with the other
-    agents' actions held fixed.  Joint actions are (M, k) arrays.
+    Joint actions of P independent plays are (P, M) arrays, and agent i's
+    budget in play p is the interval [lo[p, i], hi[p, i]].  Subclasses
+    implement :meth:`deviation_payoffs` and :meth:`best_responses`, an exact
+    maximiser of each agent's payoff over its interval with the other agents'
+    actions held fixed.
     """
 
     M: int
     k: int
 
     def payoff(self, x: NDArray[np.float64], i: int) -> float:
+        """Agent i's payoff at the joint action x of one play."""
+        x = np.asarray(x, dtype=float).reshape(1, self.M)
+        return float(self.deviation_payoffs(x, x)[0, i])
+
+    def deviation_payoffs(self, X: NDArray[np.float64], Y: NDArray[np.float64]) -> NDArray[np.float64]:
+        """f^i(y, X_{p,−i}) for every play p and agent i.
+
+        X is (P, M); Y holds agent i's own actions y, either one per play and
+        agent, (P, M), or C candidates each, (P, M, C).  The result has Y's shape.
+        """
         raise NotImplementedError
 
-    def best_response(self, x: NDArray[np.float64], i: int, fs: AgentFeasibleSet) -> NDArray[np.float64]:
+    def best_responses(
+        self, X: NDArray[np.float64], lo: NDArray[np.float64], hi: NDArray[np.float64]
+    ) -> NDArray[np.float64]:
+        """Every agent's exact best response to X_{p,−i} over [lo, hi]; all (P, M)."""
         raise NotImplementedError
 
     @property
     def theta(self) -> NDArray[np.float64]:
         raise NotImplementedError
+
+
+def _sum_in_order(terms):
+    """terms[0] + terms[1] + ..., added left to right as ``x.sum()`` adds a short row."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
 
 
 @dataclass(frozen=True)
@@ -179,19 +238,22 @@ class RiverPollutionGame(GameInterface):
     def theta(self) -> NDArray[np.float64]:
         return self.theta_vec
 
-    def payoff(self, x: NDArray[np.float64], i: int) -> float:
-        x = np.asarray(x, dtype=float).reshape(self.M)
-        if np.any(x < 0):
+    def deviation_payoffs(self, X, Y) -> NDArray[np.float64]:
+        X = np.asarray(X, dtype=float)
+        Y = np.asarray(Y, dtype=float)
+        if np.any(X < 0) or np.any(Y < 0):
             raise ValueError("actions must be non-negative")
-        d2 = self.theta_vec[0]
-        c1 = self.theta_vec[1 + i]
-        c2 = self.theta_vec[4 + i]
-        return float(
-            self.d1 * x[i] - d2 * np.sqrt(x.sum()) - c1 * np.sqrt(x[i]) - c2 * x[i]
-        )
+        own = Y if Y.ndim == 3 else Y[..., None]
+        # agent i's joint action is X_p with x_i replaced by its own action
+        agent = np.arange(self.M)[:, None]
+        total = _sum_in_order([np.where(agent == j, own, X[:, None, j, None]) for j in range(self.M)])
+        th = self.theta_vec
+        d2, c1, c2 = th[0], th[1:4, None], th[4:7, None]
+        value = self.d1 * own - d2 * np.sqrt(total) - c1 * np.sqrt(own) - c2 * own
+        return value if Y.ndim == 3 else value[..., 0]
 
-    def best_response(self, x, i: int, fs: AgentFeasibleSet) -> NDArray[np.float64]:
-        """Exact maximiser of agent i's payoff over its budget interval [lo, hi].
+    def best_responses(self, X, lo, hi) -> NDArray[np.float64]:
+        """Every agent's exact maximiser over its budget interval [lo, hi], in every play.
 
         With s = Σ_{j≠i} x_j, a = d1 − c_{2i} and y = √x_i, the payoff is
         a·y² − d2·√(y² + s) − c_{1i}·y; squaring its stationarity condition
@@ -199,25 +261,50 @@ class RiverPollutionGame(GameInterface):
         interior maximiser is the square of a real root, so the best of the
         two endpoints and the clipped squared real parts of all four roots is
         exact; spurious or complex roots only add feasible candidates.
+
+        The roots are ``np.roots``'s, found for all P·M quartics at once: zero
+        leading and trailing coefficients are stripped, each stripped trailing
+        one is a root at 0, and the rest go to one stacked companion-matrix
+        ``eigvals`` per degree.  The first best candidate wins, as ``max`` picks.
         """
-        if fs.dim != 1 or fs.A is not None:
-            raise ValueError("the river game's best response needs an interval feasible set")
-        lo, hi = float(fs.lower[0]), float(fs.upper[0])
-        if not np.isfinite(hi):
-            raise ValueError(f"agent {i} has an unbounded budget: upper bound {hi}")
-        x = np.asarray(x, dtype=float).reshape(self.M)
-        s = x.sum() - x[i]
-        d2, c1 = self.theta_vec[0], self.theta_vec[1 + i]
-        a = self.d1 - self.theta_vec[4 + i]
-        quartic = [4 * a * a, -4 * a * c1, c1 * c1 + 4 * a * a * s - d2 * d2, -4 * a * c1 * s, c1 * c1 * s]
-        cands = np.concatenate([[lo, hi], np.clip(np.roots(quartic).real ** 2, lo, hi)])
-
-        def value(c):
-            joint = x.copy()
-            joint[i] = c
-            return self.payoff(joint, i)
-
-        return np.array([max(cands, key=value)])
+        X = np.asarray(X, dtype=float)
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        unbounded = np.argwhere(~np.isfinite(hi))
+        if unbounded.size:
+            p, i = unbounded[0]
+            raise ValueError(f"agent {i} has an unbounded budget: upper bound {hi[p, i]}")
+        th = self.theta_vec
+        d2, c1 = th[0], th[1:4]
+        a = self.d1 - th[4:7]
+        s = _sum_in_order(list(X.T))[:, None] - X
+        quartic = np.stack(
+            np.broadcast_arrays(
+                4 * a * a, -4 * a * c1, c1 * c1 + 4 * a * a * s - d2 * d2, -4 * a * c1 * s, c1 * c1 * s
+            ),
+            axis=-1,
+        ).reshape(-1, 5)
+        nonzero = quartic != 0
+        lead = nonzero.argmax(axis=1)
+        degree = np.where(nonzero.any(axis=1), 4 - nonzero[:, ::-1].argmax(axis=1) - lead, 0)
+        # a stripped trailing root or a missing one stays 0, which clips to lo: a
+        # copy of the first candidate, so it never wins
+        squares = np.zeros((len(quartic), 4))
+        for n in range(1, 5):
+            rows = np.flatnonzero(degree == n)
+            if rows.size:
+                coef = np.take_along_axis(quartic[rows], lead[rows, None] + np.arange(n + 1), axis=1)
+                companion = np.zeros((rows.size, n, n))
+                companion[:, 1:, :-1] = np.eye(n - 1)
+                # silent as in np.roots: an infinite companion entry makes eigvals
+                # raise, and a root too large to square becomes inf, which clips to hi
+                with np.errstate(over="ignore"):
+                    companion[:, 0] = -coef[:, 1:] / coef[:, :1]
+                    squares[rows, :n] = np.linalg.eigvals(companion).real ** 2
+        lo_c, hi_c = lo.reshape(-1, 1), hi.reshape(-1, 1)
+        cands = np.concatenate([lo_c, hi_c, np.clip(squares, lo_c, hi_c)], axis=1).reshape(*X.shape, 6)
+        best = self.deviation_payoffs(X, cands).argmax(axis=-1)
+        return np.take_along_axis(cands, best[..., None], axis=-1)[..., 0]
 
 
 def payoff(g: GameInterface, x, i: int) -> float:
@@ -225,29 +312,20 @@ def payoff(g: GameInterface, x, i: int) -> float:
     return g.payoff(np.asarray(x, dtype=float), i)
 
 
-def nikaido_isoda(g: GameInterface, x, y) -> float:
-    """Ψ(x, y) = Σ_i [f^i(y_i, x_{−i}) − f^i(x)]; zero at y = x by construction."""
-    x = np.asarray(x, dtype=float).reshape(g.M, -1)
-    y = np.asarray(y, dtype=float).reshape(g.M, -1)
-    total = 0.0
-    for i in range(g.M):
-        xi = x.copy()
-        xi[i] = y[i]
-        total += g.payoff(xi, i) - g.payoff(x, i)
-    return float(total)
+def nikaido_isoda(g: GameInterface, x, y) -> NDArray[np.float64]:
+    """Ψ(x, y) = Σ_i [f^i(y_i, x_{−i}) − f^i(x)] for each play; zero at y = x by construction.
+
+    x and y are (P, M) stacks of joint actions; the result is (P,).
+    """
+    x = np.asarray(x, dtype=float).reshape(-1, g.M)
+    y = np.asarray(y, dtype=float).reshape(-1, g.M)
+    gain = g.deviation_payoffs(x, y) - g.deviation_payoffs(x, x)
+    return _sum_in_order([np.zeros(len(x))] + list(gain.T))
 
 
-def best_deviation(
-    g: GameInterface,
-    x,
-    constraints: tuple[AgentFeasibleSet, ...],
-) -> NDArray[np.float64]:
-    """Z(x): each agent's exact best response to x_{−i} over its own feasible set."""
-    x = np.asarray(x, dtype=float).reshape(g.M, -1)
-    z = x.copy()
-    for i in range(g.M):
-        z[i] = g.best_response(x, i, constraints[i])
-    return z
+def best_deviation(g: GameInterface, x, lo, hi) -> NDArray[np.float64]:
+    """Z(x): every agent's exact best response to x_{−i} over its own interval, for each play."""
+    return g.best_responses(x, lo, hi)
 
 
 class NashConvergenceError(RuntimeError):
@@ -256,15 +334,33 @@ class NashConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class NashResult:
+    """Equilibria of P plays: x_star (P, M, k) and, per play, the final Nikaido-Isoda
+    residual, the relaxation steps taken and whether the residual reached tol_ne."""
+
     x_star: NDArray[np.float64]
-    ni_residual: float
-    iterations: int
-    converged: bool
+    residuals: NDArray[np.float64]
+    steps: NDArray[np.int64]
+    play_converged: NDArray[np.bool_]
+
+    @property
+    def ni_residual(self) -> float:
+        """Largest residual over the plays (−inf for no play)."""
+        return float(self.residuals.max(initial=-np.inf))
+
+    @property
+    def iterations(self) -> int:
+        """Relaxation steps summed over the plays."""
+        return int(self.steps.sum())
+
+    @property
+    def converged(self) -> bool:
+        return bool(self.play_converged.all())
 
 
 def relaxation_nash(
     g: GameInterface,
-    constraints: tuple[AgentFeasibleSet, ...],
+    lo,
+    hi,
     x0,
     schedule=None,
     tol_ne: float = TOL_NE,
@@ -272,26 +368,43 @@ def relaxation_nash(
 ) -> NashResult:
     """Relaxation method: x_{k+1} = (1−α_k)·x_k + α_k·Z(x_k), α_k = 1/(k+1).
 
-    The per-agent subproblems in Z are independent, so the Nikaido-Isoda
-    residual max_y Ψ(x, y) equals Ψ(x, Z(x)) and is a free by-product of each
-    step.  Iterates stay feasible (convex combinations in convex sets).
+    Plays P independent games at once: lo, hi and x0 are (P, M) stacks (or
+    (M,) for one play).  Each play is a lane: it takes step k with the others
+    and leaves with its iterate once its residual is ≤ tol_ne, or after the
+    final check at max_iters.  The per-agent subproblems in Z are
+    independent, so the Nikaido-Isoda residual max_y Ψ(x, y) equals
+    Ψ(x, Z(x)) and is a free by-product of each step.  Iterates stay feasible
+    (convex combinations in convex sets).
     """
     if schedule is None:
         schedule = lambda k: 1.0 / (k + 1)  # noqa: E731
-    x = np.asarray(x0, dtype=float).reshape(g.M, -1)
-    for i, fs in enumerate(constraints):
-        if not fs.contains(x[i]):
-            raise ValueError(f"x0 infeasible for agent {i}")
-    residual = np.inf
-    for k in range(max_iters):
-        z = best_deviation(g, x, constraints)
-        residual = nikaido_isoda(g, x, z)
-        if residual <= tol_ne:
-            return NashResult(x, float(residual), k, True)
+    x = np.array(x0, dtype=float).reshape(-1, g.M)
+    lo = np.broadcast_to(np.asarray(lo, dtype=float).reshape(-1, g.M), x.shape)
+    hi = np.broadcast_to(np.asarray(hi, dtype=float).reshape(-1, g.M), x.shape)
+    outside = np.argwhere((x < lo - 1e-9) | (x > hi + 1e-9))
+    if outside.size:
+        p, i = outside[0]
+        raise ValueError(f"x0 infeasible for agent {i} in play {p}")
+    P = len(x)
+    x_star = np.empty_like(x)
+    residuals = np.empty(P)
+    steps = np.empty(P, dtype=np.int64)
+    play_converged = np.empty(P, dtype=bool)
+    lanes = np.arange(P)
+    k = 0
+    while lanes.size:
+        z = best_deviation(g, x, lo[lanes], hi[lanes])
+        r = nikaido_isoda(g, x, z)
+        ok = r <= tol_ne
+        leave = ok | (k == max_iters)
+        if leave.any():
+            done = lanes[leave]
+            x_star[done], residuals[done], steps[done], play_converged[done] = x[leave], r[leave], k, ok[leave]
+            stay = ~leave
+            lanes, x, z = lanes[stay], x[stay], z[stay]
         x = (1.0 - schedule(k)) * x + schedule(k) * z
-    z = best_deviation(g, x, constraints)
-    residual = nikaido_isoda(g, x, z)
-    return NashResult(x, float(residual), max_iters, residual <= tol_ne)
+        k += 1
+    return NashResult(x_star[..., None], residuals, steps, play_converged)
 
 
 # --- dataset collection -------------------------------------------------------
@@ -328,47 +441,37 @@ def collect_dataset(
     N: int = 1,
     jitter: float = 0.0,
     seed: int = 0,
-    tol_ne: float = TOL_NE,
 ) -> RPDataset:
     """Play the game once per probe period and record the observed strategies.
 
-    Each period builds per-agent feasible sets from its probes, computes the
-    Nash equilibrium by the relaxation method, and emits N samples per agent:
-    the equilibrium action plus optional uniform jitter projected back into the
-    budget set (jitter=0 gives N identical samples, a pure strategy).  A
-    period whose equilibrium does not converge raises NashConvergenceError.
+    Each period's probes give the agents' budget intervals, and one stacked
+    relaxation solve computes every period's Nash equilibrium.  Each period
+    emits N samples per agent: the equilibrium action plus optional uniform
+    jitter clipped back into the budget interval (jitter=0 gives N identical
+    samples, a pure strategy).  If a period's equilibrium does not converge,
+    NashConvergenceError names the first such period.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     T = len(probes)
-    ss = np.random.SeedSequence(seed)
-    period_seeds = ss.spawn(T)
-    strategies = []
-    for t in range(T):
-        if len(probes[t]) != g.M:
-            raise ValueError(f"period {t} probes do not cover all {g.M} agents")
-        sets = tuple(probe_feasible_set(p) for p in probes[t])
-        x0 = np.stack(
-            [
-                fs.project(0.5 * (fs.lower + np.where(np.isfinite(fs.upper), fs.upper, fs.lower + 1.0)))
-                for fs in sets
-            ]
+    lo, hi = probe_bounds(probes, g.M)
+    x0 = np.clip(0.5 * (lo + np.where(np.isfinite(hi), hi, lo + 1.0)), lo, hi)
+    res = relaxation_nash(g, lo, hi, x0)
+    if not res.converged:
+        t = int(np.argmin(res.play_converged))
+        raise NashConvergenceError(
+            f"Nash computation failed at period {t}: residual "
+            f"{res.residuals[t]:.3e} after {res.steps[t]} iterations"
         )
-        res = relaxation_nash(g, sets, x0, tol_ne=tol_ne)
-        if not res.converged:
-            raise NashConvergenceError(
-                f"Nash computation failed at period {t}: residual "
-                f"{res.ni_residual:.3e} after {res.iterations} iterations"
-            )
-        rng = np.random.default_rng(period_seeds[t])
-        row = []
-        for i in range(g.M):
-            base = res.x_star[i]
-            if jitter > 0:
-                pts = base[None, :] + rng.uniform(-jitter, jitter, size=(N, base.size))
-                pts = np.stack([sets[i].project(p) for p in pts])
-            else:
-                pts = np.repeat(base[None, :], N, axis=0)
-            row.append(EmpiricalStrategy(pts))
-        strategies.append(tuple(row))
-    return RPDataset(tuple(probes), tuple(strategies))
+    base = res.x_star[:, :, None, :]
+    shape = (T, g.M, N, base.shape[-1])
+    if jitter > 0:
+        # one generator per period, drawing agent after agent
+        noise = np.empty(shape)
+        for t, s in enumerate(np.random.SeedSequence(seed).spawn(T)):
+            noise[t] = np.random.default_rng(s).uniform(-jitter, jitter, size=shape[1:])
+        pts = np.clip(base + noise, lo[..., None, None], hi[..., None, None])
+    else:
+        pts = np.broadcast_to(base, shape)
+    strategies = tuple(tuple(EmpiricalStrategy(pts[t, i]) for i in range(g.M)) for t in range(T))
+    return RPDataset(tuple(probes), strategies)

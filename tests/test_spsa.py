@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import csv
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pareto_forge import game, rp
 from pareto_forge.experiments import river_spsa_config, run_river_spsa
-from pareto_forge.game import NashConvergenceError, NashResult
+from pareto_forge.game import NashConvergenceError
 from pareto_forge.spsa import SPSAConfig, gains, run_mechanism_design, spsa_step
 
 
@@ -223,17 +224,20 @@ class TestRun:
         solve = game.relaxation_nash
         calls = []
 
-        def first_fails(*args, **kwargs):
-            res = solve(*args, **kwargs)
-            calls.append(res)
+        def first_fails(g, lo, hi, *args, **kwargs):
+            res = solve(g, lo, hi, *args, **kwargs)
+            calls.append((hi, res))
             if len(calls) == 1:
-                return NashResult(res.x_star, 1.0, res.iterations, False)
+                return replace(res, play_converged=np.zeros_like(res.play_converged))
             return res
 
         monkeypatch.setattr(game, "relaxation_nash", first_fails)
         trace = run_river_spsa(river_spsa_config(seed=1, max_iters=1, T=3))
         assert len(trace.records) == 1
-        assert len(calls) > 3  # the failed period, then a full T = 3 retry
+        # one stacked solve of all T = 3 periods fails, then one retry on fresh probes
+        assert len(calls) == 2
+        assert [len(res.steps) for _, res in calls] == [3, 3]
+        assert not np.array_equal(calls[0][0], calls[1][0])
 
 
 class TestTraceOutput:
