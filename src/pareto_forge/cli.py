@@ -37,7 +37,8 @@ from .experiments import (
     run_river_spsa,
 )
 from .game import RiverPollutionGame, collect_dataset, river_probes
-from .rp import TOL_R, ccei_scalar, garp_f_threshold, mm_garp, pareto_gap
+# ccei_scalar is not called here; perfbench/spans.py patches this binding by name
+from .rp import TOL_R, ccei_all, ccei_scalar, garp_f_threshold, mm_garp, pareto_gap  # noqa: F401
 from .spsa import STOP_TOL_DEFAULT
 
 EXIT_OK = 0
@@ -107,14 +108,6 @@ def _write_manifest(out_dir: Path, name: str, cfg: dict, seed, extra=None) -> No
         fh.write("\n")
 
 
-def _ccei_or_none(d, agent: int):
-    """The agent's CCEI, or None where it is undefined (a satiated own budget <= 0)."""
-    try:
-        return ccei_scalar(d, agent)
-    except ValueError:
-        return None
-
-
 def cmd_audit(args) -> int:
     tol = args.tol if args.tol is not None else TOL_R
     if not (math.isfinite(tol) and tol >= 0):
@@ -131,7 +124,7 @@ def cmd_audit(args) -> int:
         "pareto_gap": res.gap,
         "per_agent_gaps": list(res.per_agent_gaps),
         "garp_f_threshold": garp_f_threshold(d),
-        "ccei": [_ccei_or_none(d, i) for i in range(d.M)],
+        "ccei": ccei_all(d),
         "certificate": {
             "u": res.certificate.u.tolist(),
             "lam": res.certificate.lam.tolist(),

@@ -265,7 +265,8 @@ class RiverPollutionGame(GameInterface):
         The roots are ``np.roots``'s, found for all P·M quartics at once: zero
         leading and trailing coefficients are stripped, each stripped trailing
         one is a root at 0, and the rest go to one stacked companion-matrix
-        ``eigvals`` per degree.  The first best candidate wins, as ``max`` picks.
+        ``eigvals`` per degree.  A leading coefficient whose companion row
+        overflows is stripped too.  The first best candidate wins, as ``max`` picks.
         """
         X = np.asarray(X, dtype=float)
         lo = np.asarray(lo, dtype=float)
@@ -290,16 +291,28 @@ class RiverPollutionGame(GameInterface):
         # a stripped trailing root or a missing one stays 0, which clips to lo: a
         # copy of the first candidate, so it never wins
         squares = np.zeros((len(quartic), 4))
-        for n in range(1, 5):
+        for n in range(4, 0, -1):
             rows = np.flatnonzero(degree == n)
             if rows.size:
                 coef = np.take_along_axis(quartic[rows], lead[rows, None] + np.arange(n + 1), axis=1)
+                with np.errstate(over="ignore"):
+                    top = -coef[:, 1:] / coef[:, :1]
+                # A row that overflows (a subnormal leading coefficient) carries a
+                # root beyond the double range, whose clipped square is hi, already
+                # a candidate: strip that coefficient and any zeros after it, and
+                # solve the row with its lower degree, later in this loop.
+                over = ~np.isfinite(top).all(axis=1)
+                if over.any():
+                    strip = rows[over]
+                    after = (nonzero[strip] & (np.arange(5) > lead[strip, None])).argmax(axis=1)
+                    degree[strip] -= after - lead[strip]
+                    lead[strip] = after
+                    rows, top = rows[~over], top[~over]
                 companion = np.zeros((rows.size, n, n))
                 companion[:, 1:, :-1] = np.eye(n - 1)
-                # silent as in np.roots: an infinite companion entry makes eigvals
-                # raise, and a root too large to square becomes inf, which clips to hi
+                companion[:, 0] = top
+                # a root too large to square becomes inf, which clips to hi
                 with np.errstate(over="ignore"):
-                    companion[:, 0] = -coef[:, 1:] / coef[:, :1]
                     squares[rows, :n] = np.linalg.eigvals(companion).real ** 2
         lo_c, hi_c = lo.reshape(-1, 1), hi.reshape(-1, 1)
         cands = np.concatenate([lo_c, hi_c, np.clip(squares, lo_c, hi_c)], axis=1).reshape(*X.shape, 6)

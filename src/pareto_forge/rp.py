@@ -8,8 +8,8 @@ and when it is not, quantify the failure:
   relation;
 * ``pareto_gap`` — smallest relaxation r making the utility-number inequality
   system feasible, with a certificate built combinatorially per agent;
-* ``garp_f`` / ``ccei_scalar`` — additive / multiplicative relaxations of the
-  combinatorial test;
+* ``garp_f`` / ``ccei_scalar`` / ``ccei_all`` — additive / multiplicative
+  relaxations of the combinatorial test;
 * ``hoeffding_confidence`` — finite-sample concentration bound on the
   empirical gap;
 * ``reconstruct_utility`` — piecewise-linear concave utility built from a
@@ -22,7 +22,11 @@ relaxed system, at level r, fails exactly when some cycle of edges with
 weight >= r has an edge with weight > r (Afriat 1967).  So its
 critical level is the largest cycle bottleneck (over cycles, the smallest
 edge weight), read off the closure's diagonal: exact, with no bisection and
-no tolerance.  Gap certificates are built from the same closure (Varian 1982).
+no tolerance.  The closure only takes max and min, so H[t, s] >= r holds
+exactly when some path from t to s has every edge >= r: one float closure
+answers the test at every level.  ``pareto_gap`` reads the gap, whether it
+is attained and every agent's certificate (Varian 1982) from one closure of
+-gbar, and ``ccei_all`` every agent's efficiency index from one more.
 
 For weakly decreasing levels, social(o) = Σ_{k<D} (l_k − l_{k+1})·rnk_k(o)
 + M·l_D, a nonnegative combination of the k-rank counts.  So a strategy that
@@ -64,18 +68,26 @@ def _closure(W: NDArray) -> NDArray:
     return H
 
 
-def _critical_levels(W: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Largest cycle bottleneck of each slice of W: _garp fails below it, passes above."""
-    return np.diagonal(_closure(W), axis1=-2, axis2=-1).max(axis=-1)
+def _critical_levels(W: NDArray[np.float64], H: NDArray[np.float64] | None = None) -> NDArray[np.float64]:
+    """Largest cycle bottleneck of each slice of W: _garp fails below it, passes above.
+
+    ``H`` is W's closure, when the caller has it already.
+    """
+    H = _closure(W) if H is None else H
+    return np.diagonal(H, axis1=-2, axis2=-1).max(axis=-1)
 
 
-def _garp(W: NDArray[np.float64], level) -> NDArray[np.bool_]:
+def _garp(W: NDArray[np.float64], level, H: NDArray[np.float64] | None = None) -> NDArray[np.bool_]:
     """GARP per slice on the relation W >= level: no cycle of its edges has an edge W > level.
 
-    ``level`` broadcasts against W (a scalar, or one level per slice shaped (M, 1, 1)).
+    ``level`` broadcasts against W (a scalar, or one level per slice shaped (M, 1, 1)),
+    and ``H`` is W's closure, when the caller has it already.  A path t -> s of
+    edges >= level exists exactly when H[t, s] >= level: the closure only picks
+    entries of W, so the comparison is exact.
     """
+    H = _closure(W) if H is None else H
     # a path s -> t in the relation and a strict edge t -> s close a bad cycle
-    return ~(np.swapaxes(_closure(W >= level), -1, -2) & (W > level)).any(axis=(-2, -1))
+    return ~(np.swapaxes(H >= level, -1, -2) & (W > level)).any(axis=(-2, -1))
 
 
 def _agents(d: RPDataset) -> NDArray[np.float64]:
@@ -91,30 +103,35 @@ def _slack(g: NDArray[np.float64]) -> NDArray[np.float64]:
 # --- Pareto gap -------------------------------------------------------------
 
 
-def _agent_certificate(gbar_i: NDArray[np.float64], r: float):
-    """One agent's point (u, lam >= 1) at a level r where GARP holds (Varian 1982).
+def _agent_certificate(c: NDArray[np.float64], reach: NDArray[np.bool_]):
+    """One agent's point (u, lam >= 1) where c = gbar_i + r passes GARP (Varian 1982).
 
-    With c = gbar_i + r the system reads u_s <= u_t + lam_t*c[t,s].  Each
-    component of the relation c <= 0 (only c = 0 edges inside it, by GARP)
-    comes after every component reaching it and takes one level, the largest
-    its predecessors allow; lam covers each drop, since c > 0 on edges back.
+    The system reads u_s <= u_t + lam_t*c[t,s], and reach is the reflexive
+    closure of the relation c <= 0.  Each component of that relation (only
+    c = 0 edges inside it, by GARP) comes after every component reaching it
+    and takes one level, the largest its predecessors allow; lam covers each
+    drop, since c > 0 on edges back.  The loop runs on Python floats: each
+    term rounds as numpy's would, and min and max are exact.
     """
-    c = gbar_i + r
-    T = c.shape[0]
-    reach = _closure(c <= 0) | np.eye(T, dtype=bool)
-    u = np.zeros(T)
-    lam = np.ones(T)
-    done = np.zeros(T, dtype=bool)
-    for m in np.argsort(reach.sum(axis=0), kind="stable"):
+    T = len(c)
+    order = np.argsort(reach.sum(axis=0), kind="stable").tolist()
+    c, reach = c.tolist(), reach.tolist()
+    u, lam = [0.0] * T, [1.0] * T
+    done = [False] * T
+    prev: list[int] = []
+    for m in order:
         if done[m]:
             continue
-        comp = np.flatnonzero(reach[m] & reach[:, m])
-        prev = np.flatnonzero(done)
-        if prev.size:
-            u[comp] = (u[prev, None] + lam[prev, None] * c[prev[:, None], comp]).min()
-            lam[comp] = np.maximum(1.0, ((u[prev] - u[m]) / c[comp[:, None], prev]).max(axis=1))
-        done[comp] = True
-    return u, lam
+        comp = [s for s in range(T) if reach[m][s] and reach[s][m]]
+        if prev:
+            level = min(u[t] + lam[t] * c[t][s] for t in prev for s in comp)
+            for s in comp:
+                u[s] = level
+                lam[s] = max(1.0, max((u[t] - level) / c[s][t] for t in prev))
+        for s in comp:
+            done[s] = True
+        prev += comp
+    return np.array(u), np.array(lam)
 
 
 def _normalize_agent_cert(u, lam, alpha):
@@ -125,10 +142,15 @@ def _normalize_agent_cert(u, lam, alpha):
     return u * c, lam * c
 
 
-def _stacked_certificate(d: RPDataset, levels, alpha: float) -> ParetoCertificate:
-    """Agent i's certificate at levels[i], stacked at the largest level; raises unless valid."""
+def _stacked_certificate(d: RPDataset, H: NDArray[np.float64], levels, alpha: float) -> ParetoCertificate:
+    """Agent i's certificate at levels[i], stacked at the largest level; raises unless valid.
+
+    H is the closure of -gbar as an (M, T, T) stack: agent i's relation
+    gbar_i + r <= 0 reaches s from t exactly when H[i, t, s] >= r.
+    """
+    eye = np.eye(d.T, dtype=bool)
     points = [
-        _normalize_agent_cert(*_agent_certificate(d.gbar[:, :, i], r), alpha)
+        _normalize_agent_cert(*_agent_certificate(d.gbar[:, :, i] + r, (H[i] >= r) | eye), alpha)
         for i, r in enumerate(levels)
     ]
     cert = ParetoCertificate(*(np.column_stack(p) for p in zip(*points)), float(max(levels)), alpha)
@@ -144,14 +166,17 @@ def afriat_feasible(
 
     The system never couples agents (no shared variables); agent i's part is
     feasible exactly when GARP holds on the relation -gbar[:, :, i] >= r.
+    One closure of -gbar gives both the verdict and every agent's certificate.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
-    if not _garp(-_agents(d), r).all():
+    W = -_agents(d)
+    H = _closure(W)
+    if not _garp(W, r, H).all():
         return False, None
-    return True, _stacked_certificate(d, [r] * d.M, alpha)
+    return True, _stacked_certificate(d, H, [r] * d.M, alpha)
 
 
 @dataclass(frozen=True)
@@ -175,7 +200,9 @@ def pareto_gap(d: RPDataset, alpha: float = ALPHA_DEFAULT) -> GapResult:
     -gbar[:, :, i] >= r, so the agent's gap is the largest cycle bottleneck of
     -gbar[:, :, i], floored at 0; the gap is the max over agents.
 
-    Each agent's certificate is built from the closure at the agent's gap
+    One closure H of the (M, T, T) stack -gbar gives it all: the gaps from
+    its diagonal, whether each is attained (GARP read off H at the gap), and
+    every agent's certificate.  The certificate is built at the agent's gap
     when GARP holds there, else at gap + TOL_R (a bottleneck cycle with a
     heavier edge leaves the infimum unattained).  ``certificate.r`` is the
     largest of these levels, so it exceeds ``gap``, by at most TOL_R, only
@@ -184,12 +211,13 @@ def pareto_gap(d: RPDataset, alpha: float = ALPHA_DEFAULT) -> GapResult:
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    c = -_agents(d)
+    W = -_agents(d)
+    H = _closure(W)
     # Python's max: np.maximum would keep the sign of a -0.0 critical level
-    gaps = [max(0.0, float(v)) for v in _critical_levels(c)]
-    attained = _garp(c, np.array(gaps)[:, None, None])
+    gaps = [max(0.0, float(v)) for v in _critical_levels(W, H)]
+    attained = _garp(W, np.array(gaps)[:, None, None], H)
     levels = [gap if ok else gap + TOL_R for gap, ok in zip(gaps, attained)]
-    return GapResult(max(gaps), _stacked_certificate(d, levels, alpha), tuple(gaps), d.M)
+    return GapResult(max(gaps), _stacked_certificate(d, H, levels, alpha), tuple(gaps), d.M)
 
 
 def empirical_pareto_gap(d: RPDataset, alpha: float = ALPHA_DEFAULT) -> GapResult:
@@ -233,24 +261,42 @@ def garp_f_threshold(d: RPDataset) -> float:
     return max(map(float, _critical_levels(_slack(_agents(d)))))
 
 
+def _ccei(g: NDArray[np.float64]) -> NDArray[np.float64]:
+    """CCEI of each slice of an (K, T, T) stack of satiated budgets with positive g[t,t].
+
+    GARP_e relates t R s iff rho[t,s] = g[t,s] / g[t,t] <= e and fails
+    exactly when a cycle of such edges has one with rho < e.  So the index is
+    minus the largest cycle bottleneck of -rho, clipped to [0, 1]: one
+    closure for the whole stack.  GARP_e passes at every smaller e, and at
+    the index itself unless a bottleneck cycle has a lighter edge.
+    """
+    rho = g / np.diagonal(g, axis1=-2, axis2=-1)[..., :, None]
+    return np.clip(-_critical_levels(-rho), 0.0, 1.0)
+
+
+def ccei_all(d: RPDataset) -> list[float | None]:
+    """Every agent's :func:`ccei_scalar` from one closure, None where it is undefined.
+
+    An agent's index is undefined when a satiated own-budget value g[t,t] is <= 0.
+    """
+    g = _agents(d) + 1.0
+    defined = (np.diagonal(g, axis1=-2, axis2=-1) > 0).all(axis=-1)
+    values = iter(_ccei(g[defined]).tolist())
+    return [next(values) if ok else None for ok in defined.tolist()]
+
+
 def ccei_scalar(d: RPDataset, agent: int) -> float:
     """Largest common efficiency e in [0,1] passing GARP_e for one agent (a supremum).
 
     Uses satiated budgets g = gbar + 1 so that budget values are positive and
-    the multiplicative deflation e is meaningful.  GARP_e relates t R s iff
-    rho[t,s] = g[t,s] / g[t,t] <= e and fails exactly when a cycle of such
-    edges has one with rho < e.  So the index is minus the largest cycle
-    bottleneck of -rho, clipped to [0, 1].  GARP_e passes at every smaller e,
-    and at the index itself unless a bottleneck cycle has a lighter edge.
+    the multiplicative deflation e is meaningful (see :func:`_ccei`).
     """
     if not 0 <= agent < d.M:
         raise IndexError(f"agent index {agent} out of range")
     g = d.gbar[:, :, agent] + 1.0
-    own = np.diag(g)
-    if np.any(own <= 0):
+    if np.any(np.diag(g) <= 0):
         raise ValueError(f"agent {agent}: satiated own-budget values g[t,t] must be positive")
-    rho = g / own[:, None]
-    return float(np.clip(-_critical_levels(-rho), 0.0, 1.0))
+    return float(_ccei(g[None])[0])
 
 
 # --- concentration bound ----------------------------------------------------

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -278,6 +279,38 @@ class TestGenerateAndAudit:
         report = json.loads((tmp_path / "audit_report.json").read_text())
         assert report["ccei"] == [None]
         assert report["pareto_gap"] == pytest.approx(1.5, abs=1e-12)  # budget left unspent
+
+    def test_audit_reports_each_agents_ccei(self, tmp_path):
+        # agent 0 plays 1.5 inside its own budget (undefined); agent 1 is a budget reversal
+        path = tmp_path / "mixed.json"
+        reversal = (
+            ConstraintFunction(Family.AFFINE, 2, alpha=(2.0, 1.0), b=1.0),
+            ConstraintFunction(Family.AFFINE, 2, alpha=(1.0, 2.0), b=1.0),
+        )
+        d = RPDataset(
+            tuple((ConstraintFunction(Family.AFFINE, 2, alpha=(1.0, 1.0), b=2.0), g) for g in reversal),
+            tuple(
+                (EmpiricalStrategy(np.array([[0.5, 0.0]])), EmpiricalStrategy(np.array([x])))
+                for x in ([0.5, 0.0], [0.0, 0.5])
+            ),
+        )
+        save_dataset(d, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["audit", str(path), "--out-dir", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "audit_report.json").read_text())
+        assert report["ccei"] == [None, rp.ccei_scalar(d, 1)]
+        assert report["ccei"][1] == pytest.approx(0.5, abs=2e-4)
+
+    def test_audit_makes_four_closures(self, tmp_path, monkeypatch):
+        # one each for the gap and its certificates, mm_garp, garp_f_threshold and every CCEI
+        calls = []
+        close = rp._closure
+        monkeypatch.setattr(rp, "_closure", lambda W: calls.append(W.shape) or close(W))
+        path = tmp_path / "violating.json"
+        save_dataset(violating_dataset(T=8, M=3, k=3, seed=2), path)
+        assert main(["audit", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert calls == [(3, 8, 8)] * 4
 
     def test_audit_certificate_validation_failure_exits_two(self, tmp_path, capsys, monkeypatch):
         # a certificate that does not validate must reach the user, never a report

@@ -184,8 +184,12 @@ def _serial_best_response(g, x, i, fs):
     s = x.sum() - x[i]
     d2, c1 = g.theta[0], g.theta[1 + i]
     a = g.d1 - g.theta[4 + i]
-    quartic = [4 * a * a, -4 * a * c1, c1 * c1 + 4 * a * a * s - d2 * d2, -4 * a * c1 * s, c1 * c1 * s]
+    quartic = np.array([4 * a * a, -4 * a * c1, c1 * c1 + 4 * a * a * s - d2 * d2, -4 * a * c1 * s, c1 * c1 * s])
+    # the stacked path's guard: strip a leading coefficient whose companion row overflows
+    quartic = np.trim_zeros(quartic, "f")
     with np.errstate(over="ignore"):
+        while quartic.size > 1 and not np.isfinite(quartic[1:] / quartic[0]).all():
+            quartic = np.trim_zeros(quartic[1:], "f")
         squares = np.roots(quartic).real ** 2
     cands = np.concatenate([[lo, hi], np.clip(squares, lo, hi)])
 
@@ -323,6 +327,21 @@ class TestBestResponse:
             assert g.payoff(joint, i) >= _river_grid_max(g, x, i, lo, hi) - 1e-12
 
 
+    def test_river_subnormal_leading_coefficient(self):
+        # agent 1 has a = d1 - c2 = -5e-324: 4a² underflows to 0 and the companion
+        # row of the subnormal -4a·c1 overflows, which once made eigvals raise
+        g = RiverPollutionGame(np.array([0.0, 0.0, 1.0, 0.0, 0.0, 5e-324, 0.0]), d1=0.0, cap=1.0)
+        probes = river_probes(g, T=1, seed=0)
+        d = collect_dataset(g, probes)
+        X = np.array([[d.strategies[0][i].samples[0, 0] for i in range(g.M)]])
+        lo, hi = probe_bounds(probes, g.M)
+        Z = g.best_responses(X, lo, hi)
+        assert np.all((lo <= Z) & (Z <= hi))
+        grid = np.linspace(lo, hi, 20_001, axis=-1)  # (1, M, 20001)
+        best = g.deviation_payoffs(X, Z)
+        assert np.all(best >= g.deviation_payoffs(X, grid).max(axis=-1) - 1e-12)
+
+
 class TestStackedPlayMatchesSerialReference:
     """The stacked path gives the serial per-agent, per-period results bit for bit."""
 
@@ -345,6 +364,8 @@ class TestStackedPlayMatchesSerialReference:
             ([0.5, 0.3, 0.4, 0.5, 0.2, 0.3, 0.4], 3.0, "degree one"),
             # d2 = 0, c1 = 0 and d1 == c2 for agent 0: an all-zero quartic
             ([0.0, 0.0, 0.4, 0.5, 1.5, 0.3, 0.4], 1.5, "all zero"),
+            # a = -5e-324 for agent 1: the leading coefficient is subnormal
+            ([0.0, 0.0, 1.0, 0.0, 0.0, 5e-324, 0.0], 0.0, "subnormal leading"),
         ],
     )
     def test_degenerate_quartics(self, theta, d1, case):

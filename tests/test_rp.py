@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pareto_forge import lp
+from pareto_forge import lp, rp
 from pareto_forge.core import ConstraintFunction, EmpiricalStrategy, Family, RPDataset
 from pareto_forge.lp import TOL_LP
 from pareto_forge.rp import (
@@ -15,8 +15,10 @@ from pareto_forge.rp import (
     _closure,
     _critical_levels,
     _garp,
+    _normalize_agent_cert,
     PreferenceProfile,
     afriat_feasible,
+    ccei_all,
     ccei_scalar,
     empirical_pareto_gap,
     garp_f,
@@ -112,6 +114,59 @@ def _reference_gap(d):
         else:
             lo = mid
     return hi
+
+
+# --- serial reference: one boolean closure per GARP test and per agent certificate ---
+
+
+def _serial_garp(W, level):
+    """GARP on the relation W >= level of one (T, T) slice, from its own boolean closure."""
+    return not (_closure(W >= level).T & (W > level)).any()
+
+
+def _serial_certificate(gbar_i, r):
+    """Varian's component loop in numpy, closing the agent's relation gbar_i + r <= 0."""
+    c = gbar_i + r
+    T = c.shape[0]
+    reach = _closure(c <= 0) | np.eye(T, dtype=bool)
+    u = np.zeros(T)
+    lam = np.ones(T)
+    done = np.zeros(T, dtype=bool)
+    for m in np.argsort(reach.sum(axis=0), kind="stable"):
+        if done[m]:
+            continue
+        comp = np.flatnonzero(reach[m] & reach[:, m])
+        prev = np.flatnonzero(done)
+        if prev.size:
+            u[comp] = (u[prev, None] + lam[prev, None] * c[prev[:, None], comp]).min()
+            lam[comp] = np.maximum(1.0, ((u[prev] - u[m]) / c[comp[:, None], prev]).max(axis=1))
+        done[comp] = True
+    return u, lam
+
+
+def _serial_points(d, levels, alpha):
+    """The agents' normalised certificates at their levels, as (u, lam) stacks."""
+    points = [
+        _normalize_agent_cert(*_serial_certificate(d.gbar[:, :, i], r), alpha) for i, r in enumerate(levels)
+    ]
+    return tuple(np.column_stack(p) for p in zip(*points))
+
+
+def _serial_gap(d, alpha=rp.ALPHA_DEFAULT):
+    """(gap, per-agent gaps, certificate level, u, lam), one agent and one closure at a time."""
+    gaps, levels = [], []
+    for i in range(d.M):
+        W = -d.gbar[:, :, i]
+        gap = max(0.0, float(np.diagonal(_closure(W)).max()))
+        gaps.append(gap)
+        levels.append(gap if _serial_garp(W, gap) else gap + TOL_R)
+    return (max(gaps), tuple(gaps), float(max(levels)), *_serial_points(d, levels, alpha))
+
+
+def _serial_afriat(d, r, alpha=rp.ALPHA_DEFAULT):
+    if not all(_serial_garp(-d.gbar[:, :, i], r) for i in range(d.M)):
+        return False, None
+    return True, _serial_points(d, [r] * d.M, alpha)
 
 
 class TestMmGarp:
@@ -269,6 +324,60 @@ class TestParetoGap:
         assert mm_garp(d) == (pareto_gap(d).gap <= 1e-5)
 
 
+class TestOneClosurePerGap:
+    """pareto_gap and afriat_feasible read everything from one closure of -gbar."""
+
+    @pytest.fixture
+    def closures(self, monkeypatch):
+        calls = []
+        close = rp._closure
+
+        def counted(W):
+            calls.append(W.shape)
+            return close(W)
+
+        monkeypatch.setattr(rp, "_closure", counted)
+        return calls
+
+    def test_pareto_gap_closes_once(self, closures):
+        d = violating_dataset(T=8, M=3, k=3, seed=2)
+        pareto_gap(d)
+        assert closures == [(3, 8, 8)]
+
+    @pytest.mark.parametrize("frac", [0.5, 2.0])
+    def test_afriat_feasible_closes_once(self, closures, frac):
+        d = violating_dataset(T=8, M=3, k=3, seed=2)
+        gap = pareto_gap(d).gap
+        closures.clear()
+        assert afriat_feasible(d, frac * gap)[0] == (frac > 1)
+        assert closures == [(3, 8, 8)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        T=st.integers(2, 14),
+        M=st.integers(1, 3),
+        k=st.integers(2, 3),
+        violating=st.booleans(),
+    )
+    def test_matches_serial_reference(self, seed, T, M, k, violating):
+        d = (violating_dataset if violating else consistent_dataset)(T=T, M=M, k=k, seed=seed)
+        res = pareto_gap(d)
+        gap, per_agent, level, u, lam = _serial_gap(d)
+        assert repr(res.gap) == repr(gap)
+        assert repr(res.per_agent_gaps) == repr(per_agent)
+        assert repr(res.certificate.r) == repr(level)
+        assert res.certificate.u.tobytes() == u.tobytes()
+        assert res.certificate.lam.tobytes() == lam.tobytes()
+        for r in (0.0, 0.5 * gap, gap, level, level + 0.01, 2.0 * level + 0.1):
+            ok, cert = afriat_feasible(d, r)
+            ref_ok, ref = _serial_afriat(d, r)
+            assert ok == ref_ok
+            if ok:
+                assert cert.u.tobytes() == ref[0].tobytes()
+                assert cert.lam.tobytes() == ref[1].tobytes()
+
+
 class TestStackedClosure:
     """One closure over an (M, T, T) stack is the M per-slice closures, bit for bit."""
 
@@ -294,6 +403,31 @@ class TestStackedClosure:
         assert _garp(W, levels[:, None, None]).tolist() == [
             bool(_garp(W[i], levels[i])) for i in range(M)
         ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        M=st.integers(1, 3),
+        T=st.integers(1, 8),
+        eta=st.sampled_from([0.0, 1e-12, 0.25, 1.0, 3.0]),
+    )
+    def test_critical_levels_are_lipschitz(self, seed, M, T, eta):
+        W = self._stack(seed, M, T)
+        rng = np.random.default_rng(seed + 1)
+        # each entry keeps its value, flips a zero's sign, or moves by at most eta
+        step = np.where(
+            rng.random((M, T, T)) < 0.5,
+            rng.choice(np.array([-eta, -0.0, 0.0, eta]), size=(M, T, T)),
+            rng.uniform(-eta, eta, (M, T, T)),
+        )
+        V = np.where((W == 0) & (rng.random((M, T, T)) < 0.5), -W, W + step)
+        # the largest move as the floats give it: the rounded sum may pass eta
+        moved = np.abs(V - W).max()
+        assert moved <= eta + np.spacing(np.abs(W).max() + eta)
+        # each level is an entry of its slice (the closure only takes max and
+        # min), so it moves by at most the largest exact entry move; rounding
+        # is monotone, so the float difference keeps that bound, with no tolerance
+        assert np.all(np.abs(_critical_levels(V) - _critical_levels(W)) <= moved)
 
 
 class TestGarpF:
@@ -355,6 +489,20 @@ class TestCcei:
     def test_asymmetric_reversal_efficiency_is_exact(self):
         # rho = [[1, 0.8], [0.5, 1]]: GARP_e fails for every e >= 0.8
         assert ccei_scalar(_asymmetric_reversal_dataset(), 0) == pytest.approx(0.8, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_all_agents_match_one_at_a_time(self, seed):
+        d = _random_dataset(seed)
+        assert ccei_all(d) == [ccei_scalar(d, i) for i in range(d.M)]
+
+    def test_all_agents_mark_undefined_ones(self):
+        # agent 0 plays 1.5 inside its own budget, agent 1 is a budget reversal
+        d = _reversal_dataset()
+        cons = tuple((_affine([1.0, 1.0], 2.0), row[0]) for row in d.constraints)
+        strats = tuple((EmpiricalStrategy(np.array([[0.5, 0.0]])), row[0]) for row in d.strategies)
+        mixed = RPDataset(cons, strats)
+        assert ccei_all(mixed) == [None, ccei_scalar(mixed, 1)]
+        assert ccei_all(mixed)[1] == ccei_scalar(d, 0)
 
 
 class TestHoeffdingConfidence:
