@@ -4,7 +4,8 @@ Constraint "probes" are the designer-chosen budget functions g_t^i used to
 excite the system; empirical strategies are finite sample clouds standing in
 for mixed strategies; a dataset bundles both over T periods and M agents and
 caches the matrix of expected budget values that every downstream test
-consumes.
+consumes.  :func:`affine_budgets` is the one decoder of an affine probe grid
+into its budget sets, read by both the game and the robust estimator.
 """
 
 from __future__ import annotations
@@ -27,12 +28,6 @@ class DimensionError(ValueError):
 class Family(str, Enum):
     AFFINE = "affine"
     LOG_SIGMOID = "log_sigmoid"
-
-
-class Kind(str, Enum):
-    AFFINE = "affine"
-    LOG_SIGMOID = "log_sigmoid"
-    SHIFTED_BASE = "shifted_base"
 
 
 def _sigmoid(z: NDArray[np.float64] | float):
@@ -67,12 +62,6 @@ class ConstraintFunction:
             raise DimensionError(
                 f"shift direction has length {len(self.beta)}, expected {self.dim}"
             )
-
-    @property
-    def kind(self) -> Kind:
-        if self.a_t != 0.0:
-            return Kind.SHIFTED_BASE
-        return Kind(self.family.value)
 
     def shifted(self, a_t: float, beta: Sequence[float]) -> "ConstraintFunction":
         """Return g(. - a_t*beta) built on the same base.
@@ -110,6 +99,48 @@ def eval_constraint_many(f: ConstraintFunction, X: NDArray[np.float64]) -> NDArr
         return X @ np.asarray(f.alpha, dtype=float) - f.b
     # log(2*sigma(sum x_j)); sigma(0) = 1/2 so the origin sits on the zero level set
     return np.log(2.0 * _sigmoid(X.sum(axis=1)))
+
+
+def affine_budgets(constraints, bounded: bool = False):
+    """A T×M probe grid as (A, S, b), each (T, M, ·): g_t^i(γ) = A_t^i·(γ − S_t^i) − b_t^i.
+
+    This is the one reading of an affine probe's budget set {γ ≥ 0 : g(γ) ≤ 0}:
+    S is the shift a_t·β, and 0 for an unshifted probe.  Raises on an empty
+    grid, and on the first block, in row order, whose probe is not affine or,
+    when ``bounded``, whose budget set is not a bounded polytope.
+    """
+    if not constraints or not constraints[0]:
+        raise ValueError("the probe grid is empty")
+    for s, row in enumerate(constraints):
+        for i, f in enumerate(row):
+            if f.family is not Family.AFFINE:
+                raise ValueError(
+                    f"block (s={s}, i={i}): only affine probes define a polyhedral budget set"
+                )
+            if bounded and min(f.alpha) <= 0:
+                raise ValueError(
+                    f"block (s={s}, i={i}): budget row {list(f.alpha)} has a non-positive "
+                    "entry, so its budget set is unbounded"
+                )
+    T, M, k = len(constraints), len(constraints[0]), constraints[0][0].dim
+    probes = [f for row in constraints for f in row]
+    A = np.array([f.alpha for f in probes], dtype=float).reshape(T, M, k)
+    # the shift a_t·β; an unshifted probe subtracts nothing, as in eval_constraint_many
+    S = np.array(
+        [f.a_t * np.asarray(f.beta or np.zeros(k)) if f.a_t != 0.0 else np.zeros(k) for f in probes]
+    ).reshape(T, M, k)
+    b = np.array([f.b for f in probes], dtype=float).reshape(T, M)
+    return A, S, b
+
+
+def budget_values(budgets, X) -> NDArray[np.float64]:
+    """g_t^i at points X (…, n, k) broadcast against the (T, M) probes of
+    :func:`affine_budgets`: (T, M, n).
+
+    Rounds as :func:`eval_constraint_many` does, point for point.
+    """
+    A, S, b = budgets
+    return np.matmul(X - S[..., None, :], A[..., :, None])[..., 0] - b[..., None]
 
 
 @dataclass(frozen=True)

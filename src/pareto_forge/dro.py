@@ -16,10 +16,12 @@ Key structural fact used throughout: h(ψ, Φ) is a pointwise maximum of terms
 that each touch a single scenario block γ_s^i, so worst-case searches only
 ever need to deviate one block from the samples at a time.
 
-Only affine probes are supported.  Each budget is read once as
-g_t^i(γ) = A_t^i·(γ − S_t^i) − b_t^i, with S = a_t·β the probe's shift, and
-one batched product evaluates all of them; a dataset with another probe
-family is rejected with a ``ValueError`` naming its first such block.
+Only affine probes are supported.  Each budget is read once, by
+:func:`~pareto_forge.core.affine_budgets`, as g_t^i(γ) = A_t^i·(γ − S_t^i) − b_t^i
+with S = a_t·β the probe's shift, and one batched product
+(:func:`~pareto_forge.core.budget_values`) evaluates all of them; a dataset
+with another probe family is rejected with a ``ValueError`` naming its first
+such block.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import Family, RPDataset
+from .core import RPDataset, affine_budgets, budget_values
 
 # slack within which an oracle candidate counts as inside its budget set or ball
 TOL_FACE = 1e-12
@@ -119,47 +121,10 @@ def _samples(d: RPDataset) -> NDArray[np.float64]:
     )
 
 
-def _affine_budgets(constraints, bounded: bool = False):
-    """A T×M probe grid as (A, S, b), each (T, M, ·): g_t^i(γ) = A_t^i·(γ − S_t^i) − b_t^i.
-
-    Raises on the first block, in row order, whose probe is not affine or,
-    when ``bounded``, whose budget set is not a bounded polytope.
-    """
-    for s, row in enumerate(constraints):
-        for i, f in enumerate(row):
-            if f.family is not Family.AFFINE:
-                raise ValueError(
-                    f"block (s={s}, i={i}): only affine probes define a polyhedral budget set"
-                )
-            if bounded and min(f.alpha) <= 0:
-                raise ValueError(
-                    f"block (s={s}, i={i}): budget row {list(f.alpha)} has a non-positive "
-                    "entry, so its budget set is unbounded"
-                )
-    T, M, k = len(constraints), len(constraints[0]), constraints[0][0].dim
-    probes = [f for row in constraints for f in row]
-    A = np.array([f.alpha for f in probes], dtype=float).reshape(T, M, k)
-    # the shift a_t·β; an unshifted probe subtracts nothing, as in eval_constraint_many
-    S = np.array(
-        [f.a_t * np.asarray(f.beta or np.zeros(k)) if f.a_t != 0.0 else np.zeros(k) for f in probes]
-    ).reshape(T, M, k)
-    b = np.array([f.b for f in probes], dtype=float).reshape(T, M)
-    return A, S, b
-
-
-def _budget_values(budgets, X) -> NDArray[np.float64]:
-    """g_t^i at points X (…, n, k) broadcast against the (T, M) probes: (T, M, n).
-
-    Rounds as :func:`~pareto_forge.core.eval_constraint_many` does, point for point.
-    """
-    A, S, b = budgets
-    return np.matmul(X - S[..., None, :], A[..., :, None])[..., 0] - b[..., None]
-
-
 def _cross_values(budgets, pts) -> NDArray[np.float64]:
     """g[t, s, i, n] = g_t^i(pts[s, i, n]) for points pts (T, M, n, k) per block."""
     T, M, n, k = pts.shape
-    g = _budget_values(budgets, pts.transpose(1, 0, 2, 3).reshape(1, M, T * n, k))
+    g = budget_values(budgets, pts.transpose(1, 0, 2, 3).reshape(1, M, T * n, k))
     return g.reshape(T, M, T, n).transpose(0, 2, 1, 3)
 
 
@@ -180,7 +145,7 @@ def h_value(psi: PsiVector, phi, d: RPDataset) -> float:
     for fixed utility numbers the smallest feasible relaxation r needs no LP.
     """
     phi = np.asarray(phi, dtype=float)
-    bt = _block_terms(_affine_budgets(d.constraints), psi, phi[:, :, None])  # one-sample scenario
+    bt = _block_terms(affine_budgets(d.constraints), psi, phi[:, :, None])  # one-sample scenario
     return float(max(0.0, bt.max()))
 
 
@@ -204,7 +169,7 @@ def _cut_data(d: RPDataset, samples, scen: ScenarioSet):
     phis = np.stack([phi for cuts in scen.cuts for phi in cuts])  # (J, T, M, k)
     kidx = np.repeat(np.arange(scen.N), [len(cuts) for cuts in scen.cuts])
     gaps = np.linalg.norm(phis - samples[:, :, kidx].transpose(2, 0, 1, 3), axis=-1)
-    G = _cross_values(_affine_budgets(d.constraints), phis.transpose(1, 2, 0, 3))  # (T, T, M, J)
+    G = _cross_values(affine_budgets(d.constraints), phis.transpose(1, 2, 0, 3))  # (T, T, M, J)
     dists = gaps.reshape(len(phis), -1).sum(axis=1)
     return np.ascontiguousarray(G.transpose(3, 0, 1, 2)), dists, kidx
 
@@ -385,7 +350,7 @@ def _face_points(budgets, anchors):
     """
     A = budgets[0]
     T, M, k = A.shape
-    rhs = -_budget_values(budgets, np.zeros(k))[..., 0]  # g(γ) = α·γ − rhs
+    rhs = -budget_values(budgets, np.zeros(k))[..., 0]  # g(γ) = α·γ − rhs
     free = (np.arange(2**k)[:, None] >> np.arange(k)) & 1  # (2^k, k); row 0 is the origin
     am = (free * A[:, :, None, :])[:, :, 1:]
     norm2 = (am * am).sum(axis=-1)
@@ -406,7 +371,7 @@ def _in_budget(budgets, cands):
     inside = (cands >= -TOL_FACE).all(axis=-1)
     cands = np.maximum(cands, 0.0)
     T, M, *_, k = cands.shape
-    g = _budget_values(budgets, cands.reshape(T, M, -1, k))
+    g = budget_values(budgets, cands.reshape(T, M, -1, k))
     return cands, inside & (g.reshape(inside.shape) <= TOL_FACE)
 
 
@@ -451,7 +416,7 @@ def _cv_all(state: DROState, d: RPDataset, samples):
     psi, v_hat = state.psi_hat, state.v_hat
     T, M, N, kdim = samples.shape
     v_n1 = float(v_hat[-1])
-    budgets = _affine_budgets(d.constraints, bounded=True)
+    budgets = affine_budgets(d.constraints, bounded=True)
     bt = _block_terms(budgets, psi, samples)
     rest = _rest_tensor(bt)
     base_h = np.maximum(bt.reshape(T * M, N).max(axis=0), 0.0)  # (N,)
@@ -559,7 +524,7 @@ def robust_gap(psi_hat: PsiVector, d: RPDataset, eps: float) -> float:
     """
     samples = _samples(d)
     T, M, N, kdim = samples.shape
-    budgets = _affine_budgets(d.constraints, bounded=True)
+    budgets = affine_budgets(d.constraints, bounded=True)
     best = max(0.0, float(_block_terms(budgets, psi_hat, samples).max()))
     feet, dist, q = _face_points(budgets, samples)
     qn = np.sqrt((q * q).sum(axis=-1, keepdims=True))

@@ -6,7 +6,9 @@ both for a stack of P independent plays at once; Nash equilibria are computed
 by the relaxation method driven by the Nikaido-Isoda function, every play of
 the stack a lane of one loop; ``collect_dataset`` plays the game under a
 sequence of budget probes, all periods in one stacked solve, and records the
-observed strategies in the revealed-preference dataset format.
+observed strategies in the revealed-preference dataset format.  Every budget
+is an interval: ``probe_bounds`` reads it from the scalar affine probe by
+:func:`~pareto_forge.core.affine_budgets`, and other probes are rejected.
 
 The flagship instance is a three-agent river-pollution game with a
 seven-dimensional mechanism parameter θ (demand slope plus per-agent cost
@@ -22,11 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import ConstraintFunction, EmpiricalStrategy, Family, RPDataset
+from .core import ConstraintFunction, EmpiricalStrategy, Family, RPDataset, affine_budgets
 
 TOL_NE = 1e-5
 MAX_OUTER = 500
-PROJECT_SWEEPS = 50
 
 
 # --- feasible sets ------------------------------------------------------------
@@ -34,12 +35,10 @@ PROJECT_SWEEPS = 50
 
 @dataclass(frozen=True)
 class AgentFeasibleSet:
-    """Convex feasible set for one agent: a box intersected with A x <= b."""
+    """One agent's budget interval [lower, upper]."""
 
     lower: NDArray[np.float64]
     upper: NDArray[np.float64]
-    A: NDArray[np.float64] | None = None
-    b: NDArray[np.float64] | None = None
 
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
@@ -48,71 +47,20 @@ class AgentFeasibleSet:
             raise ValueError("invalid box bounds")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        if self.A is not None:
-            A = np.asarray(self.A, dtype=float).reshape(-1, lo.size)
-            b = np.asarray(self.b, dtype=float).reshape(-1)
-            if A.shape[0] != b.size:
-                raise ValueError("A and b disagree on row count")
-            object.__setattr__(self, "A", A)
-            object.__setattr__(self, "b", b)
-
-    @property
-    def dim(self) -> int:
-        return self.lower.size
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)
-        if np.any(x < self.lower - tol) or np.any(x > self.upper + tol):
-            return False
-        if self.A is not None and np.any(self.A @ x > self.b + tol):
-            return False
-        return True
+        return not (np.any(x < self.lower - tol) or np.any(x > self.upper + tol))
 
     def project(self, x) -> NDArray[np.float64]:
-        """Project onto the set by alternating box clips and halfspace projections."""
-        y = np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
-        if self.A is None:
-            return y
-        for _ in range(PROJECT_SWEEPS):
-            moved = False
-            for row, rhs in zip(self.A, self.b):
-                excess = row @ y - rhs
-                if excess > 1e-12:
-                    y = y - excess * row / (row @ row)
-                    moved = True
-            y = np.clip(y, self.lower, self.upper)
-            if not moved and self.contains(y):
-                break
-        return y
-
-
-def _budget_rhs(probe: ConstraintFunction) -> float:
-    """rhs of an affine probe's budget <alpha, x> <= rhs, i.e. g(x) <= 0."""
-    if probe.family is not Family.AFFINE:
-        raise ValueError("only affine probes define a polyhedral feasible set")
-    # g(x) = <alpha, x - a_t*beta> - b <= 0
-    rhs = probe.b
-    if probe.a_t:
-        alpha = np.asarray(probe.alpha, dtype=float)
-        rhs += float(alpha @ (probe.a_t * np.asarray(probe.beta, dtype=float)))
-    return rhs
-
-
-def _budget_upper(alpha, rhs):
-    """Largest x_j >= 0 with alpha_j * x_j <= rhs: +inf where alpha_j <= 0."""
-    hi = np.where(alpha > 0, rhs / np.where(alpha > 0, alpha, 1.0), np.inf)
-    return np.maximum(hi, 0.0)
+        """The nearest point of the interval: x clipped to [lower, upper]."""
+        return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
 
 
 def probe_feasible_set(probe: ConstraintFunction) -> AgentFeasibleSet:
-    """Feasible set {x >= 0 : g(x) <= 0} of an affine increasing probe."""
-    rhs = _budget_rhs(probe)
-    alpha = np.asarray(probe.alpha, dtype=float)
-    lo = np.zeros(probe.dim)
-    hi = _budget_upper(alpha, rhs)
-    if probe.dim == 1:
-        return AgentFeasibleSet(lo, hi)
-    return AgentFeasibleSet(lo, hi, A=alpha[None, :], b=np.array([rhs]))
+    """Feasible interval {x >= 0 : g(x) <= 0} of a scalar affine probe."""
+    lo, hi = probe_bounds(((probe,),), 1)
+    return AgentFeasibleSet(lo[0], hi[0])
 
 
 def probe_bounds(
@@ -120,8 +68,10 @@ def probe_bounds(
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Budget intervals [lo, hi] of a table of scalar affine probes, as two (T, M) arrays.
 
-    Entry (t, i) is ``probe_feasible_set(probes[t][i])``'s interval.  Stacked
-    play needs interval budgets, so a probe of dimension above 1 is rejected.
+    Probe (t, i) reads, by :func:`~pareto_forge.core.affine_budgets`, as
+    α·(x − S) − b ≤ 0 on x ≥ 0, so hi = (b + α·S)/α where α > 0 and +inf
+    otherwise, floored at 0.  Stacked play needs interval budgets, so a probe
+    of dimension above 1 is rejected.
     """
     for t, row in enumerate(probes):
         if len(row) != M:
@@ -132,9 +82,10 @@ def probe_bounds(
                     f"play needs interval budgets: the period {t} probe of agent {i} "
                     f"has dimension {p.dim}"
                 )
-    rhs = np.array([[_budget_rhs(p) for p in row] for row in probes], dtype=float)
-    alpha = np.array([[p.alpha[0] for p in row] for row in probes], dtype=float)
-    hi = _budget_upper(alpha, rhs).reshape(len(probes), M)
+    A, S, b = affine_budgets(probes)
+    alpha = A[..., 0]
+    rhs = b + alpha * S[..., 0]
+    hi = np.maximum(np.where(alpha > 0, rhs / np.where(alpha > 0, alpha, 1.0), np.inf), 0.0)
     return np.zeros_like(hi), hi
 
 
@@ -318,11 +269,6 @@ class RiverPollutionGame(GameInterface):
         cands = np.concatenate([lo_c, hi_c, np.clip(squares, lo_c, hi_c)], axis=1).reshape(*X.shape, 6)
         best = self.deviation_payoffs(X, cands).argmax(axis=-1)
         return np.take_along_axis(cands, best[..., None], axis=-1)[..., 0]
-
-
-def payoff(g: GameInterface, x, i: int) -> float:
-    """Agent i's payoff at the joint action x."""
-    return g.payoff(np.asarray(x, dtype=float), i)
 
 
 def nikaido_isoda(g: GameInterface, x, y) -> NDArray[np.float64]:

@@ -367,6 +367,12 @@ class TestSpsaCommand:
         assert manifest["final_loss"] is None
         assert not (out / "spsa_trace.csv").exists()
 
+    def test_negative_iterations_rejected_writing_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["spsa", "--max-iters", "-3", "--out-dir", str(out)]) == 2
+        assert "max_iters must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_writes_trace_and_manifest(self, tmp_path):
         out = tmp_path / "out"
         cfg_path = tmp_path / "cfg.json"

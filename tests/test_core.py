@@ -16,7 +16,6 @@ from pareto_forge.core import (
     DimensionError,
     EmpiricalStrategy,
     Family,
-    Kind,
     ParetoCertificate,
     ProbeSpec,
     RPDataset,
@@ -55,12 +54,6 @@ class TestConstraintFunction:
         g = f.shifted(0.3, (1.0, 0.0))
         x = np.array([1.0, 1.0])
         assert g(x) == pytest.approx(f(x - 0.3 * np.array([1.0, 0.0])))
-
-    def test_kind_property(self):
-        f = _affine([1.0], 0.0)
-        assert f.kind is Kind.AFFINE
-        assert f.shifted(0.5, (1.0,)).kind is Kind.SHIFTED_BASE
-        assert ConstraintFunction(Family.LOG_SIGMOID, 1).kind is Kind.LOG_SIGMOID
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(DimensionError):
@@ -277,7 +270,7 @@ class TestBudgetMatrix:
             # a single-sample play inside a stacked matrix-vector product (instead
             # of numpy's one-row dot) may round differently when k >= 2
             single_in_gemv = k >= 2 and 1 in n and not (
-                equal and all(f.kind == Kind.AFFINE for f in (row[i] for row in cons))
+                equal and all(f.family is Family.AFFINE and f.a_t == 0.0 for f in (row[i] for row in cons))
             )
             if equal and not single_in_gemv:
                 assert np.array_equal(gbar[:, :, i], ref[:, :, i])

@@ -12,6 +12,8 @@ from pareto_forge.core import (
     EmpiricalStrategy,
     Family,
     RPDataset,
+    affine_budgets,
+    budget_values,
     eval_constraint_many,
 )
 from pareto_forge.dro import (
@@ -576,11 +578,11 @@ class TestAffineEvaluator:
             [_random_probe(rng, k, shift == "all" or (shift == "mixed" and rng.random() < 0.5)) for _ in range(M)]
             for _ in range(T)
         ]
-        budgets = dro._affine_budgets(cons)
+        budgets = affine_budgets(cons)
         pts = rng.uniform(0.0, 3.0, size=(T, M, n, k))
         pts[rng.random(pts.shape) < 0.2] = 0.0
-        own = dro._budget_values(budgets, pts)  # probe (t, i) at the n points of block (t, i)
-        shared = dro._budget_values(budgets, pts[0, 0])  # every probe at the points of block (0, 0)
+        own = budget_values(budgets, pts)  # probe (t, i) at the n points of block (t, i)
+        shared = budget_values(budgets, pts[0, 0])  # every probe at the points of block (0, 0)
         cross = dro._cross_values(budgets, pts)  # probe (t, i) at the T·n points of agent i
         for t in range(T):
             for i in range(M):

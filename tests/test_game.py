@@ -19,7 +19,6 @@ from pareto_forge.game import (
     best_deviation,
     collect_dataset,
     nikaido_isoda,
-    payoff,
     probe_bounds,
     probe_feasible_set,
     relaxation_nash,
@@ -60,22 +59,16 @@ class QuadraticGame(GameInterface):
 
 
 class TestAgentFeasibleSet:
-    def test_contains_box_and_halfspace(self):
-        fs = AgentFeasibleSet(
-            np.zeros(2), np.ones(2), A=np.array([[1.0, 1.0]]), b=np.array([1.5])
-        )
-        assert fs.contains([0.5, 0.5])
-        assert not fs.contains([1.0, 1.0])  # violates the halfspace
-        assert not fs.contains([-0.1, 0.0])
+    def test_contains_interval(self):
+        fs = AgentFeasibleSet(np.zeros(1), np.array([1.5]))
+        assert fs.contains([0.5])
+        assert not fs.contains([2.0])
+        assert not fs.contains([-0.1])
 
-    def test_project_onto_halfspace(self):
-        fs = AgentFeasibleSet(
-            np.zeros(2), np.full(2, 10.0), A=np.array([[1.0, 1.0]]), b=np.array([2.0])
-        )
-        y = fs.project([3.0, 3.0])
-        assert fs.contains(y, tol=1e-8)
-        # orthogonal projection of (3,3) onto x+y=2 is (1,1)
-        assert np.allclose(y, [1.0, 1.0], atol=1e-8)
+    def test_project_clips_to_interval(self):
+        fs = AgentFeasibleSet(np.array([1.0]), np.array([2.0]))
+        assert np.array_equal(fs.project([3.0]), [2.0])
+        assert np.array_equal(fs.project([-1.0]), [1.0])
 
     def test_project_is_identity_on_feasible_points(self):
         fs = AgentFeasibleSet(np.zeros(1), np.array([5.0]))
@@ -86,28 +79,82 @@ class TestAgentFeasibleSet:
             AgentFeasibleSet(np.ones(2), np.zeros(2))
 
 
+# --- serial reference for budget intervals: one probe at a time ---------------
+
+
+def _budget_rhs(probe):
+    """rhs of an affine probe's budget <alpha, x> <= rhs, i.e. g(x) <= 0."""
+    if probe.family is not Family.AFFINE:
+        raise ValueError("only affine probes define a polyhedral feasible set")
+    # g(x) = <alpha, x - a_t*beta> - b <= 0
+    rhs = probe.b
+    if probe.a_t:
+        alpha = np.asarray(probe.alpha, dtype=float)
+        rhs += float(alpha @ (probe.a_t * np.asarray(probe.beta, dtype=float)))
+    return rhs
+
+
+def _budget_upper(alpha, rhs):
+    """Largest x_j >= 0 with alpha_j * x_j <= rhs: +inf where alpha_j <= 0."""
+    hi = np.where(alpha > 0, rhs / np.where(alpha > 0, alpha, 1.0), np.inf)
+    return np.maximum(hi, 0.0)
+
+
+# signed zeros, subnormal and huge magnitudes, and ordinary values of both signs
+_coef = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]) | st.floats(-10.0, 10.0)
+
+
+@st.composite
+def _scalar_probe(draw):
+    f = ConstraintFunction(Family.AFFINE, 1, alpha=(draw(_coef),), b=draw(_coef))
+    if draw(st.booleans()):
+        f = f.shifted(draw(_coef), (draw(_coef),))
+    return f
+
+
 class TestProbeFeasibleSet:
     def test_interval_for_scalar_probe(self):
         f = ConstraintFunction(Family.AFFINE, 1, alpha=(2.0,), b=10.0)
         fs = probe_feasible_set(f)
         assert fs.lower[0] == 0.0
         assert fs.upper[0] == pytest.approx(5.0)
-        assert fs.A is None
 
     def test_shift_moves_interval(self):
         f = ConstraintFunction(Family.AFFINE, 1, alpha=(2.0,), b=10.0)
         fs = probe_feasible_set(f.shifted(1.0, (1.0,)))
         assert fs.upper[0] == pytest.approx(6.0)
 
-    def test_multivariate_probe_keeps_halfspace(self):
+    def test_multivariate_probe_rejected(self):
         f = ConstraintFunction(Family.AFFINE, 2, alpha=(1.0, 2.0), b=4.0)
-        fs = probe_feasible_set(f)
-        assert fs.contains([1.0, 1.0])
-        assert not fs.contains([4.0, 1.0])
+        with pytest.raises(ValueError, match="play needs interval budgets"):
+            probe_feasible_set(f)
+        with pytest.raises(ValueError, match="play needs interval budgets"):
+            probe_bounds(((f,),), 1)
 
     def test_non_affine_probe_rejected(self):
         with pytest.raises(ValueError):
             probe_feasible_set(ConstraintFunction(Family.LOG_SIGMOID, 1))
+        with pytest.raises(ValueError, match=r"block \(s=0, i=0\): only affine"):
+            probe_bounds(((ConstraintFunction(Family.LOG_SIGMOID, 1),),), 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(T=st.integers(1, 4), M=st.integers(1, 3), data=st.data())
+    def test_matches_the_serial_reference(self, T, M, data):
+        probes = tuple(tuple(data.draw(_scalar_probe()) for _ in range(M)) for _ in range(T))
+        # huge coefficients overflow to inf on both paths alike
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo, hi = probe_bounds(probes, M)
+            sets = [[probe_feasible_set(p) for p in row] for row in probes]
+            ref = [
+                [_budget_upper(np.asarray(p.alpha, dtype=float), _budget_rhs(p)) for p in row]
+                for row in probes
+            ]
+        assert lo.tobytes() == np.zeros((T, M)).tobytes()
+        assert hi.tobytes() == np.concatenate([np.concatenate(row) for row in ref]).tobytes()
+        for row_sets, row_ref in zip(sets, ref):
+            for fs, upper in zip(row_sets, row_ref):
+                assert fs.lower.tobytes() == np.zeros(1).tobytes()
+                assert fs.upper.tobytes() == upper.tobytes()
 
 
 class TestRiverPollutionGame:
@@ -119,11 +166,6 @@ class TestRiverPollutionGame:
         assert g.payoff(x, 0) == pytest.approx(12.0 - 1.5 - 0.4 - 0.4)
         # agent 2: 3*4 - 0.5*3 - 0.4*2 - 0.3*4
         assert g.payoff(x, 2) == pytest.approx(12.0 - 1.5 - 0.8 - 1.2)
-
-    def test_module_level_payoff_delegates(self):
-        g = RiverPollutionGame(np.full(7, 0.5))
-        x = np.array([1.0, 2.0, 3.0])
-        assert payoff(g, x, 1) == g.payoff(x, 1)
 
     def test_negative_action_rejected(self):
         g = RiverPollutionGame(np.full(7, 0.5))
@@ -546,6 +588,11 @@ class TestCollectDataset:
         probes = river_probes(g, T=1, seed=0)
         with pytest.raises(ValueError):
             collect_dataset(g, probes, N=0)
+
+    def test_empty_probe_table_rejected(self):
+        g = RiverPollutionGame(np.full(7, 0.5))
+        with pytest.raises(ValueError, match="empty"):
+            collect_dataset(g, ())
 
     def test_incomplete_probe_row_rejected(self):
         g = RiverPollutionGame(np.full(7, 0.5))

@@ -42,6 +42,8 @@ class TestConfig:
             _cfg(eta=0.1)
         with pytest.raises(ValueError):
             _cfg(theta_box=np.array([[1.0, 0.0]]))
+        with pytest.raises(ValueError, match="max_iters must be >= 0, got -3"):
+            _cfg(max_iters=-3)
 
     def test_projection_clamps_to_box(self):
         cfg = _cfg(theta_box=np.array([[0.0, 1.0], [0.0, 1.0]]))
