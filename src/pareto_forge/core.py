@@ -11,6 +11,7 @@ into its budget sets, read by both the game and the robust estimator.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
@@ -41,7 +42,8 @@ class ConstraintFunction:
     Two closed forms are supported: affine ``<alpha, x> - b`` and the
     log-sigmoid ``log(2*sigma(sum x_j))``.  A nonzero shift ``a_t`` along the
     direction ``beta`` turns either base into the shifted probe
-    ``g(x - a_t * beta)``.
+    ``g(x - a_t * beta)``.  ``family`` may be given as its string value
+    (``"affine"``); it is stored as the :class:`Family` member.
     """
 
     family: Family
@@ -52,6 +54,8 @@ class ConstraintFunction:
     beta: tuple[float, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.family, Family):
+            object.__setattr__(self, "family", Family(self.family))
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.family == Family.AFFINE and len(self.alpha) != self.dim:
@@ -75,6 +79,11 @@ class ConstraintFunction:
 
     def __call__(self, x) -> float:
         return eval_constraint(self, x)
+
+
+def _coefficients(f: ConstraintFunction) -> tuple[float, ...]:
+    """Every coefficient of a probe: α, b, a_t and β."""
+    return (*f.alpha, f.b, f.a_t, *f.beta)
 
 
 def eval_constraint(f: ConstraintFunction, x) -> float:
@@ -106,13 +115,16 @@ def affine_budgets(constraints, bounded: bool = False):
 
     This is the one reading of an affine probe's budget set {γ ≥ 0 : g(γ) ≤ 0}:
     S is the shift a_t·β, and 0 for an unshifted probe.  Raises on an empty
-    grid, and on the first block, in row order, whose probe is not affine or,
-    when ``bounded``, whose budget set is not a bounded polytope.
+    grid, and on the first block, in row order, that has a non-finite
+    coefficient, whose probe is not affine or, when ``bounded``, whose budget
+    set is not a bounded polytope; so no arithmetic reads a bad coefficient.
     """
     if not constraints or not constraints[0]:
         raise ValueError("the probe grid is empty")
     for s, row in enumerate(constraints):
         for i, f in enumerate(row):
+            if not all(map(math.isfinite, _coefficients(f))):
+                raise ValueError(f"constraint ({s},{i}) has a non-finite coefficient")
             if f.family is not Family.AFFINE:
                 raise ValueError(
                     f"block (s={s}, i={i}): only affine probes define a polyhedral budget set"
@@ -181,13 +193,13 @@ def expected_constraint(f: ConstraintFunction, s: EmpiricalStrategy) -> float:
 
 def _check_finite(cons, strats) -> None:
     """Raise on the first (t, i), in row order, with a non-finite coefficient or sample."""
-    coefs = [v for row in cons for f in row for v in (*f.alpha, f.b, f.a_t, *f.beta)]
+    coefs = [v for row in cons for f in row for v in _coefficients(f)]
     samples = np.concatenate([s.samples.ravel() for row in strats for s in row])
     if np.isfinite(coefs).all() and np.isfinite(samples).all():
         return
     for t, (row_c, row_s) in enumerate(zip(cons, strats)):
         for i, (f, s) in enumerate(zip(row_c, row_s)):
-            if not np.isfinite([*f.alpha, f.b, f.a_t, *f.beta]).all():
+            if not np.isfinite(_coefficients(f)).all():
                 raise ValueError(f"constraint ({t},{i}) has a non-finite coefficient")
             if not np.isfinite(s.samples).all():
                 raise ValueError(f"strategy ({t},{i}) has a non-finite sample")

@@ -218,7 +218,7 @@ def _lane_objective(seg_max, v_n1, segs: _Segments, eps, N, two_v):
     return eps * v_n1 + v.sum(axis=1) / N, v
 
 
-def _lane_descent(u, lam, v_n1, cut_data, segs: _Segments, eps, N, two_v, box):
+def _lane_descent(u, lam, v_n1, cut_data, segs: _Segments, eps, N, two_v, box, incumbent):
     """Projected subgradient descent over ψ for fixed v_{N+1}, one lane per start.
 
     Each lane follows the iterates of a serial descent from its start: every
@@ -230,9 +230,20 @@ def _lane_descent(u, lam, v_n1, cut_data, segs: _Segments, eps, N, two_v, box):
     every later one return the same point.  So only the lanes that still
     move are scored, and the descent ends when none does; the serial
     descents' remaining steps would change no iterate and no best point.
+
+    A lane also stops once it can no longer be the round's winner.  Each of
+    its objectives is fl(ε·v_{N+1}) + fl(Σ_k v_k / N) with every v_k ≥ 0, and
+    rounding is monotone, so none is below its floor fl(ε·v_{N+1}).  It stops
+    when its floor is strictly above the smallest best objective of any lane
+    (the first minimiser wins a tie, so a tie keeps it) or at or above
+    ``incumbent``, the objective a winner must beat (+inf for none).  In the
+    serial descents its best is then neither the round's first minimiser nor
+    below ``incumbent`` either, so only that lane's own returned best may
+    differ from theirs.
     """
     u_lo, u_hi, l_lo, l_hi = box
     L, T, M = u.shape
+    floor = eps * v_n1
     # flat (t, s, i) term index -> flat (s, i) and (t, i) indices into a lane's T·M
     t, s, i = np.unravel_index(np.arange(T * T * M), (T, T, M))
     of_st = np.stack([s * M + i, t * M + i], axis=1)
@@ -245,7 +256,8 @@ def _lane_descent(u, lam, v_n1, cut_data, segs: _Segments, eps, N, two_v, box):
     for it in range(SUBGRAD_ITERS):
         # the first maximising cut of each k scores seg_max
         live = (seg_max > 0.0) & (seg_max < two_v)
-        active = live.any(axis=1)
+        f = floor[lanes]
+        active = live.any(axis=1) & (f <= best_obj.min()) & (f < incumbent)
         if not active.all():
             lanes, u, lam, live, entry = (a[active] for a in (lanes, u, lam, live, entry))
             if not lanes.size:
@@ -288,7 +300,10 @@ def master_solve(
     Outer refining grid over v_{N+1} ∈ [0, V/ε]; inner projected-subgradient
     descent over ψ with multistart, all V_GRID × MULTISTARTS descents of a
     round run as one batch; v_k recovered as the attained cut maxima
-    clipped to [0, 2V].
+    clipped to [0, 2V].  The second round passes the first round's best
+    objective as the incumbent it must beat, so its descents stop once their
+    floor ε·v_{N+1} reaches it (see :func:`_lane_descent`); the returned ψ, v
+    and objective are those of the serial descents.
     """
     rng = np.random.default_rng(cfg.seed if rng is None else rng)
     T, M, N = d.T, d.M, scen.N
@@ -319,7 +334,7 @@ def master_solve(
                 lam0[g, m] = rng.uniform(box[2], box[3], size=(T, M))
         u, lam, obj = _lane_descent(
             u0.reshape(-1, T, M), lam0.reshape(-1, T, M), np.repeat(grid, S),
-            cut_data, segs, eps, N, two_v, box,
+            cut_data, segs, eps, N, two_v, box, np.inf if best is None else best[3],
         )
         j = int(obj.argmin())
         if best is None or obj[j] < best[3]:

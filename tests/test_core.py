@@ -55,6 +55,14 @@ class TestConstraintFunction:
         x = np.array([1.0, 1.0])
         assert g(x) == pytest.approx(f(x - 0.3 * np.array([1.0, 0.0])))
 
+    def test_family_string_means_the_member(self):
+        f = ConstraintFunction("affine", 1, alpha=(1.0,), b=1.0)
+        assert f.family is Family.AFFINE
+        assert f == _affine([1.0], 1.0)
+        assert ConstraintFunction("log_sigmoid", 2).family is Family.LOG_SIGMOID
+        with pytest.raises(ValueError, match="not a valid Family"):
+            ConstraintFunction("quadratic", 1)
+
     def test_dimension_mismatch_raises(self):
         with pytest.raises(DimensionError):
             ConstraintFunction(Family.AFFINE, 2, alpha=(1.0,))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +31,7 @@ from pareto_forge.dro import (
     wasserstein_ball_check,
 )
 from pareto_forge import dro
+from pareto_forge.rp import pareto_gap
 from pareto_forge.synthetic import dro_instance
 
 
@@ -369,6 +372,60 @@ class TestMasterSolve:
         assert passes < 2 * dro.SUBGRAD_ITERS
         _assert_matches_serial(scen, d, 1.0, cfg)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seg_max=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4),
+        v_n1=st.floats(0.0, 1e6) | st.sampled_from([5e-324, 1e300]),
+        eps=st.sampled_from([0.001, 0.1, 1.0, 10.0, 1e-300]),
+        N=st.integers(1, 6),
+        two_v=st.floats(1e-3, 1e3),
+    )
+    def test_every_objective_is_at_least_its_floor(self, seg_max, v_n1, eps, N, two_v):
+        # the objective is fl(ε·v_{N+1}) + fl(Σ v_k / N) with every v_k >= 0
+        segs = dro._Segments(np.arange(min(len(seg_max), N)))
+        seg = np.array([seg_max[: len(segs.ks)]])
+        obj, v = dro._lane_objective(seg, np.array([v_n1]), segs, eps, N, two_v)
+        assert (v >= 0.0).all()
+        assert obj[0] >= eps * v_n1
+
+    def test_lanes_whose_floor_cannot_win_are_dropped(self, monkeypatch):
+        # round 1 drops the lanes whose floor ε·v_{N+1} is above the best objective
+        # any lane has reached; round 2 also those whose floor reaches round 1's best
+        d = dro_instance(T=4, M=2, N=4, seed=0)
+        cfg = DROConfig(lambda_hat=1.0, lam_max=10.0, seed=0)
+        scen = ScenarioSet(4)
+        _random_cuts(d, scen, np.random.default_rng(50))
+        eps, two_v = 1.0, 2.0 * cfg.big_v(dro._dataset_g_bound(d))
+        _assert_matches_serial(scen, d, eps, cfg)
+        incumbents, scored = [], []  # per round: the incumbent, and (v_{N+1}, objective) per pass
+        descent, score = dro._lane_descent, dro._lane_scores
+
+        def recorded_descent(*args):
+            incumbents.append(args[-1])
+            scored.append([])
+            return descent(*args)
+
+        def recorded_scores(u, lam, v_n1, cut_data, segs):
+            seg_max, entry = score(u, lam, v_n1, cut_data, segs)
+            obj, _ = dro._lane_objective(seg_max, v_n1, segs, eps, scen.N, two_v)
+            scored[-1].append((eps * v_n1, obj))
+            return seg_max, entry
+
+        monkeypatch.setattr(dro, "_lane_descent", recorded_descent)
+        monkeypatch.setattr(dro, "_lane_scores", recorded_scores)
+        master_solve(scen, d, eps=eps, cfg=cfg)
+        scored[-1].pop()  # master_solve's last pass rescores the winner
+        assert incumbents[0] == np.inf and incumbents[1] < np.inf
+        for incumbent, passes in zip(incumbents, scored):
+            best = np.minimum.accumulate([obj.min() for _floor, obj in passes])
+            for (floor, _obj), reached in zip(passes[1:], best):
+                assert (floor <= reached).all() and (floor < incumbent).all()
+        # the first pass scores every lane; each rule alone drops some of them
+        floor, obj = scored[0][0]
+        assert (floor > obj.min()).sum() == 24
+        floor, obj = scored[1][0]
+        assert ((floor >= incumbents[1]) & (floor <= obj.min())).sum() == 6
+
     def test_replaced_cut_lists_are_read_afresh(self):
         d = dro_instance(T=3, M=2, N=2, seed=2)
         scen = ScenarioSet(2)
@@ -499,6 +556,18 @@ class TestExchangeLoop:
     def test_invalid_delta_rejected(self):
         with pytest.raises(ValueError):
             exchange_loop(_small_dataset(), eps=1.0, delta=0.0)
+
+    def test_family_given_as_a_string_reads_as_the_member(self):
+        d = dro_instance(T=3, M=2, N=2, seed=4)
+        cons = tuple(tuple(replace(f, family=f.family.value) for f in row) for row in d.constraints)
+        s = RPDataset(cons, d.strategies)
+        assert all(f.family is Family.AFFINE for row in s.constraints for f in row)
+        assert pareto_gap(s).gap == pareto_gap(d).gap
+        cfg = DROConfig(seed=0)
+        psi_s, state_s, _ = exchange_loop(s, eps=1.0, delta=0.1, cfg=cfg)
+        psi_d, state_d, _ = exchange_loop(d, eps=1.0, delta=0.1, cfg=cfg)
+        assert state_s.certified and np.array_equal(state_s.v_hat, state_d.v_hat)
+        assert np.array_equal(psi_s.u, psi_d.u) and np.array_equal(psi_s.lam, psi_d.lam)
 
 
 class TestRobustGap:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,6 +138,29 @@ class TestProbeFeasibleSet:
             probe_feasible_set(ConstraintFunction(Family.LOG_SIGMOID, 1))
         with pytest.raises(ValueError, match=r"block \(s=0, i=0\): only affine"):
             probe_bounds(((ConstraintFunction(Family.LOG_SIGMOID, 1),),), 1)
+
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would fail the test
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            lambda x: {"alpha": (x,)},
+            lambda x: {"b": x},
+            lambda x: {"a_t": x, "beta": (1.0,)},
+            lambda x: {"a_t": 1.0, "beta": (x,)},
+        ],
+        ids=["alpha", "b", "a_t", "beta"],
+    )
+    def test_non_finite_coefficient_rejected_where_it_enters(self, fields, bad):
+        g = RiverPollutionGame(np.full(7, 0.5))
+        probes = [list(row) for row in river_probes(g, T=2, seed=0)]
+        probes[1][2] = replace(probes[1][2], **fields(bad))
+        probes = tuple(map(tuple, probes))
+        match = r"^constraint \(1,2\) has a non-finite coefficient$"
+        with pytest.raises(ValueError, match=match):
+            probe_bounds(probes, 3)
+        with pytest.raises(ValueError, match=match):
+            collect_dataset(g, probes)
 
     @settings(max_examples=200, deadline=None)
     @given(T=st.integers(1, 4), M=st.integers(1, 3), data=st.data())
