@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -81,9 +82,19 @@ class ConstraintFunction:
         return eval_constraint(self, x)
 
 
-def _coefficients(f: ConstraintFunction) -> tuple[float, ...]:
-    """Every coefficient of a probe: α, b, a_t and β."""
-    return (*f.alpha, f.b, f.a_t, *f.beta)
+def _plain_coefficients(grid) -> bool:
+    """Whether every coefficient of a probe grid is a finite float or int: the fast check."""
+    coefs = [v for row in grid for f in row for v in (*f.alpha, f.b, f.a_t, *f.beta)]
+    return {float, int}.issuperset(map(type, coefs)) and all(map(math.isfinite, coefs))
+
+
+def _check_coefficients(f: ConstraintFunction, t: int, i: int) -> None:
+    """Raise unless every coefficient of probe (t, i) is a finite real number, not a str or bool."""
+    coefs = (*f.alpha, f.b, f.a_t, *f.beta)
+    if not all(isinstance(v, Real) and not isinstance(v, bool) for v in coefs):
+        raise ValueError(f"constraint ({t},{i}) has a non-numeric coefficient")
+    if not all(map(math.isfinite, coefs)):
+        raise ValueError(f"constraint ({t},{i}) has a non-finite coefficient")
 
 
 def eval_constraint(f: ConstraintFunction, x) -> float:
@@ -115,16 +126,18 @@ def affine_budgets(constraints, bounded: bool = False):
 
     This is the one reading of an affine probe's budget set {γ ≥ 0 : g(γ) ≤ 0}:
     S is the shift a_t·β, and 0 for an unshifted probe.  Raises on an empty
-    grid, and on the first block, in row order, that has a non-finite
-    coefficient, whose probe is not affine or, when ``bounded``, whose budget
-    set is not a bounded polytope; so no arithmetic reads a bad coefficient.
+    grid, and on the first block, in row order, that has a non-numeric or
+    non-finite coefficient, whose probe is not affine or, when ``bounded``,
+    whose budget set is not a bounded polytope; so no arithmetic reads a bad
+    coefficient.
     """
     if not constraints or not constraints[0]:
         raise ValueError("the probe grid is empty")
+    plain = _plain_coefficients(constraints)
     for s, row in enumerate(constraints):
         for i, f in enumerate(row):
-            if not all(map(math.isfinite, _coefficients(f))):
-                raise ValueError(f"constraint ({s},{i}) has a non-finite coefficient")
+            if not plain:
+                _check_coefficients(f, s, i)
             if f.family is not Family.AFFINE:
                 raise ValueError(
                     f"block (s={s}, i={i}): only affine probes define a polyhedral budget set"
@@ -192,15 +205,13 @@ def expected_constraint(f: ConstraintFunction, s: EmpiricalStrategy) -> float:
 
 
 def _check_finite(cons, strats) -> None:
-    """Raise on the first (t, i), in row order, with a non-finite coefficient or sample."""
-    coefs = [v for row in cons for f in row for v in _coefficients(f)]
+    """Raise on the first (t, i), in row order, with a bad coefficient or a non-finite sample."""
     samples = np.concatenate([s.samples.ravel() for row in strats for s in row])
-    if np.isfinite(coefs).all() and np.isfinite(samples).all():
+    if _plain_coefficients(cons) and np.isfinite(samples).all():
         return
     for t, (row_c, row_s) in enumerate(zip(cons, strats)):
         for i, (f, s) in enumerate(zip(row_c, row_s)):
-            if not np.isfinite(_coefficients(f)).all():
-                raise ValueError(f"constraint ({t},{i}) has a non-finite coefficient")
+            _check_coefficients(f, t, i)
             if not np.isfinite(s.samples).all():
                 raise ValueError(f"strategy ({t},{i}) has a non-finite sample")
 
@@ -344,33 +355,6 @@ class ParetoCertificate:
         return self.max_violation(d) <= tol
 
 
-@dataclass(frozen=True)
-class ProbeSpec:
-    """Recipe for drawing T shifted copies of a base constraint."""
-
-    base: ConstraintFunction
-    beta: tuple[float, ...]
-    chi: tuple[float, float]
-    seed: int
-
-    def __post_init__(self):
-        lo, hi = self.chi
-        if not hi > lo:
-            raise ValueError(f"chi interval must have positive length, got {self.chi}")
-        if not any(v != 0 for v in self.beta):
-            raise ValueError("shift direction beta must be nonzero")
-
-
-def generate_probes(spec: ProbeSpec, T: int) -> list[ConstraintFunction]:
-    """Draw a_t ~ Uniform(chi) for t in [T] and return the shifted probes."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    rng = np.random.default_rng(spec.seed)
-    lo, hi = spec.chi
-    shifts = rng.uniform(lo, hi, size=T)
-    return [spec.base.shifted(float(a), spec.beta) for a in shifts]
-
-
 # --- dataset file format ----------------------------------------------------
 
 
@@ -389,8 +373,8 @@ def _constraint_from_json(obj: dict, dim: int) -> ConstraintFunction:
         family=Family(obj["kind"]),
         dim=dim,
         alpha=tuple(obj.get("alpha", ())),
-        b=float(obj.get("b", 0.0)),
-        a_t=float(obj.get("a_t", 0.0)),
+        b=obj.get("b", 0.0),
+        a_t=obj.get("a_t", 0.0),
         beta=tuple(obj.get("beta", ())),
     )
 

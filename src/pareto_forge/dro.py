@@ -6,10 +6,12 @@ empirical samples.  The resulting semi-infinite program is solved by the
 exchange (cutting) method:
 
 * the **master problem** minimizes ε·v_{N+1} + (1/N)·Σ_k v_k over the utility
-  numbers ψ = (u, λ) subject to the accumulated scenario cuts;
+  numbers ψ = (u, λ) subject to the accumulated scenario cuts, each v_k in
+  [0, 2V] with V = 2·U_BOUND/λ̂ + G;
 * the **constraint-violation oracle** returns the most violated scenario of
   the current master solution; for affine probes it is exact, a closed-form
-  candidate per face of each block's budget polytope;
+  candidate per face of each block's budget polytope, scored by its own
+  block's term alone;
 * the loop alternates the two until the maximum violation drops below δ.
 
 Key structural fact used throughout: h(ψ, Φ) is a pointwise maximum of terms
@@ -84,11 +86,10 @@ class ScenarioSet:
 
 @dataclass(frozen=True)
 class DROConfig:
-    """λ box, V bound, iteration budget and seed for the robust estimation loop."""
+    """λ box, iteration budget and seed for the robust estimation loop."""
 
     lambda_hat: float = 1.0  # lower bound of the λ box
     lam_max: float = 10.0
-    use_paper_v: bool = False  # V = 2·U_BOUND/λ̂ as printed; else + G, G from the dataset
     max_exchange_iters: int = 60
     seed: int = 0
 
@@ -99,10 +100,6 @@ class DROConfig:
             raise ValueError(
                 f"lam_max must be >= lambda_hat ({self.lambda_hat}), got {self.lam_max}"
             )
-
-    def big_v(self, G: float) -> float:
-        v = 2.0 * U_BOUND / self.lambda_hat
-        return v if self.use_paper_v else v + G
 
 
 def _dataset_g_bound(d: RPDataset) -> float:
@@ -307,7 +304,8 @@ def master_solve(
     """
     rng = np.random.default_rng(cfg.seed if rng is None else rng)
     T, M, N = d.T, d.M, scen.N
-    V = cfg.big_v(_dataset_g_bound(d))
+    # the printed V = 2·U_BOUND/λ̂, widened by the dataset's range bound G
+    V = 2.0 * U_BOUND / cfg.lambda_hat + _dataset_g_bound(d)
     two_v = 2.0 * V
     box = (-U_BOUND, U_BOUND, cfg.lambda_hat, cfg.lam_max)
     center_l = 0.5 * (cfg.lambda_hat + cfg.lam_max)
@@ -396,44 +394,29 @@ class DROState:
     v_hat: NDArray[np.float64]
     cv: NDArray[np.float64]
     iteration: int
-    epsilon: float
-    delta: float
     certified: bool = False
-
-
-def _rest_tensor(bt: NDArray[np.float64]):
-    """rest[s, i, n] = max over blocks other than (s, i) of bt[·, ·, n]."""
-    T, M, N = bt.shape
-    flat = bt.reshape(T * M, N)
-    order = np.argsort(flat, axis=0)
-    top_idx = order[-1]
-    top = flat[top_idx, np.arange(N)]
-    second = flat[order[-2], np.arange(N)] if T * M > 1 else np.full(N, -np.inf)
-    rest = np.broadcast_to(top, (T * M, N)).copy()
-    rest[top_idx, np.arange(N)] = second
-    return rest.reshape(T, M, N)
 
 
 def _cv_all(state: DROState, d: RPDataset, samples):
     """Most violated scenario per sample index, exact over every block's faces.
 
     For block (s, i) and sample k with anchor a, the score of γ is
-    max(term(γ), rest_k, 0) − v‖γ − a‖ with v = v_{N+1}.  The rest_k and 0
-    pieces peak at the anchor (the zero-deviation scenario); each piece
-    c_t − g_t^i(γ) − v‖γ − a‖ is concave, so it peaks in the relative
-    interior of some face, at the face's only stationary point: the vertex
-    itself, or a′ + q·d/√(v² − ‖q‖²) when ‖q‖ < v (foot a′ of a on the face
-    hull, d = ‖a − a′‖, q the piece's ascent direction on the hull).  All
-    blocks' candidates are scored at once; per sample index the first best
-    one in (s, i) order replaces the zero-deviation scenario if it scores
-    higher.
+    max(term(γ), rest_k, 0) − (v‖γ − a‖ + v_k), v = v_{N+1}, rest_k the other
+    blocks' largest term.  Its rest_k and 0 pieces never beat the anchor (the
+    zero-deviation scenario, base_h − v_k), so γ is scored by term(γ) alone.
+    Each piece c_t − g_t^i(γ) − v‖γ − a‖ is concave, so it peaks in the
+    relative interior of some face, at the face's only stationary point: the
+    vertex itself, or a′ + q·d/√(v² − ‖q‖²) when ‖q‖ < v (foot a′ of a on the
+    face hull, d = ‖a − a′‖, q the piece's ascent direction on the hull).
+    All blocks' candidates are scored at once; per sample index the first
+    best one in (s, i) order replaces the zero-deviation scenario if it
+    scores strictly higher.
     """
     psi, v_hat = state.psi_hat, state.v_hat
     T, M, N, kdim = samples.shape
     v_n1 = float(v_hat[-1])
     budgets = affine_budgets(d.constraints, bounded=True)
     bt = _block_terms(budgets, psi, samples)
-    rest = _rest_tensor(bt)
     base_h = np.maximum(bt.reshape(T * M, N).max(axis=0), 0.0)  # (N,)
     best_val = base_h - v_hat[:N]  # zero-deviation scenario
     feet, dist, q = _face_points(budgets, samples)
@@ -447,8 +430,7 @@ def _cv_all(state: DROState, d: RPDataset, samples):
     ok &= ((qq == 0.0) | (room > 0.0)).reshape(T, M, 1, -1)
     terms = _block_terms(budgets, psi, cands.reshape(T, M, -1, kdim)).reshape(ok.shape)
     gap = cands - samples[..., None, :]
-    score = np.maximum(np.maximum(terms, rest[..., None]), 0.0)
-    score -= v_n1 * np.sqrt((gap * gap).sum(axis=-1)) + v_hat[:N, None]
+    score = terms - (v_n1 * np.sqrt((gap * gap).sum(axis=-1)) + v_hat[:N, None])
     score[~ok] = -np.inf
     flat = score.transpose(2, 0, 1, 3).reshape(N, -1)
     j = flat.argmax(axis=1)
@@ -458,22 +440,6 @@ def _cv_all(state: DROState, d: RPDataset, samples):
         best_val[k] = flat[k, j[k]]
         best_phi[k][s, i] = cands[s, i, k, c]
     return best_val, best_phi
-
-
-def constraint_violation(k: int, state: DROState, d: RPDataset) -> tuple[float, NDArray[np.float64]]:
-    """Most violated scenario for sample index k under the current master point.
-
-    Since h is a pointwise max of single-block terms and the distance penalty
-    is additive and nonnegative, an optimal scenario deviates from the index-k
-    samples in at most one block; within a block the maximum over the budget
-    polytope is found exactly among one closed-form candidate per face and
-    piece, plus the anchor.
-    """
-    samples = _samples(d)
-    if not 0 <= k < samples.shape[2]:
-        raise IndexError(f"sample index {k} out of range")
-    vals, phis = _cv_all(state, d, samples)
-    return float(vals[k]), phis[k]
 
 
 # --- exchange loop and robust gap --------------------------------------------
@@ -507,7 +473,7 @@ def exchange_loop(
     state = None
     for it in range(1, cfg.max_exchange_iters + 1):
         psi, v_hat, obj = master_solve(scen, d, eps, cfg, rng=rng)
-        state = DROState(psi, v_hat, np.zeros(N), it, eps, delta)
+        state = DROState(psi, v_hat, np.zeros(N), it)
         cvs, phis = _cv_all(state, d, samples)
         state.cv = cvs
         trace.append(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dro import DROConfig, exchange_loop
 from .game import RiverPollutionGame, collect_dataset, river_probes
-from .rp import empirical_pareto_gap
+from .rp import pareto_gap
 from .spsa import SPSAConfig, SPSATrace, run_mechanism_design
 from .synthetic import dro_instance
 
@@ -38,7 +38,7 @@ def river_loss(theta, seed, T: int, N: int = 1, jitter: float = 0.0, **settings)
     probe_seed, sample_seed = rng.integers(0, 2**31 - 1, size=2)
     probes = river_probes(game, T, seed=int(probe_seed))
     d = collect_dataset(game, probes, N=N, jitter=jitter, seed=int(sample_seed))
-    return empirical_pareto_gap(d).gap
+    return pareto_gap(d).gap
 
 
 def river_spsa_config(seed: int = 0, **overrides) -> SPSAConfig:
@@ -75,7 +75,6 @@ def river_spsa_replication(rep_seed: int, theta0=None, game: dict | None = None,
         "seed": rep_seed,
         "iterations": len(trace.records),
         "final_loss": float(trace.records[-1].loss),
-        "losses": [float(r.loss) for r in trace.records],
     }
 
 

@@ -35,7 +35,7 @@ MAX_OUTER = 500
 
 @dataclass(frozen=True)
 class AgentFeasibleSet:
-    """One agent's budget interval [lower, upper]."""
+    """One agent's budget interval [lower, upper], kept for the ``project`` patch of ``perfbench/spans.py``."""
 
     lower: NDArray[np.float64]
     upper: NDArray[np.float64]
@@ -48,19 +48,9 @@ class AgentFeasibleSet:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=float)
-        return not (np.any(x < self.lower - tol) or np.any(x > self.upper + tol))
-
     def project(self, x) -> NDArray[np.float64]:
         """The nearest point of the interval: x clipped to [lower, upper]."""
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
-
-
-def probe_feasible_set(probe: ConstraintFunction) -> AgentFeasibleSet:
-    """Feasible interval {x >= 0 : g(x) <= 0} of a scalar affine probe."""
-    lo, hi = probe_bounds(((probe,),), 1)
-    return AgentFeasibleSet(lo[0], hi[0])
 
 
 def probe_bounds(

@@ -7,7 +7,8 @@ and when it is not, quantify the failure:
 * ``mm_garp`` — combinatorial consistency test over the revealed-preference
   relation;
 * ``pareto_gap`` — smallest relaxation r making the utility-number inequality
-  system feasible, with a certificate built combinatorially per agent;
+  system feasible, with a certificate built combinatorially per agent; on
+  sample clouds it is the empirical gap, since ``gbar`` holds sample means;
 * ``garp_f`` / ``ccei_scalar`` / ``ccei_all`` — additive / multiplicative
   relaxations of the combinatorial test;
 * ``hoeffding_confidence`` — finite-sample concentration bound on the
@@ -38,6 +39,7 @@ top-k indicator levels isolate each rnk_k).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -220,15 +222,6 @@ def pareto_gap(d: RPDataset, alpha: float = ALPHA_DEFAULT) -> GapResult:
     return GapResult(max(gaps), _stacked_certificate(d, H, levels, alpha), tuple(gaps), d.M)
 
 
-def empirical_pareto_gap(d: RPDataset, alpha: float = ALPHA_DEFAULT) -> GapResult:
-    """Gap on sample-mean budget values (the dataset already stores them).
-
-    Identical computation to :func:`pareto_gap`; exposed separately so that
-    callers distinguish the exact gap from its finite-sample estimate.
-    """
-    return pareto_gap(d, alpha)
-
-
 # --- combinatorial tests ----------------------------------------------------
 
 
@@ -373,17 +366,19 @@ class PreferenceProfile:
 
     def positions(self) -> NDArray[np.int_]:
         """pos[j, o] = 1-based position of outcome o in agent j's ranking."""
-        pos = np.empty((self.M, self.D), dtype=int)
-        for j, rk in enumerate(self.rankings):
-            for p, o in enumerate(rk):
-                pos[j, o] = p + 1
-        return pos
+        # a ranking is a permutation, and argsort inverts it
+        return np.argsort(np.array(self.rankings, dtype=int).reshape(self.M, self.D), axis=1) + 1
 
     def rnk(self) -> NDArray[np.int_]:
-        """rnk[k-1, o] = number of agents ranking outcome o within their top k."""
-        pos = self.positions()
+        """rnk[k-1, o] = number of agents ranking outcome o within their top k (read-only)."""
+        return self._rnk
+
+    @cached_property
+    def _rnk(self) -> NDArray[np.int_]:
         ks = np.arange(1, self.D + 1)
-        return (pos[None, :, :] <= ks[:, None, None]).sum(axis=1)
+        rnk = (self.positions()[None, :, :] <= ks[:, None, None]).sum(axis=1)
+        rnk.setflags(write=False)
+        return rnk
 
     def social_utilities(self) -> NDArray[np.float64]:
         """Sum over agents of the homogeneous utility of each outcome."""
@@ -403,9 +398,7 @@ def rank_optimality_check(p: PreferenceProfile, strategy, tol: float = 1e-9) -> 
     top-2 count is 1 against outcome 1's 2, so its point mass fails.
     """
     strategy = np.asarray(strategy, dtype=float)
-    if strategy.shape != (p.D,) or np.any(strategy < -tol) or abs(strategy.sum() - 1.0) > 1e-9:
+    if strategy.shape != (p.D,) or (strategy < -tol).any() or abs(strategy.sum() - 1.0) > 1e-9:
         raise ValueError("strategy must be a probability vector over the D outcomes")
-    rnk = p.rnk()  # (D, D): k-index by outcome
-    expected = rnk @ strategy
-    maxrnk = rnk.max(axis=1)
-    return bool(np.all(expected >= maxrnk - tol))
+    rnk = p.rnk()  # (D, D): k-index by outcome, built once per profile
+    return bool((rnk @ strategy >= rnk.max(axis=1) - tol).all())

@@ -18,7 +18,6 @@ from pareto_forge.dro import PsiVector, h_value
 from pareto_forge.experiments import monte_carlo, river_spsa_replication, run_dro_replication
 from pareto_forge.rp import (
     PreferenceProfile,
-    empirical_pareto_gap,
     garp_f_threshold,
     hoeffding_confidence,
     mm_garp,
@@ -329,7 +328,7 @@ class TestEmpiricalGapConsistency:
             errs = []
             for seed in range(100):
                 d = _mixed_strategy_dataset(N, seed)
-                est = empirical_pareto_gap(d).gap
+                est = pareto_gap(d).gap
                 errs.append(abs(est - self.EXACT_GAP))
             errors[N] = float(np.mean(errs))
         assert errors[100] <= errors[10] + 1e-6

@@ -267,6 +267,19 @@ class TestGenerateAndAudit:
         err = capsys.readouterr().err
         assert "audit error" in err and "strategy (1,0)" in err
 
+    @pytest.mark.parametrize("alpha", ["ab", [True, 1.0]])
+    def test_audit_non_numeric_coefficient_exits_two_without_a_report(self, tmp_path, capsys, alpha):
+        # "ab" has length k = 2; numpy raised TypeError on it and read true as 1.0
+        path = tmp_path / "bad.json"
+        save_dataset(violating_dataset(T=3, M=2, k=2, seed=1), path)
+        doc = json.loads(path.read_text())
+        doc["constraints"][1][0]["alpha"] = alpha
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["audit", str(path), "--out-dir", str(out)]) == 2
+        assert "audit error: constraint (1,0) has a non-numeric coefficient" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_audit_reports_undefined_ccei_as_null(self, tmp_path):
         # play 1.5 inside its own budget: gbar + 1 = -0.5, so CCEI is undefined
         path = tmp_path / "inside.json"
@@ -495,6 +508,18 @@ class TestDroCommand:
         assert "non-unique" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["dro", "mc"])
+    def test_retired_use_paper_v_key_exits_two_without_output(self, tmp_path, capsys, command):
+        # V is always 2·U_BOUND/λ̂ + G; the schema no longer has the key that dropped G
+        out = tmp_path / "out"
+        doc = {"dro": {"eps": [1.0], "T": 2, "M": 1, "N": 2, "use_paper_v": True}}
+        if command == "mc":
+            doc["monte_carlo"] = {"command": "dro", "replications": 1, "parallelism": 1}
+        cfg = _write(tmp_path / "cfg.json", doc)
+        assert main([command, "--config", cfg, "--out-dir", str(out)]) == 2
+        assert "'use_paper_v' was unexpected" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _record_play(monkeypatch) -> list:
     """Record (θ, cap, horizon) of every river game the experiments play."""
@@ -695,7 +720,6 @@ DOCUMENTED_DEFAULTS = {
             "jitter": 0.05,
             "lambda_hat": 1.0,
             "lam_max": 10.0,
-            "use_paper_v": False,
             "max_exchange_iters": 60,
             "seed": 0,
         },

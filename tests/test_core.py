@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -17,12 +18,11 @@ from pareto_forge.core import (
     EmpiricalStrategy,
     Family,
     ParetoCertificate,
-    ProbeSpec,
     RPDataset,
+    affine_budgets,
     eval_constraint,
     eval_constraint_many,
     expected_constraint,
-    generate_probes,
     load_dataset,
     save_dataset,
 )
@@ -161,6 +161,29 @@ class TestRPDataset:
         strats = ((EmpiricalStrategy(np.array([[0.5, 0.0]])),),)
         with pytest.raises(ValueError, match=r"constraint \(0,0\) has a non-finite coefficient"):
             RPDataset(cons, strats)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"alpha": ("x",)},
+            {"alpha": (True,)},
+            {"b": "1.5"},
+            {"b": np.True_},
+            {"a_t": True, "beta": (1.0,)},
+            {"a_t": 1.0, "beta": ("1",)},
+        ],
+        ids=["alpha-str", "alpha-bool", "b-str", "b-numpy-bool", "a_t-bool", "beta-str"],
+    )
+    def test_non_numeric_coefficient_rejected(self, fields):
+        # numpy would raise TypeError on a string, and read a bool as 1.0
+        f = _affine([1.0], 1.0)
+        cons = ((f,), (replace(f, **fields),))
+        strats = ((EmpiricalStrategy(np.array([[0.5]])),),) * 2
+        match = r"^constraint \(1,0\) has a non-numeric coefficient$"
+        with pytest.raises(ValueError, match=match):
+            RPDataset(cons, strats)
+        with pytest.raises(ValueError, match=match):
+            affine_budgets(cons)
 
     def test_non_finite_gbar_rejected(self):
         # finite inputs, but log(2*sigma(-1000)) underflows to -inf
@@ -401,31 +424,6 @@ class TestParetoCertificate:
             ParetoCertificate(np.zeros((2, 1)), np.ones((1, 1)), 0.0, 1e-3)
 
 
-class TestProbeGeneration:
-    def test_probe_count_and_shift_range(self):
-        base = _affine([1.0, 1.0], 1.0)
-        spec = ProbeSpec(base, beta=(1.0, 0.0), chi=(0.2, 0.8), seed=3)
-        probes = generate_probes(spec, 12)
-        assert len(probes) == 12
-        for p in probes:
-            assert 0.2 <= p.a_t <= 0.8
-            assert p.beta == (1.0, 0.0)
-
-    def test_seeded_determinism(self):
-        base = _affine([1.0], 1.0)
-        spec = ProbeSpec(base, beta=(1.0,), chi=(0.0, 1.0), seed=11)
-        a = [p.a_t for p in generate_probes(spec, 5)]
-        b = [p.a_t for p in generate_probes(spec, 5)]
-        assert a == b
-
-    def test_invalid_spec_rejected(self):
-        base = _affine([1.0], 1.0)
-        with pytest.raises(ValueError):
-            ProbeSpec(base, beta=(1.0,), chi=(1.0, 1.0), seed=0)
-        with pytest.raises(ValueError):
-            ProbeSpec(base, beta=(0.0,), chi=(0.0, 1.0), seed=0)
-
-
 class TestDatasetFiles:
     def _dataset(self):
         base = _affine([2.0, 1.0], 1.0)
@@ -459,6 +457,19 @@ class TestDatasetFiles:
         save_dataset(d, p1)
         save_dataset(load_dataset(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "field, value", [("alpha", "ab"), ("alpha", [True, 1.0]), ("b", True), ("a_t", "0")]
+    )
+    def test_non_numeric_coefficient_in_a_file_rejected(self, tmp_path, field, value):
+        # "ab" has length k = 2, so it passes the length check
+        path = tmp_path / "d.json"
+        save_dataset(self._dataset(), path)
+        doc = json.loads(path.read_text())
+        doc["constraints"][1][0][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"^constraint \(1,0\) has a non-numeric coefficient$"):
+            load_dataset(path)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -500,8 +511,6 @@ class TestDatasetFiles:
         assert again.read_bytes() == path.read_bytes()
 
     def test_header_mismatch_rejected(self, tmp_path):
-        import json
-
         d = self._dataset()
         path = tmp_path / "d.json"
         save_dataset(d, path)

@@ -23,7 +23,6 @@ from pareto_forge.dro import (
     DROState,
     PsiVector,
     ScenarioSet,
-    constraint_violation,
     exchange_loop,
     h_value,
     master_solve,
@@ -58,6 +57,11 @@ def _samples_tensor(d):
 
 
 # --- serial reference master (one descent per (v_{N+1}, start) pair) ---------
+
+
+def _two_v(cfg, d):
+    """2V, the v_k clip: V = 2·U_BOUND/λ̂ + G, G the dataset's range bound."""
+    return 2.0 * (2.0 * dro.U_BOUND / cfg.lambda_hat + dro._dataset_g_bound(d))
 
 
 def _serial_objective(u, lam, v_n1, cut_data, eps, N, two_v):
@@ -112,7 +116,7 @@ def _serial_master(scen, d, eps, cfg):
     """master_solve as one serial descent per v-grid point and start."""
     rng = np.random.default_rng(cfg.seed)
     T, M, N = d.T, d.M, scen.N
-    two_v = 2.0 * cfg.big_v(dro._dataset_g_bound(d))
+    two_v = _two_v(cfg, d)
     u_lo, u_hi, l_lo, l_hi = -dro.U_BOUND, dro.U_BOUND, cfg.lambda_hat, cfg.lam_max
     center = (np.zeros((T, M)), np.full((T, M), 0.5 * (l_lo + l_hi)))
     cut_data = dro._cut_data(d, dro._samples(d), scen)
@@ -395,7 +399,7 @@ class TestMasterSolve:
         cfg = DROConfig(lambda_hat=1.0, lam_max=10.0, seed=0)
         scen = ScenarioSet(4)
         _random_cuts(d, scen, np.random.default_rng(50))
-        eps, two_v = 1.0, 2.0 * cfg.big_v(dro._dataset_g_bound(d))
+        eps, two_v = 1.0, _two_v(cfg, d)
         _assert_matches_serial(scen, d, eps, cfg)
         incumbents, scored = [], []  # per round: the incumbent, and (v_{N+1}, objective) per pass
         descent, score = dro._lane_descent, dro._lane_scores
@@ -439,16 +443,22 @@ class TestMasterSolve:
             np.testing.assert_array_equal(a, b)
 
 
+def _violation(k, state, d):
+    """The oracle's violation and scenario for sample index k."""
+    vals, phis = dro._cv_all(state, d, _samples_tensor(d))
+    return float(vals[k]), phis[k]
+
+
 class TestConstraintViolation:
-    def _state(self, d, v_hat, eps=1.0):
+    def _state(self, d, v_hat):
         T, M = d.T, d.M
         psi = PsiVector(np.zeros((T, M)), np.ones((T, M)))
-        return DROState(psi, np.asarray(v_hat, dtype=float), np.zeros(2), 1, eps, 0.1)
+        return DROState(psi, np.asarray(v_hat, dtype=float), np.zeros(2), 1)
 
     def test_huge_distance_weight_pins_scenario_to_samples(self):
         d = _small_dataset()
         state = self._state(d, v_hat=[0.0, 0.0, 1e9])
-        cv, phi = constraint_violation(0, state, d)
+        cv, phi = _violation(0, state, d)
         samples = _samples_tensor(d)
         assert np.allclose(phi, samples[:, :, 0, :])
         assert cv == pytest.approx(h_value(state.psi_hat, phi, d))
@@ -456,7 +466,7 @@ class TestConstraintViolation:
     def test_zero_distance_weight_frees_the_search(self):
         d = _small_dataset()
         state = self._state(d, v_hat=[0.0, 0.0, 0.0])
-        cv, phi = constraint_violation(0, state, d)
+        cv, phi = _violation(0, state, d)
         # with no distance penalty the oracle maximizes h over the budget set:
         # the worst block pushes g as negative as possible (gamma = 0)
         base = h_value(state.psi_hat, _samples_tensor(d)[:, :, 0, :], d)
@@ -467,8 +477,8 @@ class TestConstraintViolation:
         d = _small_dataset()
         s0 = self._state(d, v_hat=[0.0, 0.0, 1e9])
         s1 = self._state(d, v_hat=[0.5, 0.0, 1e9])
-        cv0, _ = constraint_violation(0, s0, d)
-        cv1, _ = constraint_violation(0, s1, d)
+        cv0, _ = _violation(0, s0, d)
+        cv1, _ = _violation(0, s1, d)
         assert cv1 == pytest.approx(cv0 - 0.5)
 
 
@@ -480,7 +490,7 @@ class TestExactOracle:
         samples = _samples_tensor(d)
         T, M, N, _k = samples.shape
         v_n1 = v_hat[-1]
-        state = DROState(psi, v_hat, np.zeros(N), 1, 1.0, 0.1)
+        state = DROState(psi, v_hat, np.zeros(N), 1)
         vals, phis = dro._cv_all(state, d, samples)
         at_samples = np.array(
             [[_term(d, psi, s, i, samples[s, i]) for i in range(M)] for s in range(T)]
@@ -511,8 +521,8 @@ class TestExactOracle:
         # ‖α‖ > v = 0.5 pushes the optimum to the boundary; on the edge γ1 = 0
         # the stationary point lies y = 0.3·0.2/√(0.5² − 0.2²) below the foot (0, 2)
         d, psi = self._edge_case()
-        state = DROState(psi, np.array([0.0, 0.5]), np.zeros(1), 1, 1.0, 0.1)
-        cv, phi = constraint_violation(0, state, d)
+        state = DROState(psi, np.array([0.0, 0.5]), np.zeros(1), 1)
+        cv, phi = _violation(0, state, d)
         y = 0.3 * 0.2 / np.sqrt(0.5**2 - 0.2**2)
         np.testing.assert_allclose(phi[0, 0], [0.0, 2.0 - y], atol=1e-12)
         assert cv == pytest.approx(1.0 - 0.2 * (2.0 - y) - 0.5 * np.hypot(0.3, y), abs=1e-12)
@@ -526,13 +536,114 @@ class TestExactOracle:
         cons = ((_affine([1.0, 0.0], 1.0),), (_affine([0.5, 1.0], 1.0),))
         strat = EmpiricalStrategy(np.full((2, 2), 0.2))
         d = RPDataset(cons, ((strat,), (strat,)))
-        state = DROState(
-            PsiVector(np.zeros((2, 1)), np.ones((2, 1))), np.zeros(3), np.zeros(2), 1, 1.0, 0.1
-        )
+        state = DROState(PsiVector(np.zeros((2, 1)), np.ones((2, 1))), np.zeros(3), np.zeros(2), 1)
         with pytest.raises(ValueError, match=r"block \(s=0, i=0\).*unbounded"):
-            constraint_violation(0, state, d)
+            _violation(0, state, d)
         with pytest.raises(ValueError, match=r"block \(s=0, i=0\)"):
             robust_gap(state.psi_hat, d, eps=0.5)
+
+
+# --- reference oracle: every candidate scored with the other blocks' terms ---
+
+
+def _rest_tensor(bt):
+    """rest[s, i, n] = max over blocks other than (s, i) of bt[·, ·, n]."""
+    T, M, N = bt.shape
+    flat = bt.reshape(T * M, N)
+    order = np.argsort(flat, axis=0)
+    top_idx = order[-1]
+    top = flat[top_idx, np.arange(N)]
+    second = flat[order[-2], np.arange(N)] if T * M > 1 else np.full(N, -np.inf)
+    rest = np.broadcast_to(top, (T * M, N)).copy()
+    rest[top_idx, np.arange(N)] = second
+    return rest.reshape(T, M, N)
+
+
+def _reference_cv_all(state, d, samples):
+    """The oracle scoring each candidate as max(term, rest_k, 0) − (v_{N+1}·dist + v_k)."""
+    psi, v_hat = state.psi_hat, state.v_hat
+    T, M, N, kdim = samples.shape
+    v_n1 = float(v_hat[-1])
+    budgets = affine_budgets(d.constraints, bounded=True)
+    bt = dro._block_terms(budgets, psi, samples)
+    rest = _rest_tensor(bt)
+    base_h = np.maximum(bt.reshape(T * M, N).max(axis=0), 0.0)
+    best_val = base_h - v_hat[:N]
+    feet, dist, q = dro._face_points(budgets, samples)
+    qq = (q * q).sum(axis=-1)
+    room = v_n1 * v_n1 - qq
+    root = np.sqrt(np.where(room > 0.0, room, 1.0))
+    reach = np.where(qq[:, :, None] > 0.0, dist[:, :, :, None] / root[:, :, None], 0.0)
+    cands = feet[:, :, :, None] + reach[..., None] * q[:, :, None]
+    cands, ok = dro._in_budget(budgets, cands.reshape(T, M, N, -1, kdim))
+    ok &= ((qq == 0.0) | (room > 0.0)).reshape(T, M, 1, -1)
+    terms = dro._block_terms(budgets, psi, cands.reshape(T, M, -1, kdim)).reshape(ok.shape)
+    gap = cands - samples[..., None, :]
+    score = np.maximum(np.maximum(terms, rest[..., None]), 0.0)
+    score -= v_n1 * np.sqrt((gap * gap).sum(axis=-1)) + v_hat[:N, None]
+    score[~ok] = -np.inf
+    flat = score.transpose(2, 0, 1, 3).reshape(N, -1)
+    j = flat.argmax(axis=1)
+    best_phi = [samples[:, :, k, :].copy() for k in range(N)]
+    for k in np.flatnonzero(flat[np.arange(N), j] > best_val):
+        s, i, c = np.unravel_index(j[k], (T, M, ok.shape[-1]))
+        best_val[k] = flat[k, j[k]]
+        best_phi[k][s, i] = cands[s, i, k, c]
+    return best_val, best_phi
+
+
+def _scoring_case(seed, T, M, N, psi_scale, v_n1, zero_vk):
+    """A dro_instance state with ψ scaled by psi_scale and the given v_{N+1}."""
+    rng = np.random.default_rng(seed)
+    d = dro_instance(T=T, M=M, N=N, seed=seed)
+    u = psi_scale * rng.uniform(-1.0, 1.0, size=(T, M))
+    lam = psi_scale * rng.uniform(0.3, 3.0, size=(T, M))
+    v_k = np.zeros(N) if zero_vk else rng.uniform(0.0, 0.5, size=N)
+    state = DROState(PsiVector(u, lam), np.append(v_k, v_n1), np.zeros(N), 1)
+    return d, state
+
+
+class TestOracleScoring:
+    """Scoring a candidate by its own term alone picks what the rest-tensor scoring picks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        T=st.integers(1, 3),
+        M=st.integers(1, 2),
+        N=st.integers(1, 3),
+        psi_scale=st.floats(0.1, 10.0),
+        v_n1=st.sampled_from([0.0, 1e-9, 1e-3, 1e3]) | st.floats(0.0, 5.0),
+        zero_vk=st.booleans(),
+    )
+    @example(seed=0, T=1, M=1, N=2, psi_scale=1.0, v_n1=0.0, zero_vk=True)
+    @example(seed=1, T=1, M=1, N=3, psi_scale=10.0, v_n1=1e-3, zero_vk=False)
+    @example(seed=2, T=3, M=2, N=3, psi_scale=0.1, v_n1=1e3, zero_vk=True)
+    def test_matches_the_rest_tensor_reference(self, seed, T, M, N, psi_scale, v_n1, zero_vk):
+        d, state = _scoring_case(seed, T, M, N, psi_scale, v_n1, zero_vk)
+        samples = _samples_tensor(d)
+        vals, phis = dro._cv_all(state, d, samples)
+        ref_vals, ref_phis = _reference_cv_all(state, d, samples)
+        assert np.array_equal(vals, ref_vals)
+        for phi, ref in zip(phis, ref_phis):
+            assert np.array_equal(phi, ref)
+
+    def test_reference_moves_scenarios_on_seeded_states(self):
+        # the comparison is not vacuous: on these states the reference moves scenarios
+        moved = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            T, M, N = (int(v) for v in rng.integers(1, 4, size=3))
+            v_n1 = [0.0, 1e-3, 0.5, 1e3][seed % 4]
+            d, state = _scoring_case(seed, T, M, N, 10.0 ** rng.uniform(-1, 1), v_n1, seed % 3 == 0)
+            samples = _samples_tensor(d)
+            vals, phis = dro._cv_all(state, d, samples)
+            ref_vals, ref_phis = _reference_cv_all(state, d, samples)
+            assert np.array_equal(vals, ref_vals)
+            for k, (phi, ref) in enumerate(zip(phis, ref_phis)):
+                assert np.array_equal(phi, ref)
+                moved += not np.array_equal(ref, samples[:, :, k, :])
+        assert moved > 0
 
 
 class TestExchangeLoop:
@@ -687,11 +798,3 @@ class TestAffineEvaluator:
             master_solve(scen, d, eps=1.0, cfg=DROConfig())
         with pytest.raises(ValueError, match=r"block \(s=1, i=0\): only affine"):
             exchange_loop(d, eps=1.0, delta=0.1)
-
-    @pytest.mark.parametrize("k", [-1, 2])
-    def test_sample_index_is_checked(self, k):
-        d = _small_dataset(N=2)
-        psi = PsiVector(np.zeros((2, 1)), np.ones((2, 1)))
-        state = DROState(psi, np.zeros(3), np.zeros(2), 1, 1.0, 0.1)
-        with pytest.raises(IndexError):
-            constraint_violation(k, state, d)

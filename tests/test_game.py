@@ -22,7 +22,6 @@ from pareto_forge.game import (
     collect_dataset,
     nikaido_isoda,
     probe_bounds,
-    probe_feasible_set,
     relaxation_nash,
     river_probes,
 )
@@ -61,12 +60,6 @@ class QuadraticGame(GameInterface):
 
 
 class TestAgentFeasibleSet:
-    def test_contains_interval(self):
-        fs = AgentFeasibleSet(np.zeros(1), np.array([1.5]))
-        assert fs.contains([0.5])
-        assert not fs.contains([2.0])
-        assert not fs.contains([-0.1])
-
     def test_project_clips_to_interval(self):
         fs = AgentFeasibleSet(np.array([1.0]), np.array([2.0]))
         assert np.array_equal(fs.project([3.0]), [2.0])
@@ -102,6 +95,12 @@ def _budget_upper(alpha, rhs):
     return np.maximum(hi, 0.0)
 
 
+def _serial_feasible_set(probe):
+    """Budget interval {x >= 0 : g(x) <= 0} of one scalar affine probe."""
+    upper = _budget_upper(np.asarray(probe.alpha, dtype=float), _budget_rhs(probe))
+    return AgentFeasibleSet(np.zeros(1), upper)
+
+
 # signed zeros, subnormal and huge magnitudes, and ordinary values of both signs
 _coef = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]) | st.floats(-10.0, 10.0)
 
@@ -117,25 +116,21 @@ def _scalar_probe(draw):
 class TestProbeFeasibleSet:
     def test_interval_for_scalar_probe(self):
         f = ConstraintFunction(Family.AFFINE, 1, alpha=(2.0,), b=10.0)
-        fs = probe_feasible_set(f)
-        assert fs.lower[0] == 0.0
-        assert fs.upper[0] == pytest.approx(5.0)
+        lo, hi = probe_bounds(((f,),), 1)
+        assert lo[0, 0] == 0.0
+        assert hi[0, 0] == pytest.approx(5.0)
 
     def test_shift_moves_interval(self):
         f = ConstraintFunction(Family.AFFINE, 1, alpha=(2.0,), b=10.0)
-        fs = probe_feasible_set(f.shifted(1.0, (1.0,)))
-        assert fs.upper[0] == pytest.approx(6.0)
+        _lo, hi = probe_bounds(((f.shifted(1.0, (1.0,)),),), 1)
+        assert hi[0, 0] == pytest.approx(6.0)
 
     def test_multivariate_probe_rejected(self):
         f = ConstraintFunction(Family.AFFINE, 2, alpha=(1.0, 2.0), b=4.0)
         with pytest.raises(ValueError, match="play needs interval budgets"):
-            probe_feasible_set(f)
-        with pytest.raises(ValueError, match="play needs interval budgets"):
             probe_bounds(((f,),), 1)
 
     def test_non_affine_probe_rejected(self):
-        with pytest.raises(ValueError):
-            probe_feasible_set(ConstraintFunction(Family.LOG_SIGMOID, 1))
         with pytest.raises(ValueError, match=r"block \(s=0, i=0\): only affine"):
             probe_bounds(((ConstraintFunction(Family.LOG_SIGMOID, 1),),), 1)
 
@@ -169,17 +164,9 @@ class TestProbeFeasibleSet:
         # huge coefficients overflow to inf on both paths alike
         with np.errstate(over="ignore", invalid="ignore"):
             lo, hi = probe_bounds(probes, M)
-            sets = [[probe_feasible_set(p) for p in row] for row in probes]
-            ref = [
-                [_budget_upper(np.asarray(p.alpha, dtype=float), _budget_rhs(p)) for p in row]
-                for row in probes
-            ]
+            ref = [[_serial_feasible_set(p).upper for p in row] for row in probes]
         assert lo.tobytes() == np.zeros((T, M)).tobytes()
         assert hi.tobytes() == np.concatenate([np.concatenate(row) for row in ref]).tobytes()
-        for row_sets, row_ref in zip(sets, ref):
-            for fs, upper in zip(row_sets, row_ref):
-                assert fs.lower.tobytes() == np.zeros(1).tobytes()
-                assert fs.upper.tobytes() == upper.tobytes()
 
 
 class TestRiverPollutionGame:
@@ -301,7 +288,7 @@ def _serial_collect(g, probes, N, jitter, seed):
     period_seeds = np.random.SeedSequence(seed).spawn(len(probes))
     rows = []
     for t, row in enumerate(probes):
-        sets = tuple(probe_feasible_set(p) for p in row)
+        sets = tuple(_serial_feasible_set(p) for p in row)
         x0 = np.stack(
             [
                 fs.project(0.5 * (fs.lower + np.where(np.isfinite(fs.upper), fs.upper, fs.lower + 1.0)))
@@ -386,9 +373,8 @@ class TestBestResponse:
             lo = rng.uniform(0.0, 5.0) * (rng.random() < 0.5)
             hi = lo + rng.uniform(0.0, 20.0) * (rng.random() < 0.9)
             x = rng.uniform(0.0, 10.0, 3) * (rng.random(3) < 0.8)
-            fs = AgentFeasibleSet(np.array([lo]), np.array([hi]))
             xi = g.best_responses(x[None, :], *_interval_stack(lo, hi, (1, 3)))[0, i : i + 1]
-            assert fs.contains(xi, tol=0.0)
+            assert lo <= xi[0] <= hi
             joint = x.copy()
             joint[i] = xi[0]
             assert g.payoff(joint, i) >= _river_grid_max(g, x, i, lo, hi) - 1e-12
