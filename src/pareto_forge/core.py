@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import chain
 from numbers import Real
 from typing import Sequence
 
@@ -82,10 +83,21 @@ class ConstraintFunction:
         return eval_constraint(self, x)
 
 
+def _finite(v) -> bool:
+    """math.isfinite, False for an int too large to be a float rather than OverflowError."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _plain_coefficients(grid) -> bool:
     """Whether every coefficient of a probe grid is a finite float or int: the fast check."""
     coefs = [v for row in grid for f in row for v in (*f.alpha, f.b, f.a_t, *f.beta)]
-    return {float, int}.issuperset(map(type, coefs)) and all(map(math.isfinite, coefs))
+    try:
+        return {float, int}.issuperset(map(type, coefs)) and all(map(math.isfinite, coefs))
+    except OverflowError:  # an int too large to be a float: the slow check names its block
+        return False
 
 
 def _check_coefficients(f: ConstraintFunction, t: int, i: int) -> None:
@@ -93,7 +105,7 @@ def _check_coefficients(f: ConstraintFunction, t: int, i: int) -> None:
     coefs = (*f.alpha, f.b, f.a_t, *f.beta)
     if not all(isinstance(v, Real) and not isinstance(v, bool) for v in coefs):
         raise ValueError(f"constraint ({t},{i}) has a non-numeric coefficient")
-    if not all(map(math.isfinite, coefs)):
+    if not all(map(_finite, coefs)):
         raise ValueError(f"constraint ({t},{i}) has a non-finite coefficient")
 
 
@@ -368,15 +380,40 @@ def _constraint_to_json(f: ConstraintFunction) -> dict:
     }
 
 
-def _constraint_from_json(obj: dict, dim: int) -> ConstraintFunction:
+def _constraint_from_json(obj, dim: int, t: int, i: int) -> ConstraintFunction:
+    try:
+        kind, alpha, beta = obj["kind"], obj.get("alpha", []), obj.get("beta", [])
+    except (KeyError, TypeError):  # obj is no dict with a "kind"
+        raise ValueError(f"constraint ({t},{i}) lacks the key 'kind'") from None
+    # a coefficient vector that is not a list (a str, a number) is not numeric
+    if type(alpha) is not list or type(beta) is not list:
+        raise ValueError(f"constraint ({t},{i}) has a non-numeric coefficient")
     return ConstraintFunction(
-        family=Family(obj["kind"]),
+        family=Family(kind),
         dim=dim,
-        alpha=tuple(obj.get("alpha", ())),
+        alpha=tuple(alpha),
         b=obj.get("b", 0.0),
         a_t=obj.get("a_t", 0.0),
-        beta=tuple(obj.get("beta", ())),
+        beta=tuple(beta),
     )
+
+
+def _strategy_from_json(obj, t: int, i: int) -> EmpiricalStrategy:
+    try:
+        rows = obj["samples"]
+    except (KeyError, TypeError):  # obj is no dict with "samples"
+        raise ValueError(f"strategy ({t},{i}) lacks the key 'samples'") from None
+    try:
+        # numpy would read a JSON true/false as 1.0/0.0 and a numeric string as its value
+        numeric = {float, int}.issuperset(map(type, chain.from_iterable(rows)))
+    except TypeError:  # the samples, or a point, are not a list
+        raise ValueError(f"strategy ({t},{i}) samples are not a list of points") from None
+    if not numeric:
+        raise ValueError(f"strategy ({t},{i}) has a non-numeric sample")
+    try:
+        return EmpiricalStrategy(rows)
+    except OverflowError:  # an int too large to be a float
+        raise ValueError(f"strategy ({t},{i}) has a non-finite sample") from None
 
 
 def save_dataset(d: RPDataset, path) -> None:
@@ -390,17 +427,30 @@ def save_dataset(d: RPDataset, path) -> None:
         ],
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        # json.dumps takes the C encoder, json.dump always the pure-Python one; same bytes
+        fh.write(json.dumps(doc))
 
 
 def load_dataset(path) -> RPDataset:
+    """Read a :func:`save_dataset` file.
+
+    A malformed file raises ValueError naming the missing key or a bad (t, i)
+    block: a coefficient or sample that is not a JSON number (a bool
+    included), or one too large to be a float.
+    """
     with open(path) as fh:
         doc = json.load(fh)
+    for key in ("T", "M", "k", "constraints", "strategies"):
+        if not isinstance(doc, dict) or key not in doc:
+            raise ValueError(f"dataset file lacks the key {key!r}")
     k = int(doc["k"])
-    cons = [[_constraint_from_json(o, k) for o in row] for row in doc["constraints"]]
+    cons = [
+        [_constraint_from_json(o, k, t, i) for i, o in enumerate(row)]
+        for t, row in enumerate(doc["constraints"])
+    ]
     strats = [
-        [EmpiricalStrategy(np.asarray(o["samples"], dtype=float)) for o in row]
-        for row in doc["strategies"]
+        [_strategy_from_json(o, t, i) for i, o in enumerate(row)]
+        for t, row in enumerate(doc["strategies"])
     ]
     d = RPDataset(tuple(map(tuple, cons)), tuple(map(tuple, strats)))
     if d.T != int(doc["T"]) or d.M != int(doc["M"]):

@@ -25,27 +25,32 @@ def _affine(alpha, b) -> ConstraintFunction:
 
 
 def cobb_douglas_demand(expo, alpha, b):
-    """argmax of prod x_j^expo_j over <alpha, x> <= b: x_j = expo_j*b/(alpha_j*sum expo)."""
+    """argmax of prod x_j^expo_j over <alpha, x> <= b: x_j = expo_j*b/(alpha_j*sum expo).
+
+    Broadcasts over leading axes, each row summing its own exponents, so one
+    call on a whole (T, M, k) grid rounds as one call per row does.
+    """
     expo = np.asarray(expo, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    return expo * b / (alpha * expo.sum())
+    return expo * b / (alpha * expo.sum(axis=-1, keepdims=True))
 
 
 def _consistent_rows(T: int, M: int, k: int, seed: int):
     """Rows (constraints, strategies) of :func:`consistent_dataset`, as T lists of M."""
-    rng = np.random.default_rng(seed)
-    cons, strats = [], []
-    expos = [rng.uniform(0.5, 2.0, size=k) for _ in range(M)]
-    for _t in range(T):
-        row_c, row_s = [], []
-        for i in range(M):
-            alpha = rng.uniform(0.5, 2.0, size=k)
-            b = rng.uniform(0.5, 2.0)
-            x = cobb_douglas_demand(expos[i], alpha, b)
-            row_c.append(_affine(alpha, b))
-            row_s.append(EmpiricalStrategy(x[None, :]))
-        cons.append(row_c)
-        strats.append(row_s)
+    for name, n in (("T", T), ("M", M), ("k", k)):
+        if n < 1:
+            raise ValueError(f"{name} must be >= 1, got {n}")
+    # one draw, in the stream order of the consistent_dataset docstring
+    u = np.random.default_rng(seed).uniform(0.5, 2.0, size=M * k + T * M * (k + 1))
+    expos = u[: M * k].reshape(M, k)
+    blocks = u[M * k :].reshape(T, M, k + 1)
+    alpha, b = blocks[..., :k], blocks[..., k]
+    X = cobb_douglas_demand(expos, alpha, b[..., None])
+    cons = [
+        [ConstraintFunction(Family.AFFINE, k, alpha=tuple(a), b=bi) for a, bi in zip(row_a, row_b)]
+        for row_a, row_b in zip(alpha.tolist(), b.tolist())
+    ]
+    strats = [[EmpiricalStrategy(x[None, :]) for x in row] for row in X]
     return cons, strats
 
 
@@ -53,7 +58,14 @@ def consistent_dataset(T: int, M: int, k: int, seed: int = 0) -> RPDataset:
     """Socially optimal play: per-agent Cobb-Douglas maximization on random budgets.
 
     Budgets are exhausted exactly (closed-form demand), so the dataset is
-    rationalizable with zero relaxation.
+    rationalizable with zero relaxation.  T, M and k below 1 are rejected
+    before any draw.
+
+    The random stream is part of the contract: ``default_rng(seed)`` draws
+    ``M*k + T*M*(k+1)`` uniforms on [0.5, 2), first the M agents' k
+    exponents, then for each period t and each agent i in turn the budget's k
+    prices and its income b.  Any change to this order changes every
+    dataset built from a seed.
     """
     return RPDataset(*_consistent_rows(T, M, k, seed))
 

@@ -280,6 +280,18 @@ class TestGenerateAndAudit:
         assert "audit error: constraint (1,0) has a non-numeric coefficient" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_audit_huge_int_in_a_file_exits_two_without_a_report(self, tmp_path, capsys):
+        # json reads 10**400 as an int too large to be a float; it raised OverflowError
+        path = tmp_path / "huge.json"
+        save_dataset(violating_dataset(T=3, M=2, k=2, seed=1), path)
+        doc = json.loads(path.read_text())
+        doc["constraints"][1][0]["b"] = 10**400
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["audit", str(path), "--out-dir", str(out)]) == 2
+        assert "audit error: constraint (1,0) has a non-finite coefficient" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_audit_reports_undefined_ccei_as_null(self, tmp_path):
         # play 1.5 inside its own budget: gbar + 1 = -0.5, so CCEI is undefined
         path = tmp_path / "inside.json"

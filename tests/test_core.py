@@ -443,6 +443,22 @@ class TestDatasetFiles:
         )
         return RPDataset(cons, strats)
 
+    def _edited_file(self, tmp_path, keys, *value):
+        """The saved dataset with the entry at the path ``keys`` set to ``value``, or deleted."""
+        path = tmp_path / "d.json"
+        save_dataset(self._dataset(), path)
+        doc = json.loads(path.read_text())
+        *parents, last = keys
+        node = doc
+        for key in parents:
+            node = node[key]
+        if value:
+            node[last] = value[0]
+        else:
+            del node[last]
+        path.write_text(json.dumps(doc))
+        return path
+
     def test_round_trip_preserves_gbar(self, tmp_path):
         d = self._dataset()
         path = tmp_path / "d.json"
@@ -509,6 +525,47 @@ class TestDatasetFiles:
         again = path.with_name("again.json")
         save_dataset(d2, again)
         assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [
+            (("constraints", 1, 0, "b"), 10**400, r"constraint \(1,0\) has a non-finite coefficient"),
+            (("constraints", 1, 0, "alpha"), 2.0, r"constraint \(1,0\) has a non-numeric coefficient"),
+            (("strategies", 1, 0, "samples", 0, 1), 10**400, r"strategy \(1,0\) has a non-finite sample"),
+            (("strategies", 1, 0, "samples", 0, 1), True, r"strategy \(1,0\) has a non-numeric sample"),
+            (("strategies", 0, 1, "samples", 1, 0), False, r"strategy \(0,1\) has a non-numeric sample"),
+            (("strategies", 0, 1, "samples", 1, 0), "0.5", r"strategy \(0,1\) has a non-numeric sample"),
+            (("strategies", 1, 1, "samples"), [0.5, 0.5], r"strategy \(1,1\) samples are not a list of points"),
+        ],
+        ids=[
+            "huge-int-b",
+            "scalar-alpha",
+            "huge-int-sample",
+            "true-sample",
+            "false-sample",
+            "string-sample",
+            "flat-samples",
+        ],
+    )
+    def test_malformed_value_in_a_file_raises_naming_its_block(self, tmp_path, keys, value, message):
+        # 10**400 is read as an int too large to be a float (OverflowError before), a
+        # scalar alpha raised TypeError, a bool sample was read as 1.0 or 0.0 and a
+        # numeric string as its number
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_dataset(self._edited_file(tmp_path, keys, value))
+
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            (("k",), r"dataset file lacks the key 'k'"),
+            (("constraints", 1, 0, "kind"), r"constraint \(1,0\) lacks the key 'kind'"),
+            (("strategies", 0, 1, "samples"), r"strategy \(0,1\) lacks the key 'samples'"),
+        ],
+    )
+    def test_missing_key_raises_naming_it(self, tmp_path, keys, message):
+        # a KeyError before
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_dataset(self._edited_file(tmp_path, keys))
 
     def test_header_mismatch_rejected(self, tmp_path):
         d = self._dataset()

@@ -2,11 +2,57 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pareto_forge.core import RPDataset
-from pareto_forge.synthetic import _reversal_pair, consistent_dataset, violating_dataset
+from pareto_forge import synthetic
+from pareto_forge.core import EmpiricalStrategy, RPDataset, save_dataset
+from pareto_forge.synthetic import (
+    _affine,
+    _reversal_pair,
+    consistent_dataset,
+    violating_dataset,
+)
+
+
+def _consistent_rows_serial(T, M, k, seed):
+    """The per-block reference: one draw and one demand call per (t, i), in stream order."""
+    rng = np.random.default_rng(seed)
+    cons, strats = [], []
+    expos = [rng.uniform(0.5, 2.0, size=k) for _ in range(M)]
+    for _t in range(T):
+        row_c, row_s = [], []
+        for i in range(M):
+            alpha = rng.uniform(0.5, 2.0, size=k)
+            b = rng.uniform(0.5, 2.0)
+            x = expos[i] * b / (alpha * expos[i].sum())
+            row_c.append(_affine(alpha, b))
+            row_s.append(EmpiricalStrategy(x[None, :]))
+        cons.append(row_c)
+        strats.append(row_s)
+    return cons, strats
+
+
+def _serial_dataset(generator, T, M, k, seed):
+    cons, strats = _consistent_rows_serial(T, M, k, seed)
+    if generator is violating_dataset:
+        pair_c, pair_s = _reversal_pair(k, np.random.default_rng(seed + 1))
+        cons[0][0], cons[1][0] = pair_c
+        strats[0][0], strats[1][0] = pair_s
+    return RPDataset(cons, strats)
+
+
+def _assert_same_dataset(d, ref):
+    assert d.constraints == ref.constraints
+    for row, ref_row in zip(d.strategies, ref.strategies):
+        for s, r in zip(row, ref_row):
+            assert s.samples.tobytes() == r.samples.tobytes()
+    assert d.gbar.tobytes() == ref.gbar.tobytes()
 
 
 def _violating_from_backbone(T, M, k, seed):
@@ -38,3 +84,117 @@ def test_violating_dataset_builds_one_dataset(monkeypatch):
     monkeypatch.setattr(RPDataset, "__post_init__", lambda self: built.append(1) or init(self))
     violating_dataset(8, 3, 3, seed=0)
     assert len(built) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    generator=st.sampled_from([consistent_dataset, violating_dataset]),
+    T=st.integers(1, 14),
+    M=st.integers(1, 4),
+    k=st.integers(1, 9),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_whole_grid_draw_matches_the_per_block_loop(generator, T, M, k, seed):
+    if generator is violating_dataset:
+        T, k = max(T, 2), max(k, 2)
+    _assert_same_dataset(generator(T, M, k, seed=seed), _serial_dataset(generator, T, M, k, seed))
+
+
+def test_demand_of_a_grid_rounds_as_one_call_per_row():
+    rng = np.random.default_rng(3)
+    expo = rng.uniform(0.5, 2.0, size=(4, 9))
+    alpha = rng.uniform(0.5, 2.0, size=(6, 4, 9))
+    b = rng.uniform(0.5, 2.0, size=(6, 4))
+    X = synthetic.cobb_douglas_demand(expo, alpha, b[..., None])
+    for t in range(6):
+        for i in range(4):
+            ref = synthetic.cobb_douglas_demand(expo[i], alpha[t, i], b[t, i])
+            assert X[t, i].tobytes() == ref.tobytes()
+
+
+def _no_draw(seed):
+    pytest.fail("drew from the random stream")
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ((-1, 3, 3), "T must be >= 1, got -1"),
+        ((3, 0, 3), "M must be >= 1, got 0"),
+        ((3, 2, 0), "k must be >= 1, got 0"),
+    ],
+)
+def test_consistent_dataset_rejects_sizes_below_one_before_any_draw(monkeypatch, sizes, message):
+    monkeypatch.setattr(synthetic.np.random, "default_rng", _no_draw)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        consistent_dataset(*sizes)
+
+
+@pytest.mark.parametrize("M", [0, -2])
+def test_violating_dataset_rejects_m_below_one_before_any_draw(monkeypatch, M):
+    # T and k below 2 it names itself
+    monkeypatch.setattr(synthetic.np.random, "default_rng", _no_draw)
+    with pytest.raises(ValueError, match=f"^M must be >= 1, got {M}$"):
+        violating_dataset(3, M, 3)
+
+
+def test_save_dataset_matches_the_json_dump_reference(tmp_path):
+    # a shifted probe and N = 3 samples, beside a plain violating dataset
+    d = violating_dataset(3, 2, 3, seed=5)
+    cons = [list(row) for row in d.constraints]
+    cons[2][1] = cons[2][1].shifted(0.25, (0.0, 0.0, 0.0))
+    strats = [list(row) for row in d.strategies]
+    x = strats[2][1].samples[0]
+    strats[2][1] = EmpiricalStrategy(np.stack([x, 0.5 * x, 0.25 * x]))
+    for data in (d, RPDataset(cons, strats)):
+        doc = {
+            "T": data.T,
+            "M": data.M,
+            "k": data.k,
+            "constraints": [
+                [
+                    {
+                        "kind": f.family.value,
+                        "alpha": list(f.alpha),
+                        "b": f.b,
+                        "a_t": f.a_t,
+                        "beta": list(f.beta),
+                    }
+                    for f in row
+                ]
+                for row in data.constraints
+            ],
+            "strategies": [
+                [{"samples": s.samples.tolist()} for s in row] for row in data.strategies
+            ],
+        }
+        ref = tmp_path / "ref.json"
+        with open(ref, "w") as fh:
+            json.dump(doc, fh)
+        path = tmp_path / "d.json"
+        save_dataset(data, path)
+        assert path.read_bytes() == ref.read_bytes()
+    assert '"a_t": 0.25' in path.read_text()
+
+
+# sha256 of save_dataset(violating_dataset(T, 3, 3, seed=s)), the benchmark's audit
+# inputs: any drift in the stream, the demand rounding or the file format fails here
+PINNED_SHA256 = {
+    (8, 0): "47f190dde7ce32c56c21556ebc0d16420dbff4d3bcf3b2991404fd4e0f3374c8",
+    (8, 1): "dcc0ca90b12939752c244a935c7dca13873af158228d94e7d6adbc1f7267e77f",
+    (8, 2): "71576e9cab930157b700592e852a7e096db7ec95f2cbb835c9bdefd873ca7e73",
+    (8, 3): "c251d0493a90afe37923e7b4891efc2288ce1a2a4acd449049473b8a325217ff",
+    (8, 4): "5f065e714bc4fd8ba5b34d836bbe41142d1a562bef78db2836084a3ace111efc",
+    (14, 0): "7c7c5c34140c211ac57d5cce3a3f27425f484df5c39b87b813e555185bf014b1",
+    (14, 1): "c844ebaa094252c8594890bdfffe48011ace070445eabfeea76df8ea8784a8b7",
+    (14, 2): "7866c22abcc41dcc272bfe4536dcfc1f25a018b475482774bed449c032af8080",
+    (14, 3): "3535ae3f978e38e3a5b65118e1a87bba69c3eae912c04a3fb0219ac539d3f925",
+    (14, 4): "d7d11be4cb8ba2ab42442acfe8e5266aa739baa39a07681ad863d9aadd9a719f",
+}
+
+
+@pytest.mark.parametrize("T, seed", sorted(PINNED_SHA256))
+def test_audit_input_files_are_pinned(tmp_path, T, seed):
+    path = tmp_path / "d.json"
+    save_dataset(violating_dataset(T, 3, 3, seed=seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256[T, seed]
