@@ -11,7 +11,9 @@ Commands
 Exit codes: 0 success (audit: consistent), 1 semantic negative (audit:
 inconsistent), 2 error (bad config, malformed input, runtime failure).
 Configs are JSON validated against the bundled schema; unknown keys are
-rejected.  ``PARETO_FORGE_THREADS`` overrides Monte-Carlo parallelism.
+rejected.  Monte-Carlo parallelism is the config's ``monte_carlo.parallelism``;
+only when that key is absent is ``PARETO_FORGE_THREADS`` read, and without
+either the usable CPUs are counted.
 """
 
 from __future__ import annotations

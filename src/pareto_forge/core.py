@@ -68,6 +68,8 @@ class ConstraintFunction:
             raise DimensionError(
                 f"shift direction has length {len(self.beta)}, expected {self.dim}"
             )
+        coefs = (*self.alpha, self.b, self.a_t, *self.beta)
+        _check_reals(coefs, "constraint has a non-{} coefficient")
 
     def shifted(self, a_t: float, beta: Sequence[float]) -> "ConstraintFunction":
         """Return g(. - a_t*beta) built on the same base.
@@ -83,30 +85,23 @@ class ConstraintFunction:
         return eval_constraint(self, x)
 
 
-def _finite(v) -> bool:
-    """math.isfinite, False for an int too large to be a float rather than OverflowError."""
+_PLAIN = frozenset((float, int))  # the types a JSON number is read as
+
+
+def _check_reals(values, message: str) -> None:
+    """Raise ValueError(message.format(kind)) unless every value is a finite real number: kind is
+    "numeric" for a str or bool (numpy's too), "finite" for NaN, ±inf or an int too large to be
+    a float.  Plain floats and ints take one type scan."""
+    if not _PLAIN.issuperset(map(type, values)) and not all(
+        isinstance(v, Real) and not isinstance(v, bool) for v in values
+    ):
+        raise ValueError(message.format("numeric"))
     try:
-        return math.isfinite(v)
-    except OverflowError:
-        return False
-
-
-def _plain_coefficients(grid) -> bool:
-    """Whether every coefficient of a probe grid is a finite float or int: the fast check."""
-    coefs = [v for row in grid for f in row for v in (*f.alpha, f.b, f.a_t, *f.beta)]
-    try:
-        return {float, int}.issuperset(map(type, coefs)) and all(map(math.isfinite, coefs))
-    except OverflowError:  # an int too large to be a float: the slow check names its block
-        return False
-
-
-def _check_coefficients(f: ConstraintFunction, t: int, i: int) -> None:
-    """Raise unless every coefficient of probe (t, i) is a finite real number, not a str or bool."""
-    coefs = (*f.alpha, f.b, f.a_t, *f.beta)
-    if not all(isinstance(v, Real) and not isinstance(v, bool) for v in coefs):
-        raise ValueError(f"constraint ({t},{i}) has a non-numeric coefficient")
-    if not all(map(_finite, coefs)):
-        raise ValueError(f"constraint ({t},{i}) has a non-finite coefficient")
+        finite = all(map(math.isfinite, values))
+    except OverflowError:  # an int too large to be a float
+        finite = False
+    if not finite:
+        raise ValueError(message.format("finite"))
 
 
 def eval_constraint(f: ConstraintFunction, x) -> float:
@@ -138,18 +133,15 @@ def affine_budgets(constraints, bounded: bool = False):
 
     This is the one reading of an affine probe's budget set {γ ≥ 0 : g(γ) ≤ 0}:
     S is the shift a_t·β, and 0 for an unshifted probe.  Raises on an empty
-    grid, and on the first block, in row order, that has a non-numeric or
-    non-finite coefficient, whose probe is not affine or, when ``bounded``,
-    whose budget set is not a bounded polytope; so no arithmetic reads a bad
-    coefficient.
+    grid, and on the first block, in row order, whose probe is not affine or,
+    when ``bounded``, whose budget set is not a bounded polytope.  Every
+    coefficient is a finite real number, as :class:`ConstraintFunction`
+    checks at construction.
     """
     if not constraints or not constraints[0]:
         raise ValueError("the probe grid is empty")
-    plain = _plain_coefficients(constraints)
     for s, row in enumerate(constraints):
         for i, f in enumerate(row):
-            if not plain:
-                _check_coefficients(f, s, i)
             if f.family is not Family.AFFINE:
                 raise ValueError(
                     f"block (s={s}, i={i}): only affine probes define a polyhedral budget set"
@@ -182,15 +174,27 @@ def budget_values(budgets, X) -> NDArray[np.float64]:
 
 @dataclass(frozen=True)
 class EmpiricalStrategy:
-    """N uniformly weighted sample points approximating one mixed strategy."""
+    """N uniformly weighted sample points approximating one mixed strategy: an (N, k)
+    int or float array, or a list of points, of finite real numbers."""
 
     samples: NDArray[np.float64]
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=float)
+        x = self.samples
+        if not isinstance(x, np.ndarray):
+            try:
+                coords = list(chain.from_iterable(x))
+            except TypeError:  # the samples, or a point, are not a list
+                raise ValueError("strategy samples are not a list of points") from None
+            # numpy would read true as 1.0 and "0.5" as 0.5
+            _check_reals(coords, "strategy has a non-{} sample")
+        elif x.dtype.kind not in "fiu":
+            raise ValueError("strategy has a non-numeric sample")
+        elif np.count_nonzero(np.isfinite(x)) < x.size:  # half the time of .all() on a small array
+            raise ValueError("strategy has a non-finite sample")
+        arr = np.array(x, dtype=float)
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise ValueError("samples must be a (N, k) array with N >= 1")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
@@ -214,18 +218,6 @@ def expected_constraint(f: ConstraintFunction, s: EmpiricalStrategy) -> float:
     if s.dim != f.dim:
         raise DimensionError(f"strategy dim {s.dim} != constraint dim {f.dim}")
     return float(eval_constraint_many(f, s.samples).mean())
-
-
-def _check_finite(cons, strats) -> None:
-    """Raise on the first (t, i), in row order, with a bad coefficient or a non-finite sample."""
-    samples = np.concatenate([s.samples.ravel() for row in strats for s in row])
-    if _plain_coefficients(cons) and np.isfinite(samples).all():
-        return
-    for t, (row_c, row_s) in enumerate(zip(cons, strats)):
-        for i, (f, s) in enumerate(zip(row_c, row_s)):
-            _check_coefficients(f, t, i)
-            if not np.isfinite(s.samples).all():
-                raise ValueError(f"strategy ({t},{i}) has a non-finite sample")
 
 
 def _agent_budget_values(fs, xs) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -290,7 +282,6 @@ class RPDataset:
         M = len(cons[0])
         if any(len(row) != M for row in cons) or any(len(row) != M for row in strats):
             raise ValueError("ragged T x M grids")
-        _check_finite(cons, strats)
         gbar = np.empty((T, T, M))
         own_max = np.empty((T, M))
         for i in range(M):
@@ -380,6 +371,15 @@ def _constraint_to_json(f: ConstraintFunction) -> dict:
     }
 
 
+def _at_block(err: ValueError, t: int, i: int) -> ValueError:
+    """A constructor's error about a constraint or strategy with block (t, i) named after its
+    subject ("strategy (t,i) has a non-finite sample"); any other error as it is."""
+    subject, _, rest = str(err).partition(" ")
+    if subject not in ("constraint", "strategy"):
+        return err
+    return ValueError(f"{subject} ({t},{i}) {rest}")
+
+
 def _constraint_from_json(obj, dim: int, t: int, i: int) -> ConstraintFunction:
     try:
         kind, alpha, beta = obj["kind"], obj.get("alpha", []), obj.get("beta", [])
@@ -388,14 +388,11 @@ def _constraint_from_json(obj, dim: int, t: int, i: int) -> ConstraintFunction:
     # a coefficient vector that is not a list (a str, a number) is not numeric
     if type(alpha) is not list or type(beta) is not list:
         raise ValueError(f"constraint ({t},{i}) has a non-numeric coefficient")
-    return ConstraintFunction(
-        family=Family(kind),
-        dim=dim,
-        alpha=tuple(alpha),
-        b=obj.get("b", 0.0),
-        a_t=obj.get("a_t", 0.0),
-        beta=tuple(beta),
-    )
+    b, a_t = obj.get("b", 0.0), obj.get("a_t", 0.0)
+    try:
+        return ConstraintFunction(Family(kind), dim, tuple(alpha), b, a_t, tuple(beta))
+    except ValueError as err:
+        raise _at_block(err, t, i) from None
 
 
 def _strategy_from_json(obj, t: int, i: int) -> EmpiricalStrategy:
@@ -404,16 +401,9 @@ def _strategy_from_json(obj, t: int, i: int) -> EmpiricalStrategy:
     except (KeyError, TypeError):  # obj is no dict with "samples"
         raise ValueError(f"strategy ({t},{i}) lacks the key 'samples'") from None
     try:
-        # numpy would read a JSON true/false as 1.0/0.0 and a numeric string as its value
-        numeric = {float, int}.issuperset(map(type, chain.from_iterable(rows)))
-    except TypeError:  # the samples, or a point, are not a list
-        raise ValueError(f"strategy ({t},{i}) samples are not a list of points") from None
-    if not numeric:
-        raise ValueError(f"strategy ({t},{i}) has a non-numeric sample")
-    try:
         return EmpiricalStrategy(rows)
-    except OverflowError:  # an int too large to be a float
-        raise ValueError(f"strategy ({t},{i}) has a non-finite sample") from None
+    except ValueError as err:
+        raise _at_block(err, t, i) from None
 
 
 def save_dataset(d: RPDataset, path) -> None:
@@ -434,16 +424,24 @@ def save_dataset(d: RPDataset, path) -> None:
 def load_dataset(path) -> RPDataset:
     """Read a :func:`save_dataset` file.
 
-    A malformed file raises ValueError naming the missing key or a bad (t, i)
-    block: a coefficient or sample that is not a JSON number (a bool
-    included), or one too large to be a float.
+    A malformed file raises ValueError naming the missing key, a header T, M
+    or k that is not a JSON integer (a bool included), a grid that is not a
+    list of rows, or a bad (t, i) block: a coefficient or sample that is not
+    a JSON number (a bool included), or one that is not finite or too large
+    to be a float.
     """
     with open(path) as fh:
         doc = json.load(fh)
     for key in ("T", "M", "k", "constraints", "strategies"):
         if not isinstance(doc, dict) or key not in doc:
             raise ValueError(f"dataset file lacks the key {key!r}")
-    k = int(doc["k"])
+    for key in ("T", "M", "k"):
+        if type(doc[key]) is not int:
+            raise ValueError(f"dataset file key {key!r} is not an integer")
+    for key in ("constraints", "strategies"):
+        if type(doc[key]) is not list or any(type(row) is not list for row in doc[key]):
+            raise ValueError(f"dataset file key {key!r} is not a list of rows")
+    k = doc["k"]
     cons = [
         [_constraint_from_json(o, k, t, i) for i, o in enumerate(row)]
         for t, row in enumerate(doc["constraints"])
@@ -453,6 +451,6 @@ def load_dataset(path) -> RPDataset:
         for t, row in enumerate(doc["strategies"])
     ]
     d = RPDataset(tuple(map(tuple, cons)), tuple(map(tuple, strats)))
-    if d.T != int(doc["T"]) or d.M != int(doc["M"]):
+    if d.T != doc["T"] or d.M != doc["M"]:
         raise ValueError("dataset header (T, M) disagrees with grid shapes")
     return d

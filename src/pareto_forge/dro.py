@@ -28,6 +28,7 @@ such block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -462,8 +463,10 @@ def exchange_loop(
     iteration (mean iterations 3.00, 4.38, 2.00 for ε = 0.001, 1, 10 over
     50 replications).
     """
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be a finite number >= 0, got {eps}")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be a finite number > 0, got {delta}")
     cfg = cfg or DROConfig()
     rng = np.random.default_rng(cfg.seed)
     samples = _samples(d)

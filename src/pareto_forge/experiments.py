@@ -8,7 +8,9 @@ the acceptance suite use them:
 * ``run_dro_replication`` — one exchange-method run on the finite-sample
   instance family;
 * ``monte_carlo`` — replication wrapper with derived seeds and optional
-  process-level parallelism (``PARETO_FORGE_THREADS`` overrides).
+  process-level parallelism: the ``parallelism`` argument when given (the
+  CLI passes the config's ``monte_carlo.parallelism``), else
+  ``PARETO_FORGE_THREADS``, else the usable CPUs.
 """
 
 from __future__ import annotations

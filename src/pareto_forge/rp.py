@@ -170,9 +170,9 @@ def afriat_feasible(
     feasible exactly when GARP holds on the relation -gbar[:, :, i] >= r.
     One closure of -gbar gives both the verdict and every agent's certificate.
     """
-    if r < 0:
+    if not r >= 0:
         raise ValueError("r must be >= 0")
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be > 0")
     W = -_agents(d)
     H = _closure(W)
@@ -211,7 +211,7 @@ def pareto_gap(d: RPDataset, alpha: float = ALPHA_DEFAULT) -> GapResult:
     when some agent's gap is unattained.  A certificate that fails
     validation raises RuntimeError.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
     W = -_agents(d)
     H = _closure(W)
@@ -237,7 +237,7 @@ def mm_garp(d: RPDataset) -> bool:
 
 def garp_f(d: RPDataset, F: float) -> bool:
     """GARP with additive budget slack F: k R j iff gbar[k,j,i] + F <= gbar[k,k,i]."""
-    if F < 0:
+    if not F >= 0:
         raise ValueError("F must be >= 0")
     return bool(_garp(_slack(_agents(d)), F).all())
 
@@ -301,7 +301,7 @@ def hoeffding_confidence(eps: float, N: int, T: int, M: int, G: float) -> float:
     Implemented verbatim as the printed double product with per-factor
     exponent T (net exponent T^2 * M).
     """
-    if eps < 0 or N < 1 or G <= 0:
+    if not (eps >= 0 and N >= 1 and G > 0):
         raise ValueError("require eps >= 0, N >= 1, G > 0")
     inner = max(1.0 - 2.0 * np.exp(-2.0 * eps * eps * N / (G * G)), 0.0)
     return float(inner ** (T * T * M))

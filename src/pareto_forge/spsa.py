@@ -44,13 +44,13 @@ class SPSAConfig:
 
     def __post_init__(self):
         box = np.asarray(self.theta_box, dtype=float).reshape(-1, 2)
-        if self.a <= 0 or self.c <= 0 or self.q < 0:
+        if not (self.a > 0 and self.c > 0 and self.q >= 0):
             raise ValueError("require a > 0, c > 0, q >= 0")
         if not (1.0 / 6.0 <= self.eta <= 0.5):
             raise ValueError("eta must lie in [1/6, 1/2]")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if np.any(box[:, 0] > box[:, 1]):
+        if not np.all(box[:, 0] <= box[:, 1]):
             raise ValueError("theta_box rows must be [lo, hi] with lo <= hi")
         object.__setattr__(self, "theta_box", box)
 

@@ -292,6 +292,21 @@ class TestGenerateAndAudit:
         assert "audit error: constraint (1,0) has a non-finite coefficient" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [("T", "8"), ("k", 3.0)])
+    def test_audit_header_that_is_no_json_integer_exits_two_without_a_report(
+        self, tmp_path, capsys, key, value
+    ):
+        # int() read both as the integer, so the file was audited
+        path = tmp_path / "header.json"
+        save_dataset(violating_dataset(T=8, M=3, k=3, seed=0), path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["audit", str(path), "--out-dir", str(out)]) == 2
+        assert f"audit error: dataset file key '{key}' is not an integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_audit_reports_undefined_ccei_as_null(self, tmp_path):
         # play 1.5 inside its own budget: gbar + 1 = -0.5, so CCEI is undefined
         path = tmp_path / "inside.json"

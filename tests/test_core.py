@@ -146,21 +146,33 @@ class TestRPDataset:
         with pytest.raises(ValueError):
             RPDataset(((f,), (f, f)), ((s,), (s, s)))
 
-    def test_non_finite_sample_rejected(self):
-        # a NaN sample yields NaN budget values, which pass every "> tol" check
+    def test_non_finite_sample_rejected(self, tmp_path):
+        # a NaN sample yields NaN budget values, which pass every "> tol" check; the
+        # strategy rejects it, and a file names its block
+        with pytest.raises(ValueError, match=r"^strategy has a non-finite sample$"):
+            EmpiricalStrategy(np.array([[np.nan]]))
         cons = ((_affine([1.0], 1.0),), (_affine([1.0], 1.0),))
-        strats = (
-            (EmpiricalStrategy(np.array([[0.5]])),),
-            (EmpiricalStrategy(np.array([[np.nan]])),),
-        )
-        with pytest.raises(ValueError, match=r"strategy \(1,0\) has a non-finite sample"):
-            RPDataset(cons, strats)
+        strats = ((EmpiricalStrategy(np.array([[0.5]])),),) * 2
+        path = tmp_path / "d.json"
+        save_dataset(RPDataset(cons, strats), path)
+        doc = json.loads(path.read_text())
+        doc["strategies"][1][0]["samples"][0][0] = float("nan")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"^strategy \(1,0\) has a non-finite sample$"):
+            load_dataset(path)
 
-    def test_non_finite_coefficient_rejected(self):
-        cons = ((_affine([1.0, np.inf], 1.0),),)
+    def test_non_finite_coefficient_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^constraint has a non-finite coefficient$"):
+            _affine([1.0, np.inf], 1.0)
+        cons = ((_affine([1.0, 1.0], 1.0),),)
         strats = ((EmpiricalStrategy(np.array([[0.5, 0.0]])),),)
-        with pytest.raises(ValueError, match=r"constraint \(0,0\) has a non-finite coefficient"):
-            RPDataset(cons, strats)
+        path = tmp_path / "d.json"
+        save_dataset(RPDataset(cons, strats), path)
+        doc = json.loads(path.read_text())
+        doc["constraints"][0][0]["alpha"][1] = float("inf")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"^constraint \(0,0\) has a non-finite coefficient$"):
+            load_dataset(path)
 
     @pytest.mark.parametrize(
         "fields",
@@ -175,15 +187,14 @@ class TestRPDataset:
         ids=["alpha-str", "alpha-bool", "b-str", "b-numpy-bool", "a_t-bool", "beta-str"],
     )
     def test_non_numeric_coefficient_rejected(self, fields):
-        # numpy would raise TypeError on a string, and read a bool as 1.0
+        # numpy would raise TypeError on a string, and read a bool as 1.0; no dataset
+        # or budget grid can hold such a probe, as none can be built
         f = _affine([1.0], 1.0)
-        cons = ((f,), (replace(f, **fields),))
-        strats = ((EmpiricalStrategy(np.array([[0.5]])),),) * 2
-        match = r"^constraint \(1,0\) has a non-numeric coefficient$"
+        match = r"^constraint has a non-numeric coefficient$"
         with pytest.raises(ValueError, match=match):
-            RPDataset(cons, strats)
+            replace(f, **fields)
         with pytest.raises(ValueError, match=match):
-            affine_budgets(cons)
+            ConstraintFunction(**{**vars(f), **fields})
 
     def test_non_finite_gbar_rejected(self):
         # finite inputs, but log(2*sigma(-1000)) underflows to -inf
@@ -197,13 +208,6 @@ class TestRPDataset:
 def _reference_gbar(cons, strats):
     """The per-entry construction: gbar and validation, one expected_constraint call per entry."""
     T, M = len(cons), len(cons[0])
-    for t in range(T):
-        for i in range(M):
-            f = cons[t][i]
-            if not np.isfinite([*f.alpha, f.b, f.a_t, *f.beta]).all():
-                raise ValueError(f"constraint ({t},{i}) has a non-finite coefficient")
-            if not np.isfinite(strats[t][i].samples).all():
-                raise ValueError(f"strategy ({t},{i}) has a non-finite sample")
     gbar = np.empty((T, T, M))
     for i in range(M):
         for t in range(T):
@@ -334,9 +338,15 @@ class TestBudgetMatrix:
             elif fault == "dim_constraint":
                 cons[t][i] = ConstraintFunction(Family.LOG_SIGMOID, f.dim + 1)
             elif fault == "nan_sample":
+                # rejected where it enters, so the block keeps its valid strategy
                 x[-1, 0] = np.nan if size < 2.5 else -np.inf
+                with pytest.raises(ValueError, match=r"^strategy has a non-finite sample$"):
+                    EmpiricalStrategy(x)
+                continue
             elif fault == "inf_coefficient":
-                cons[t][i] = replace(f, b=np.inf, a_t=f.a_t or np.nan)
+                with pytest.raises(ValueError, match=r"^constraint has a non-finite coefficient$"):
+                    replace(f, b=np.inf, a_t=f.a_t or np.nan)
+                continue
             elif fault == "own":
                 x += size  # every sample moves out: g rises along each coordinate
             else:
@@ -566,6 +576,27 @@ class TestDatasetFiles:
         # a KeyError before
         with pytest.raises(ValueError, match=f"^{message}$"):
             load_dataset(self._edited_file(tmp_path, keys))
+
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [
+            (("T",), "2", "'T' is not an integer"),
+            (("M",), 2.0, "'M' is not an integer"),
+            (("k",), 2.5, "'k' is not an integer"),
+            (("k",), True, "'k' is not an integer"),
+            (("T",), None, "'T' is not an integer"),
+            (("M",), [2], "'M' is not an integer"),
+            (("constraints",), 5, "'constraints' is not a list of rows"),
+            (("strategies",), None, "'strategies' is not a list of rows"),
+            (("constraints", 1), "ab", "'constraints' is not a list of rows"),
+            (("strategies", 0), 0.5, "'strategies' is not a list of rows"),
+        ],
+    )
+    def test_malformed_header_or_grid_raises_naming_its_key(self, tmp_path, keys, value, message):
+        # int() read "2" as 2 and 2.0 or 2.5 as 2, so those loaded silently, and
+        # enumerate() raised TypeError on a number or null
+        with pytest.raises(ValueError, match=f"^dataset file key {message}$"):
+            load_dataset(self._edited_file(tmp_path, keys, value))
 
     def test_header_mismatch_rejected(self, tmp_path):
         d = self._dataset()

@@ -668,6 +668,22 @@ class TestExchangeLoop:
         with pytest.raises(ValueError):
             exchange_loop(_small_dataset(), eps=1.0, delta=0.0)
 
+    @pytest.mark.parametrize(
+        "eps, delta, message",
+        [
+            (np.nan, 0.1, "eps must be a finite number >= 0, got nan"),  # certified with objective nan
+            (-1.0, 0.1, "eps must be a finite number >= 0, got -1.0"),  # certified at -11.05
+            (np.inf, 0.1, "eps must be a finite number >= 0, got inf"),
+            (1.0, np.nan, "delta must be a finite number > 0, got nan"),  # ran every iteration
+            (1.0, np.inf, "delta must be a finite number > 0, got inf"),
+            (1.0, -0.1, "delta must be a finite number > 0, got -0.1"),
+        ],
+    )
+    def test_bad_radius_or_tolerance_rejected_before_any_solve(self, monkeypatch, eps, delta, message):
+        monkeypatch.setattr(dro, "master_solve", lambda *a, **k: pytest.fail("master_solve ran"))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            exchange_loop(dro_instance(T=3, M=2, N=2, seed=0), eps=eps, delta=delta)
+
     def test_family_given_as_a_string_reads_as_the_member(self):
         d = dro_instance(T=3, M=2, N=2, seed=4)
         cons = tuple(tuple(replace(f, family=f.family.value) for f in row) for row in d.constraints)

@@ -147,15 +147,14 @@ class TestProbeFeasibleSet:
         ids=["alpha", "b", "a_t", "beta"],
     )
     def test_non_finite_coefficient_rejected_where_it_enters(self, fields, bad):
+        # the probe cannot be built, so probe_bounds and collect_dataset never see it
         g = RiverPollutionGame(np.full(7, 0.5))
-        probes = [list(row) for row in river_probes(g, T=2, seed=0)]
-        probes[1][2] = replace(probes[1][2], **fields(bad))
-        probes = tuple(map(tuple, probes))
-        match = r"^constraint \(1,2\) has a non-finite coefficient$"
+        p = river_probes(g, T=2, seed=0)[1][2]
+        match = r"^constraint has a non-finite coefficient$"
         with pytest.raises(ValueError, match=match):
-            probe_bounds(probes, 3)
+            replace(p, **fields(bad))
         with pytest.raises(ValueError, match=match):
-            collect_dataset(g, probes)
+            ConstraintFunction(**{**vars(p), **fields(bad)})
 
     @settings(max_examples=200, deadline=None)
     @given(T=st.integers(1, 4), M=st.integers(1, 3), data=st.data())

@@ -28,6 +28,7 @@ from pareto_forge.rp import (
     rank_optimality_check,
     reconstruct_utility,
 )
+from pareto_forge.spsa import SPSAConfig
 from pareto_forge.synthetic import consistent_dataset, violating_dataset
 
 
@@ -521,6 +522,39 @@ class TestHoeffdingConfidence:
             hoeffding_confidence(0.1, 0, 2, 1, 1.0)
         with pytest.raises(ValueError):
             hoeffding_confidence(0.1, 10, 2, 1, 0.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d: garp_f(d, np.nan),  # returned True on a violating dataset
+        lambda d: pareto_gap(d, alpha=np.nan),  # returned a certificate with alpha nan
+        lambda d: afriat_feasible(d, np.nan),  # raised RuntimeError after the work was done
+        lambda d: afriat_feasible(d, 0.1, alpha=np.nan),
+        lambda d: hoeffding_confidence(np.nan, 10, 2, 1, 1.0),  # returned nan
+        lambda d: hoeffding_confidence(0.1, 10, 2, 1, np.nan),
+        lambda d: SPSAConfig(a=np.nan, c=0.1, q=0.0, eta=0.3, theta_box=[[0.0, 1.0]]),
+        lambda d: SPSAConfig(a=0.1, c=np.nan, q=0.0, eta=0.3, theta_box=[[0.0, 1.0]]),
+        lambda d: SPSAConfig(a=0.1, c=0.1, q=np.nan, eta=0.3, theta_box=[[0.0, 1.0]]),
+        lambda d: SPSAConfig(a=0.1, c=0.1, q=0.0, eta=0.3, theta_box=[[0.0, 1.0], [np.nan, 1.0]]),
+    ],
+    ids=[
+        "garp_f-F",
+        "pareto_gap-alpha",
+        "afriat-r",
+        "afriat-alpha",
+        "hoeffding-eps",
+        "hoeffding-G",
+        "spsa-a",
+        "spsa-c",
+        "spsa-q",
+        "spsa-theta_box",
+    ],
+)
+def test_nan_parameter_rejected(call):
+    # a NaN fails every comparison, so an "x <= 0" guard let it through
+    with pytest.raises(ValueError):
+        call(violating_dataset(3, 2, 2, seed=1))
 
 
 class TestReconstructUtility:
