@@ -309,6 +309,9 @@ def main(argv=None) -> int:
     if args.command in {"generate", "mc"} and not args.config:
         print(f"{args.command} requires --config", file=sys.stderr)
         return EXIT_ERROR
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        print(f"{args.command} error: --seed must be an integer >= 0, got {args.seed}", file=sys.stderr)
+        return EXIT_ERROR
     try:
         return args.func(args)
     except ConfigError as err:

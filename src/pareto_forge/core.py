@@ -371,13 +371,13 @@ def _constraint_to_json(f: ConstraintFunction) -> dict:
     }
 
 
-def _at_block(err: ValueError, t: int, i: int) -> ValueError:
-    """A constructor's error about a constraint or strategy with block (t, i) named after its
-    subject ("strategy (t,i) has a non-finite sample"); any other error as it is."""
-    subject, _, rest = str(err).partition(" ")
-    if subject not in ("constraint", "strategy"):
-        return err
-    return ValueError(f"{subject} ({t},{i}) {rest}")
+def _at_block(err: ValueError, subject: str, t: int, i: int) -> ValueError:
+    """A constructor's error with the block (t, i) named: after its subject when it starts
+    with it ("strategy (t,i) has a non-finite sample"), else before it ("strategy (t,i):
+    samples must be …"); a DimensionError stays one."""
+    head, _, rest = str(err).partition(" ")
+    cls = DimensionError if isinstance(err, DimensionError) else ValueError
+    return cls(f"{subject} ({t},{i}) {rest}" if head == subject else f"{subject} ({t},{i}): {err}")
 
 
 def _constraint_from_json(obj, dim: int, t: int, i: int) -> ConstraintFunction:
@@ -392,18 +392,21 @@ def _constraint_from_json(obj, dim: int, t: int, i: int) -> ConstraintFunction:
     try:
         return ConstraintFunction(Family(kind), dim, tuple(alpha), b, a_t, tuple(beta))
     except ValueError as err:
-        raise _at_block(err, t, i) from None
+        raise _at_block(err, "constraint", t, i) from None
 
 
-def _strategy_from_json(obj, t: int, i: int) -> EmpiricalStrategy:
+def _strategy_from_json(obj, dim: int, t: int, i: int) -> EmpiricalStrategy:
     try:
         rows = obj["samples"]
     except (KeyError, TypeError):  # obj is no dict with "samples"
         raise ValueError(f"strategy ({t},{i}) lacks the key 'samples'") from None
     try:
-        return EmpiricalStrategy(rows)
+        s = EmpiricalStrategy(rows)
     except ValueError as err:
-        raise _at_block(err, t, i) from None
+        raise _at_block(err, "strategy", t, i) from None
+    if s.dim != dim:
+        raise DimensionError(f"strategy ({t},{i}) dim {s.dim} != constraint dim {dim}")
+    return s
 
 
 def save_dataset(d: RPDataset, path) -> None:
@@ -428,7 +431,8 @@ def load_dataset(path) -> RPDataset:
     or k that is not a JSON integer (a bool included), a grid that is not a
     list of rows, or a bad (t, i) block: a coefficient or sample that is not
     a JSON number (a bool included), or one that is not finite or too large
-    to be a float.
+    to be a float, a coefficient vector or a sample list of the wrong shape,
+    or samples of another dimension than k.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -447,7 +451,7 @@ def load_dataset(path) -> RPDataset:
         for t, row in enumerate(doc["constraints"])
     ]
     strats = [
-        [_strategy_from_json(o, t, i) for i, o in enumerate(row)]
+        [_strategy_from_json(o, k, t, i) for i, o in enumerate(row)]
         for t, row in enumerate(doc["strategies"])
     ]
     d = RPDataset(tuple(map(tuple, cons)), tuple(map(tuple, strats)))

@@ -35,6 +35,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .core import RPDataset, affine_budgets, budget_values
+from .rp import _critical_levels
 
 # slack within which an oracle candidate counts as inside its budget set or ball
 TOL_FACE = 1e-12
@@ -101,6 +102,8 @@ class DROConfig:
             raise ValueError(
                 f"lam_max must be >= lambda_hat ({self.lambda_hat}), got {self.lam_max}"
             )
+        if not self.max_exchange_iters >= 1:
+            raise ValueError(f"max_exchange_iters must be >= 1, got {self.max_exchange_iters}")
 
 
 def _dataset_g_bound(d: RPDataset) -> float:
@@ -189,16 +192,29 @@ class _Segments:
         self.rows = np.arange(starts.size)
 
 
-def _lane_scores(u, lam, v_n1, cut_data, segs: _Segments):
+def _cut_levels(Gs) -> NDArray[np.float64]:
+    """ℓ_j = max(0, largest cycle bottleneck of −G_j over the agents), one per cut.
+
+    h_j(ψ) ≥ ℓ_j for every ψ with λ > 0, exactly in floating point: on the
+    bottleneck cycle of agent i some edge (t, s) has u_s ≥ u_t, so
+    fl(fl(u_s − u_t)/λ_t) ≥ 0 and its term is at least −G_j[t, s, i], an edge
+    of the cycle and so at least its bottleneck.
+    """
+    return np.maximum(_critical_levels(-Gs.transpose(0, 3, 1, 2)).max(axis=1), 0.0)
+
+
+def _lane_scores(psi, v_n1, cut_data, segs: _Segments):
     """Per-lane attained cut maxima and the (t, s, i) entry behind each.
 
     A cut scores h − v_{N+1}·dist with h = max(0, max_{t,s,i} term).  For each
     sample index with cuts, returns its largest cut score and, for its first
     maximising cut, the flat (t, s, i) index of the first maximising term.
-    u and lam are (L, T, M), v_n1 is (L,); both results are (L, len(segs.ks)).
+    psi is (L, 2, T, M), u then λ, and v_n1 is (L,); both results are
+    (L, len(segs.ks)).
     """
     Gs, dists, _kidx = cut_data
-    L, J = len(u), len(dists)
+    u, lam = psi[:, 0], psi[:, 1]
+    L, J = len(psi), len(dists)
     c = (u[:, None] - u[:, :, None]) / lam[:, :, None]  # c[l, t, s, i]
     term = (c[:, None] - Gs).reshape(L * J, -1)
     arg = term.argmax(axis=1)
@@ -216,74 +232,95 @@ def _lane_objective(seg_max, v_n1, segs: _Segments, eps, N, two_v):
     return eps * v_n1 + v.sum(axis=1) / N, v
 
 
-def _lane_descent(u, lam, v_n1, cut_data, segs: _Segments, eps, N, two_v, box, incumbent):
+def _lane_floor(v_n1, cut_data, levels, segs: _Segments, eps, N, two_v):
+    """Per lane, a value that no objective of the lane can go below.
+
+    Each cut's score fl(h_j − fl(v_{N+1}·dist_j)) is at least
+    fl(ℓ_j − fl(v_{N+1}·dist_j)) with ℓ_j its level (:func:`_cut_levels`), and
+    the objective is monotone in each per-k maximum, as clipping, the sum and
+    every rounding are: so the objective of the per-k maxima of these bounds
+    is a floor.  It is at least fl(ε·v_{N+1}), since every v_k ≥ 0.
+    """
+    _Gs, dists, _kidx = cut_data
+    bound = levels - v_n1[:, None] * dists
+    floor, _ = _lane_objective(bound[:, segs.cols].max(axis=2), v_n1, segs, eps, N, two_v)
+    return floor
+
+
+def _lane_descent(psi, v_n1, cut_data, levels, segs: _Segments, eps, N, two_v, box, incumbent):
     """Projected subgradient descent over ψ for fixed v_{N+1}, one lane per start.
 
-    Each lane follows the iterates of a serial descent from its start: every
-    v_k in (0, 2V) contributes the subgradient of its first maximising cut,
-    and a lane stops for good once no v_k does.  A lane whose step leaves
-    (u, λ) unchanged also stops for good: at its next step it has the same
-    scores and subgradient and a smaller step size, and since fl(step·g) and
-    fl(u − x) are monotone and the clip is to a fixed box, that step and
-    every later one return the same point.  So only the lanes that still
-    move are scored, and the descent ends when none does; the serial
-    descents' remaining steps would change no iterate and no best point.
+    psi is (L, 2, T, M), each lane's u then λ, and ``box`` is the ψ box as
+    (low, high), each (2, 1, 1).  Each lane follows the iterates of a serial
+    descent from its start: every v_k in (0, 2V) contributes the subgradient
+    of its first maximising cut, and a lane stops for good once no v_k
+    does.  A lane whose step leaves ψ unchanged also stops for good:
+    at its next step it has the same scores and subgradient and a smaller
+    step size, and since fl(step·g) and fl(ψ − x) are monotone and the clip
+    is to a fixed box, that step and every later one return the same point.
+    So only the lanes that still move are scored, and the descent ends when
+    none does; the serial descents' remaining steps would change no iterate
+    and no best point.
 
-    A lane also stops once it can no longer be the round's winner.  Each of
-    its objectives is fl(ε·v_{N+1}) + fl(Σ_k v_k / N) with every v_k ≥ 0, and
-    rounding is monotone, so none is below its floor fl(ε·v_{N+1}).  It stops
+    A lane also stops once it can no longer change the round's result.  No
+    objective of the lane is below its floor (:func:`_lane_floor`).  It stops
     when its floor is strictly above the smallest best objective of any lane
-    (the first minimiser wins a tie, so a tie keeps it) or at or above
-    ``incumbent``, the objective a winner must beat (+inf for none).  In the
-    serial descents its best is then neither the round's first minimiser nor
-    below ``incumbent`` either, so only that lane's own returned best may
-    differ from theirs.
+    (the first minimiser wins a tie, so a tie keeps it), at or above
+    ``incumbent``, the objective a winner must beat (+inf for none), or at or
+    above its own best objective.  In the serial descents its best is then
+    neither the round's first minimiser nor below ``incumbent``, or it never
+    changes again, so a returned best differs from theirs only for a lane
+    that cannot win.
     """
-    u_lo, u_hi, l_lo, l_hi = box
-    L, T, M = u.shape
-    floor = eps * v_n1
-    # flat (t, s, i) term index -> flat (s, i) and (t, i) indices into a lane's T·M
-    t, s, i = np.unravel_index(np.arange(T * T * M), (T, T, M))
+    lo, hi = box
+    L, _, T, M = psi.shape
+    TM = T * M
+    floor = _lane_floor(v_n1, cut_data, levels, segs, eps, N, two_v)
+    # flat (t, s, i) term index -> flat (s, i) and (t, i) indices into a lane's u
+    t, s, i = np.unravel_index(np.arange(T * TM), (T, T, M))
     of_st = np.stack([s * M + i, t * M + i], axis=1)
     sign = np.array([1.0, -1.0])
-    seg_max, entry = _lane_scores(u, lam, v_n1, cut_data, segs)
+    seg_max, entry = _lane_scores(psi, v_n1, cut_data, segs)
     best_obj, _ = _lane_objective(seg_max, v_n1, segs, eps, N, two_v)
-    best_u, best_lam = u.copy(), lam.copy()
-    lanes = np.arange(L)  # the moving lanes; u and lam hold their iterates
-    step0 = 0.2 * max(u_hi - u_lo, l_hi - l_lo)
+    best_psi = psi.copy()
+    lanes = np.arange(L)  # the moving lanes; psi holds their iterates
+    step0 = 0.2 * (hi - lo).max()
     for it in range(SUBGRAD_ITERS):
         # the first maximising cut of each k scores seg_max
         live = (seg_max > 0.0) & (seg_max < two_v)
         f = floor[lanes]
-        active = live.any(axis=1) & (f <= best_obj.min()) & (f < incumbent)
+        active = live.any(axis=1) & (f <= best_obj.min()) & (f < incumbent) & (f < best_obj[lanes])
         if not active.all():
-            lanes, u, lam, live, entry = (a[active] for a in (lanes, u, lam, live, entry))
+            lanes, psi, live, entry = (a[active] for a in (lanes, psi, live, entry))
             if not lanes.size:
                 break
-        # per-lane subgradient, accumulated in the serial (lane, k) order
+        # per-lane subgradient, accumulated in the serial (lane, k) order; the
+        # u and λ entries fall in disjoint bins, so one bincount keeps each order
         row, c = np.nonzero(live)
-        e = entry[row, c]
-        at = of_st[e] + row[:, None] * (T * M)  # (s, i) and (t, i) of each term
-        at_s, at_t = at[:, 0], at[:, 1]
-        lam_t = lam.ravel()[at_t]
+        at = of_st[entry[row, c]] + row[:, None] * (2 * TM)  # u's (s, i) and (t, i) of each term
+        at_s, at_t, at_l = at[:, 0], at[:, 1], at[:, 1] + TM  # and λ's (t, i)
+        flat = psi.ravel()
+        lam_t = flat[at_l]
         x = 1.0 / (lam_t * N)
-        gu = np.bincount(at.ravel(), (x[:, None] * sign).ravel(), u.size)
-        gl = np.bincount(at_t, -((u.ravel()[at_s] - u.ravel()[at_t]) / (lam_t**2 * N)), u.size)
+        gl = -((flat[at_s] - flat[at_t]) / (lam_t**2 * N))
+        g = np.bincount(
+            np.concatenate([at.ravel(), at_l]),
+            np.concatenate([(x[:, None] * sign).ravel(), gl]),
+            psi.size,
+        )
         step = step0 / np.sqrt(it + 1.0)
-        u_next = (u - step * gu.reshape(u.shape)).clip(u_lo, u_hi)
-        lam_next = (lam - step * gl.reshape(u.shape)).clip(l_lo, l_hi)
-        moved = (u_next != u).any(axis=(1, 2)) | (lam_next != lam).any(axis=(1, 2))
-        lanes, u, lam = lanes[moved], u_next[moved], lam_next[moved]
+        psi_next = (psi - step * g.reshape(psi.shape)).clip(lo, hi)
+        moved = (psi_next != psi).any(axis=(1, 2, 3))
+        lanes, psi = lanes[moved], psi_next[moved]
         if not lanes.size:
             break
-        seg_max, entry = _lane_scores(u, lam, v_n1[lanes], cut_data, segs)
+        seg_max, entry = _lane_scores(psi, v_n1[lanes], cut_data, segs)
         obj, _ = _lane_objective(seg_max, v_n1[lanes], segs, eps, N, two_v)
         better = obj < best_obj[lanes]
         won = lanes[better]
         best_obj[won] = obj[better]
-        best_u[won] = u[better]
-        best_lam[won] = lam[better]
-    return best_u, best_lam, best_obj
+        best_psi[won] = psi[better]
+    return best_psi, best_obj
 
 
 def master_solve(
@@ -295,20 +332,28 @@ def master_solve(
 ) -> tuple[PsiVector, NDArray[np.float64], float]:
     """Approximate minimizer of the cut-constrained master program.
 
-    Outer refining grid over v_{N+1} ∈ [0, V/ε]; inner projected-subgradient
-    descent over ψ with multistart, all V_GRID × MULTISTARTS descents of a
-    round run as one batch; v_k recovered as the attained cut maxima
-    clipped to [0, 2V].  The second round passes the first round's best
-    objective as the incumbent it must beat, so its descents stop once their
-    floor ε·v_{N+1} reaches it (see :func:`_lane_descent`); the returned ψ, v
-    and objective are those of the serial descents.
+    Outer refining grid over v_{N+1} ∈ [0, V/ε] (two rounds of V_GRID points,
+    the second around the first's best), with V = 2·U_BOUND/λ̂ + G and G the
+    dataset's range bound; inner projected-subgradient descent over ψ in the
+    box [−U_BOUND, U_BOUND] × [λ̂, λ_max], SUBGRAD_ITERS steps from each of
+    MULTISTARTS starts per point (the box centre, then uniform draws), all
+    V_GRID × MULTISTARTS descents of a round run as one batch
+    (:func:`_lane_descent`); v_k recovered as the attained cut maxima clipped
+    to [0, 2V].  Every cut's level ℓ_j (:func:`_cut_levels`) comes from one
+    stacked cycle-bottleneck call, and gives each lane a floor that none of
+    its objectives goes below; a lane stops once its floor shows it cannot
+    win.  The second round passes the first round's best objective as the
+    incumbent it must beat.  The returned ψ, v and objective are those of
+    the serial descents.
     """
     rng = np.random.default_rng(cfg.seed if rng is None else rng)
     T, M, N = d.T, d.M, scen.N
     # the printed V = 2·U_BOUND/λ̂, widened by the dataset's range bound G
     V = 2.0 * U_BOUND / cfg.lambda_hat + _dataset_g_bound(d)
     two_v = 2.0 * V
-    box = (-U_BOUND, U_BOUND, cfg.lambda_hat, cfg.lam_max)
+    # the ψ box, u's then λ's
+    low = np.array([-U_BOUND, cfg.lambda_hat])[:, None, None]
+    high = np.array([U_BOUND, cfg.lam_max])[:, None, None]
     center_l = 0.5 * (cfg.lambda_hat + cfg.lam_max)
     if scen.total == 0:
         psi = PsiVector(np.zeros((T, M)), np.full((T, M), center_l))
@@ -316,6 +361,7 @@ def master_solve(
 
     samples = _samples(d)
     cut_data = _cut_data(d, samples, scen)
+    levels = _cut_levels(cut_data[0])
     segs = _Segments(cut_data[2])
     vmax = V / eps if eps > 0 else two_v
     S = MULTISTARTS
@@ -325,26 +371,25 @@ def master_solve(
     for _round in range(2):
         grid = np.linspace(lo, hi, V_GRID)
         # lanes in (grid point, start) order; the centre first, then random starts
-        u0 = np.zeros((V_GRID, S, T, M))
-        lam0 = np.full((V_GRID, S, T, M), center_l)
-        for g in range(V_GRID):
-            for m in range(1, S):
-                u0[g, m] = rng.uniform(box[0], box[1], size=(T, M))
-                lam0[g, m] = rng.uniform(box[2], box[3], size=(T, M))
-        u, lam, obj = _lane_descent(
-            u0.reshape(-1, T, M), lam0.reshape(-1, T, M), np.repeat(grid, S),
-            cut_data, segs, eps, N, two_v, box, np.inf if best is None else best[3],
+        psi0 = np.empty((V_GRID, S, 2, T, M))
+        psi0[:, 0, 0] = 0.0
+        psi0[:, 0, 1] = center_l
+        # scaled as Generator.uniform scales its draws: the same stream
+        psi0[:, 1:] = low + (high - low) * rng.random((V_GRID, S - 1, 2, T, M))
+        psi, obj = _lane_descent(
+            psi0.reshape(-1, 2, T, M), np.repeat(grid, S), cut_data, levels,
+            segs, eps, N, two_v, (low, high), np.inf if best is None else best[2],
         )
         j = int(obj.argmin())
-        if best is None or obj[j] < best[3]:
-            best = (grid[j // S], u[j], lam[j], obj[j])
+        if best is None or obj[j] < best[2]:
+            best = (grid[j // S], psi[j], obj[j])
         width = (hi - lo) / (V_GRID - 1)
         lo = max(0.0, best[0] - width)
         hi = min(vmax, best[0] + width)
-    v_n1, u, lam, obj = best
-    seg_max, _ = _lane_scores(u[None], lam[None], np.array([v_n1]), cut_data, segs)
+    v_n1, psi, obj = best
+    seg_max, _ = _lane_scores(psi[None], np.array([v_n1]), cut_data, segs)
     _, v = _lane_objective(seg_max, np.array([v_n1]), segs, eps, N, two_v)
-    return PsiVector(u, lam), np.concatenate([v[0], [v_n1]]), float(obj)
+    return PsiVector(psi[0], psi[1]), np.concatenate([v[0], [v_n1]]), float(obj)
 
 
 # --- constraint-violation oracle ---------------------------------------------
@@ -398,8 +443,11 @@ class DROState:
     certified: bool = False
 
 
-def _cv_all(state: DROState, d: RPDataset, samples):
+def _cv_all(state: DROState, budgets, samples, faces):
     """Most violated scenario per sample index, exact over every block's faces.
+
+    ``budgets`` are the bounded budgets and ``faces`` the samples' face points
+    (:func:`_face_points`), which no master solve changes.
 
     For block (s, i) and sample k with anchor a, the score of γ is
     max(term(γ), rest_k, 0) − (v‖γ − a‖ + v_k), v = v_{N+1}, rest_k the other
@@ -416,11 +464,10 @@ def _cv_all(state: DROState, d: RPDataset, samples):
     psi, v_hat = state.psi_hat, state.v_hat
     T, M, N, kdim = samples.shape
     v_n1 = float(v_hat[-1])
-    budgets = affine_budgets(d.constraints, bounded=True)
     bt = _block_terms(budgets, psi, samples)
     base_h = np.maximum(bt.reshape(T * M, N).max(axis=0), 0.0)  # (N,)
     best_val = base_h - v_hat[:N]  # zero-deviation scenario
-    feet, dist, q = _face_points(budgets, samples)
+    feet, dist, q = faces
     qq = (q * q).sum(axis=-1)  # (T, M, T, F)
     room = v_n1 * v_n1 - qq
     root = np.sqrt(np.where(room > 0.0, room, 1.0))
@@ -471,13 +518,15 @@ def exchange_loop(
     rng = np.random.default_rng(cfg.seed)
     samples = _samples(d)
     N = samples.shape[2]
+    budgets = affine_budgets(d.constraints, bounded=True)
+    faces = _face_points(budgets, samples)
     scen = ScenarioSet(N)
     trace: list[dict] = []
     state = None
     for it in range(1, cfg.max_exchange_iters + 1):
         psi, v_hat, obj = master_solve(scen, d, eps, cfg, rng=rng)
         state = DROState(psi, v_hat, np.zeros(N), it)
-        cvs, phis = _cv_all(state, d, samples)
+        cvs, phis = _cv_all(state, budgets, samples, faces)
         state.cv = cvs
         trace.append(
             {

@@ -102,6 +102,38 @@ class TestConfigHandling:
         assert not (out / "spsa_manifest.json").exists()
 
 
+class TestNegativeSeed:
+    """A negative seed reached np.random.default_rng, whose message named no key."""
+
+    @pytest.mark.parametrize(
+        "command, cfg, key",
+        [
+            ("generate", {"game": {"T": 2, "seed": -1}}, "game/seed"),
+            ("spsa", {"spsa": {"seed": -1}}, "spsa/seed"),
+            ("dro", {"dro": {"seed": -1}}, "dro/seed"),
+            ("mc", {"monte_carlo": {"base_seed": -1}}, "monte_carlo/base_seed"),
+        ],
+    )
+    def test_negative_config_seed_exits_two_naming_the_key(self, tmp_path, capsys, command, cfg, key):
+        path = tmp_path / "cfg.json"
+        _write(path, cfg)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid config: -1 is less than the minimum of 0" in err and f"(at {key})" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "spsa", "dro", "mc"])
+    def test_negative_seed_flag_exits_two_before_any_work(self, tmp_path, capsys, command):
+        path = tmp_path / "cfg.json"
+        _write(path, {"game": {"T": 2}})
+        out = tmp_path / "out"
+        argv = [command, "--config", str(path), "--seed", "-1", "--out-dir", str(out)]
+        assert main(argv) == 2
+        assert f"{command} error: --seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def _bundled_schema() -> dict:
     return json.loads(resources.files("pareto_forge").joinpath("schemas/config.schema.json").read_text())
 

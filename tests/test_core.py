@@ -565,6 +565,22 @@ class TestDatasetFiles:
             load_dataset(self._edited_file(tmp_path, keys, value))
 
     @pytest.mark.parametrize(
+        "keys, value, error, message",
+        [
+            (("strategies", 1, 0, "samples"), [[0.5, 0.0], [0.25]], ValueError, r"strategy \(1,0\): setting an array element with a sequence"),
+            (("strategies", 1, 0, "samples"), [], ValueError, r"strategy \(1,0\): samples must be a \(N, k\) array with N >= 1$"),
+            (("constraints", 1, 0, "alpha"), [1.0], DimensionError, r"constraint \(1,0\): affine coefficient vector has length 1, expected 2$"),
+            (("strategies", 1, 0, "samples"), [[0.5], [0.25]], DimensionError, r"strategy \(1,0\) dim 1 != constraint dim 2$"),
+        ],
+        ids=["ragged-samples", "empty-samples", "short-alpha", "one-dim-samples"],
+    )
+    def test_malformed_block_shape_raises_naming_its_block(self, tmp_path, keys, value, error, message):
+        # each message named no block: numpy's own words, the constructors' and
+        # RPDataset's "strategy dim 1 != constraint dim 2"
+        with pytest.raises(error, match=f"^{message}"):
+            load_dataset(self._edited_file(tmp_path, keys, value))
+
+    @pytest.mark.parametrize(
         "keys, message",
         [
             (("k",), r"dataset file lacks the key 'k'"),

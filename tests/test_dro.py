@@ -158,6 +158,18 @@ def _assert_matches_serial(scen, d, eps, cfg):
     assert np.array_equal(v, v_ref)
 
 
+def _cut_case(seed, T, M, N):
+    """A dro_instance with one to three cuts per sample index anywhere in [0, 1.5·γ̂]."""
+    d = dro_instance(T=T, M=M, N=N, seed=seed)
+    rng = np.random.default_rng(seed)
+    samples = _samples_tensor(d)
+    scen = ScenarioSet(N)
+    for k in range(N):
+        for _ in range(int(rng.integers(1, 4))):
+            scen.cuts[k].append(samples[:, :, k, :] * rng.uniform(0.0, 1.5, size=samples[:, :, k, :].shape))
+    return d, scen, rng
+
+
 def _random_cuts(d, scen, rng, max_per_k=3):
     samples = _samples_tensor(d)
     for k in range(scen.N):
@@ -224,6 +236,8 @@ class TestDROConfig:
             ({"lambda_hat": -1.0}, "lambda_hat"),
             ({"lambda_hat": 5.0, "lam_max": 1.0}, "lam_max"),
             ({"lam_max": float("nan")}, "lam_max"),
+            ({"max_exchange_iters": 0}, "max_exchange_iters"),
+            ({"max_exchange_iters": -1}, "max_exchange_iters"),
         ],
     )
     def test_bad_boxes_and_budgets_name_the_field(self, kwargs, field):
@@ -376,32 +390,71 @@ class TestMasterSolve:
         assert passes < 2 * dro.SUBGRAD_ITERS
         _assert_matches_serial(scen, d, 1.0, cfg)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
-        seg_max=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4),
-        v_n1=st.floats(0.0, 1e6) | st.sampled_from([5e-324, 1e300]),
+        seed=st.integers(0, 10_000),
+        T=st.integers(2, 4),
+        M=st.integers(1, 2),
+        N=st.integers(1, 3),
+        inside=st.booleans(),
+    )
+    @example(seed=2, T=2, M=1, N=1, inside=False)
+    def test_every_cut_term_is_at_least_its_level(self, seed, T, M, N, inside):
+        # h_j(ψ) >= ℓ_j for ψ in the box and far outside it: on the bottleneck
+        # cycle some edge has u_s >= u_t, so its term is at least −G_j[t, s, i]
+        d, scen, rng = _cut_case(seed, T, M, N)
+        cut_data = dro._cut_data(d, dro._samples(d), scen)
+        levels = dro._cut_levels(cut_data[0])
+        for _ in range(20):
+            if inside:
+                u, lam = rng.uniform(-1.0, 1.0, size=(T, M)), rng.uniform(1.0, 10.0, size=(T, M))
+            else:
+                u, lam = rng.uniform(-10.0, 10.0, size=(T, M)), 10.0 ** rng.uniform(-3.0, 3.0, size=(T, M))
+            h = _serial_objective(u, lam, 0.0, cut_data, 1.0, N, np.inf)[2]
+            assert (h >= levels).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        T=st.integers(2, 4),
+        M=st.integers(1, 2),
+        N=st.integers(1, 3),
+        v_n1=st.lists(st.floats(0.0, 1e6) | st.sampled_from([5e-324, 1e300]), min_size=1, max_size=4),
         eps=st.sampled_from([0.001, 0.1, 1.0, 10.0, 1e-300]),
-        N=st.integers(1, 6),
         two_v=st.floats(1e-3, 1e3),
     )
-    def test_every_objective_is_at_least_its_floor(self, seg_max, v_n1, eps, N, two_v):
-        # the objective is fl(ε·v_{N+1}) + fl(Σ v_k / N) with every v_k >= 0
-        segs = dro._Segments(np.arange(min(len(seg_max), N)))
-        seg = np.array([seg_max[: len(segs.ks)]])
-        obj, v = dro._lane_objective(seg, np.array([v_n1]), segs, eps, N, two_v)
+    def test_every_objective_is_at_least_its_floor(self, seed, T, M, N, v_n1, eps, two_v):
+        # the floor, the objective of the per-k maxima of ℓ_j − v_{N+1}·dist_j,
+        # bounds every objective of its lane and is at least ε·v_{N+1}
+        d, scen, rng = _cut_case(seed, T, M, N)
+        cut_data = dro._cut_data(d, dro._samples(d), scen)
+        segs = dro._Segments(cut_data[2])
+        v_n1 = np.repeat(v_n1, 5)
+        psi = np.stack(
+            [rng.uniform(-10.0, 10.0, size=(len(v_n1), T, M)), 10.0 ** rng.uniform(-3.0, 3.0, size=(len(v_n1), T, M))],
+            axis=1,
+        )
+        floor = dro._lane_floor(v_n1, cut_data, dro._cut_levels(cut_data[0]), segs, eps, N, two_v)
+        seg_max, _ = dro._lane_scores(psi, v_n1, cut_data, segs)
+        obj, v = dro._lane_objective(seg_max, v_n1, segs, eps, N, two_v)
         assert (v >= 0.0).all()
-        assert obj[0] >= eps * v_n1
+        assert (floor >= eps * v_n1).all()
+        assert (obj >= floor).all()
 
     def test_lanes_whose_floor_cannot_win_are_dropped(self, monkeypatch):
-        # round 1 drops the lanes whose floor ε·v_{N+1} is above the best objective
-        # any lane has reached; round 2 also those whose floor reaches round 1's best
+        # the cuts are the oracle's first, at the box centre with v = 0: each cut's
+        # level is then positive, and the floor drops lanes that ε·v_{N+1} keeps
         d = dro_instance(T=4, M=2, N=4, seed=0)
         cfg = DROConfig(lambda_hat=1.0, lam_max=10.0, seed=0)
-        scen = ScenarioSet(4)
-        _random_cuts(d, scen, np.random.default_rng(50))
         eps, two_v = 1.0, _two_v(cfg, d)
+        scen = ScenarioSet(4)
+        psi, v, _ = master_solve(scen, d, eps=eps, cfg=cfg)
+        samples = dro._samples(d)
+        cvs, phis = _cv_all(DROState(psi, v, np.zeros(4), 1), d, samples)
+        scen.cuts = [[phi] for phi in phis]
+        assert (cvs > 0).all() and (dro._cut_levels(dro._cut_data(d, samples, scen)[0]) > 0).all()
         _assert_matches_serial(scen, d, eps, cfg)
-        incumbents, scored = [], []  # per round: the incumbent, and (v_{N+1}, objective) per pass
+        incumbents, scored = [], []  # per round: the incumbent, and (ε·v_{N+1}, floor, objective) per pass
         descent, score = dro._lane_descent, dro._lane_scores
 
         def recorded_descent(*args):
@@ -409,10 +462,12 @@ class TestMasterSolve:
             scored.append([])
             return descent(*args)
 
-        def recorded_scores(u, lam, v_n1, cut_data, segs):
-            seg_max, entry = score(u, lam, v_n1, cut_data, segs)
+        def recorded_scores(psi, v_n1, cut_data, segs):
+            seg_max, entry = score(psi, v_n1, cut_data, segs)
             obj, _ = dro._lane_objective(seg_max, v_n1, segs, eps, scen.N, two_v)
-            scored[-1].append((eps * v_n1, obj))
+            levels = dro._cut_levels(cut_data[0])
+            floor = dro._lane_floor(v_n1, cut_data, levels, segs, eps, scen.N, two_v)
+            scored[-1].append((eps * v_n1, floor, obj))
             return seg_max, entry
 
         monkeypatch.setattr(dro, "_lane_descent", recorded_descent)
@@ -421,14 +476,18 @@ class TestMasterSolve:
         scored[-1].pop()  # master_solve's last pass rescores the winner
         assert incumbents[0] == np.inf and incumbents[1] < np.inf
         for incumbent, passes in zip(incumbents, scored):
-            best = np.minimum.accumulate([obj.min() for _floor, obj in passes])
-            for (floor, _obj), reached in zip(passes[1:], best):
-                assert (floor <= reached).all() and (floor < incumbent).all()
-        # the first pass scores every lane; each rule alone drops some of them
-        floor, obj = scored[0][0]
-        assert (floor > obj.min()).sum() == 24
-        floor, obj = scored[1][0]
-        assert ((floor >= incumbents[1]) & (floor <= obj.min())).sum() == 6
+            best = np.minimum.accumulate([obj.min() for _, _, obj in passes])
+            for (_, floor, obj), reached in zip(passes[1:], best):
+                assert (floor <= obj).all() and (floor <= reached).all() and (floor < incumbent).all()
+        # first pass of each round: lanes ε·v_{N+1} drops, and those it keeps that the
+        # floor drops (above the best reached, or at the incumbent), then the own-best rule
+        dropped = []
+        for incumbent, passes in zip(incumbents, scored):
+            old, floor, obj = passes[0]
+            by_old = (old > obj.min()) | (old >= incumbent)
+            by_floor = (floor > obj.min()) | (floor >= incumbent)
+            dropped.append([by_old.sum(), (by_floor & ~by_old).sum(), ((floor >= obj) & ~by_floor).sum()])
+        assert dropped == [[21, 3, 3], [18, 6, 2]]
 
     def test_replaced_cut_lists_are_read_afresh(self):
         d = dro_instance(T=3, M=2, N=2, seed=2)
@@ -443,9 +502,15 @@ class TestMasterSolve:
             np.testing.assert_array_equal(a, b)
 
 
+def _cv_all(state, d, samples):
+    """The oracle on d's bounded budgets and face points, as exchange_loop computes them."""
+    budgets = affine_budgets(d.constraints, bounded=True)
+    return dro._cv_all(state, budgets, samples, dro._face_points(budgets, samples))
+
+
 def _violation(k, state, d):
     """The oracle's violation and scenario for sample index k."""
-    vals, phis = dro._cv_all(state, d, _samples_tensor(d))
+    vals, phis = _cv_all(state, d, _samples_tensor(d))
     return float(vals[k]), phis[k]
 
 
@@ -491,7 +556,7 @@ class TestExactOracle:
         T, M, N, _k = samples.shape
         v_n1 = v_hat[-1]
         state = DROState(psi, v_hat, np.zeros(N), 1)
-        vals, phis = dro._cv_all(state, d, samples)
+        vals, phis = _cv_all(state, d, samples)
         at_samples = np.array(
             [[_term(d, psi, s, i, samples[s, i]) for i in range(M)] for s in range(T)]
         )  # (T, M, N)
@@ -622,7 +687,7 @@ class TestOracleScoring:
     def test_matches_the_rest_tensor_reference(self, seed, T, M, N, psi_scale, v_n1, zero_vk):
         d, state = _scoring_case(seed, T, M, N, psi_scale, v_n1, zero_vk)
         samples = _samples_tensor(d)
-        vals, phis = dro._cv_all(state, d, samples)
+        vals, phis = _cv_all(state, d, samples)
         ref_vals, ref_phis = _reference_cv_all(state, d, samples)
         assert np.array_equal(vals, ref_vals)
         for phi, ref in zip(phis, ref_phis):
@@ -637,7 +702,7 @@ class TestOracleScoring:
             v_n1 = [0.0, 1e-3, 0.5, 1e3][seed % 4]
             d, state = _scoring_case(seed, T, M, N, 10.0 ** rng.uniform(-1, 1), v_n1, seed % 3 == 0)
             samples = _samples_tensor(d)
-            vals, phis = dro._cv_all(state, d, samples)
+            vals, phis = _cv_all(state, d, samples)
             ref_vals, ref_phis = _reference_cv_all(state, d, samples)
             assert np.array_equal(vals, ref_vals)
             for k, (phi, ref) in enumerate(zip(phis, ref_phis)):

@@ -113,7 +113,7 @@ def _edits(draw):
         doc["strategies"][t][i]["samples"][draw(st.integers(0, 1))] = bad
     else:
         doc["strategies"][t][i]["samples"] = bad
-    return doc, ""
+    return doc, f"strategy ({t},{i})"
 
 
 @settings(max_examples=200, deadline=None)
