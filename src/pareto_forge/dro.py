@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import RPDataset, affine_budgets, budget_values
+from .core import RPDataset, _check_reals, affine_budgets, budget_values
 from .rp import _critical_levels
 
 # slack within which an oracle candidate counts as inside its budget set or ball
@@ -88,7 +89,12 @@ class ScenarioSet:
 
 @dataclass(frozen=True)
 class DROConfig:
-    """λ box, iteration budget and seed for the robust estimation loop."""
+    """λ box, iteration budget and seed for the robust estimation loop.
+
+    Checked where the config is built, each error naming its field: the λ
+    bounds are finite numbers with 0 < lambda_hat <= lam_max, and
+    max_exchange_iters (>= 1) and seed (>= 0) are ints, bools excluded.
+    """
 
     lambda_hat: float = 1.0  # lower bound of the λ box
     lam_max: float = 10.0
@@ -96,14 +102,20 @@ class DROConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("lambda_hat", "lam_max"):
+            _check_reals([getattr(self, name)], f"{name} must be a finite number, got a non-{{}} value")
         if not self.lambda_hat > 0:
             raise ValueError(f"lambda_hat must be > 0, got {self.lambda_hat}")
         if not self.lam_max >= self.lambda_hat:
             raise ValueError(
                 f"lam_max must be >= lambda_hat ({self.lambda_hat}), got {self.lam_max}"
             )
-        if not self.max_exchange_iters >= 1:
-            raise ValueError(f"max_exchange_iters must be >= 1, got {self.max_exchange_iters}")
+        for name, least in (("max_exchange_iters", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def _dataset_g_bound(d: RPDataset) -> float:
@@ -114,12 +126,10 @@ def _dataset_g_bound(d: RPDataset) -> float:
 
 def _samples(d: RPDataset) -> NDArray[np.float64]:
     """(T, M, N, k) sample tensor (requires a common N across blocks)."""
-    Ns = {np.asarray(s.samples).shape[0] for row in d.strategies for s in row}
+    Ns = {s.samples.shape[0] for row in d.strategies for s in row}
     if len(Ns) != 1:
         raise ValueError("dataset blocks disagree on sample count N")
-    return np.stack(
-        [np.stack([np.asarray(s.samples, dtype=float) for s in row]) for row in d.strategies]
-    )
+    return np.array([[s.samples for s in row] for row in d.strategies], dtype=float)
 
 
 def _cross_values(budgets, pts) -> NDArray[np.float64]:
@@ -227,8 +237,10 @@ def _lane_scores(psi, v_n1, cut_data, segs: _Segments):
 
 def _lane_objective(seg_max, v_n1, segs: _Segments, eps, N, two_v):
     """Objective and optimal v_k (clipped attained cut maxima) per lane."""
-    v = np.zeros((len(v_n1), N))
-    v[:, segs.ks] = np.clip(seg_max, 0.0, two_v)
+    v = seg_max.clip(0.0, two_v)  # the method: np.clip's wrapper doubles its cost here
+    if v.shape[1] < N:  # some sample index has no cuts: its v_k is 0
+        v, attained = np.zeros((len(v_n1), N)), v
+        v[:, segs.ks] = attained
     return eps * v_n1 + v.sum(axis=1) / N, v
 
 
@@ -276,50 +288,58 @@ def _lane_descent(psi, v_n1, cut_data, levels, segs: _Segments, eps, N, two_v, b
     L, _, T, M = psi.shape
     TM = T * M
     floor = _lane_floor(v_n1, cut_data, levels, segs, eps, N, two_v)
-    # flat (t, s, i) term index -> flat (s, i) and (t, i) indices into a lane's u
+    # the incumbent test, once per lane: an infinite floor fails the own-best test
+    floor = np.where(floor < incumbent, floor, np.inf)
+    # flat (t, s, i) term index -> flat (s, i) and (t, i) indices into a lane's
+    # u, and the flat (t, i) index into its λ
     t, s, i = np.unravel_index(np.arange(T * TM), (T, T, M))
-    of_st = np.stack([s * M + i, t * M + i], axis=1)
-    sign = np.array([1.0, -1.0])
+    of_term = np.stack([s * M + i, t * M + i, t * M + i + TM], axis=1)
     seg_max, entry = _lane_scores(psi, v_n1, cut_data, segs)
     best_obj, _ = _lane_objective(seg_max, v_n1, segs, eps, N, two_v)
+    # the smallest best objective of any lane; bests only fall, so the lanes that
+    # improve are the only ones that can lower it
+    round_min = best_obj.min()
     best_psi = psi.copy()
-    lanes = np.arange(L)  # the moving lanes; psi holds their iterates
+    lanes = np.arange(L)  # the moving lanes; psi, f and v_l hold their iterates, floors and v_{N+1}
+    f, v_l = floor, v_n1
     step0 = 0.2 * (hi - lo).max()
     for it in range(SUBGRAD_ITERS):
         # the first maximising cut of each k scores seg_max
         live = (seg_max > 0.0) & (seg_max < two_v)
-        f = floor[lanes]
-        active = live.any(axis=1) & (f <= best_obj.min()) & (f < incumbent) & (f < best_obj[lanes])
+        active = live.any(axis=1) & (f <= round_min) & (f < best_obj[lanes])
         if not active.all():
-            lanes, psi, live, entry = (a[active] for a in (lanes, psi, live, entry))
+            lanes, psi, f, v_l, live, entry = (a[active] for a in (lanes, psi, f, v_l, live, entry))
             if not lanes.size:
                 break
         # per-lane subgradient, accumulated in the serial (lane, k) order; the
         # u and λ entries fall in disjoint bins, so one bincount keeps each order
-        row, c = np.nonzero(live)
-        at = of_st[entry[row, c]] + row[:, None] * (2 * TM)  # u's (s, i) and (t, i) of each term
-        at_s, at_t, at_l = at[:, 0], at[:, 1], at[:, 1] + TM  # and λ's (t, i)
-        flat = psi.ravel()
-        lam_t = flat[at_l]
-        x = 1.0 / (lam_t * N)
-        gl = -((flat[at_s] - flat[at_t]) / (lam_t**2 * N))
-        g = np.bincount(
-            np.concatenate([at.ravel(), at_l]),
-            np.concatenate([(x[:, None] * sign).ravel(), gl]),
-            psi.size,
-        )
-        step = step0 / np.sqrt(it + 1.0)
+        row = live.nonzero()[0]
+        at = of_term[entry[live]] + (row * (2 * TM))[:, None]  # (u_s, u_t, λ_t) of each term
+        w = psi.ravel()[at]  # overwritten by the term's derivatives in u_s, u_t and λ_t
+        lam_t = w[:, 2]
+        gl = -((w[:, 0] - w[:, 1]) / (lam_t**2 * N))
+        w[:, 0] = 1.0 / (lam_t * N)
+        w[:, 1] = -w[:, 0]
+        w[:, 2] = gl
+        g = np.bincount(at.ravel(), w.ravel(), psi.size)
+        step = step0 / math.sqrt(it + 1.0)
         psi_next = (psi - step * g.reshape(psi.shape)).clip(lo, hi)
         moved = (psi_next != psi).any(axis=(1, 2, 3))
-        lanes, psi = lanes[moved], psi_next[moved]
-        if not lanes.size:
-            break
-        seg_max, entry = _lane_scores(psi, v_n1[lanes], cut_data, segs)
-        obj, _ = _lane_objective(seg_max, v_n1[lanes], segs, eps, N, two_v)
+        if moved.all():
+            psi = psi_next
+        else:
+            lanes, psi, f, v_l = lanes[moved], psi_next[moved], f[moved], v_l[moved]
+            if not lanes.size:
+                break
+        seg_max, entry = _lane_scores(psi, v_l, cut_data, segs)
+        obj, _ = _lane_objective(seg_max, v_l, segs, eps, N, two_v)
         better = obj < best_obj[lanes]
         won = lanes[better]
-        best_obj[won] = obj[better]
-        best_psi[won] = psi[better]
+        if won.size:
+            gain = obj[better]
+            best_obj[won] = gain
+            best_psi[won] = psi[better]
+            round_min = min(round_min, gain.min())
     return best_psi, best_obj
 
 
@@ -395,6 +415,18 @@ def master_solve(
 # --- constraint-violation oracle ---------------------------------------------
 
 
+def _face_masks(k: int):
+    """Free-coordinate masks and face dimensions for k goods.
+
+    Returns the 2^k masks (2^k, k), row 0 the origin and row 2^k − 1 the
+    open face, and the dimension of each of the 2^(k+1) − 1 faces: the
+    2^k faces that leave the budget row slack, then the 2^k − 1 that hold it
+    tight, one per non-empty mask.
+    """
+    free = (np.arange(2**k)[:, None] >> np.arange(k)) & 1
+    return free, np.concatenate([free.sum(axis=1), free[1:].sum(axis=1) - 1])
+
+
 def _face_points(budgets, anchors):
     """Face geometry of every block's budget set F = {γ ≥ 0 : α·γ ≤ rhs}.
 
@@ -410,14 +442,13 @@ def _face_points(budgets, anchors):
     A = budgets[0]
     T, M, k = A.shape
     rhs = -budget_values(budgets, np.zeros(k))[..., 0]  # g(γ) = α·γ − rhs
-    free = (np.arange(2**k)[:, None] >> np.arange(k)) & 1  # (2^k, k); row 0 is the origin
+    free, dim = _face_masks(k)
     am = (free * A[:, :, None, :])[:, :, 1:]
     norm2 = (am * am).sum(axis=-1)
     P = np.tile(np.concatenate([free, free[1:]])[:, :, None] * np.eye(k), (T, M, 1, 1, 1))
     P[:, :, 2**k :] -= am[..., :, None] * am[..., None, :] / norm2[..., None, None]
     off = np.zeros(P.shape[:-1])
     off[:, :, 2**k :] = rhs[..., None, None] * am / norm2[..., None]
-    dim = np.concatenate([free.sum(axis=1), free[1:].sum(axis=1) - 1])
     feet = np.einsum("smfij,smnj->smnfi", P, anchors) + off[:, :, None]
     gap = anchors[..., None, :] - feet
     dist = np.sqrt((gap * gap).sum(axis=-1))
@@ -443,6 +474,18 @@ class DROState:
     certified: bool = False
 
 
+def _distinct_faces(T: int, k: int, open_face: bool):
+    """(piece, face) index pairs of the oracle's distinct candidates, in (t, f) order:
+    every vertex at piece 0 only, the open face (row 2^k − 1) at each piece if
+    ``open_face`` else never, and every other face at each piece."""
+    _free, dim = _face_masks(k)
+    keep = np.zeros((T, dim.size), dtype=bool)
+    keep[:, dim > 0] = True
+    keep[0, dim == 0] = True
+    keep[:, 2**k - 1] = open_face
+    return np.nonzero(keep)
+
+
 def _cv_all(state: DROState, budgets, samples, faces):
     """Most violated scenario per sample index, exact over every block's faces.
 
@@ -457,9 +500,23 @@ def _cv_all(state: DROState, budgets, samples, faces):
     relative interior of some face, at the face's only stationary point: the
     vertex itself, or a′ + q·d/√(v² − ‖q‖²) when ‖q‖ < v (foot a′ of a on the
     face hull, d = ‖a − a′‖, q the piece's ascent direction on the hull).
-    All blocks' candidates are scored at once; per sample index the first
-    best one in (s, i) order replaces the zero-deviation scenario if it
-    scores strictly higher.
+
+    Only distinct candidates are built and scored (:func:`_distinct_faces`):
+    each vertex once, at piece 0; none of the open face, which frees every
+    coordinate and leaves the budget row slack; every other face once per
+    piece.  This returns what scoring all T·(2^(k+1) − 1) of them returns.
+    A vertex's candidate is the same point, with the same score, for every
+    piece, and its piece-0 copy comes first, so it wins every tie a later
+    copy would.  The open face's foot is the anchor itself, at distance 0,
+    so its candidate is the sample, and its term is the sample's:
+    :func:`~pareto_forge.core.budget_values` rounds a stack of two or more
+    points point by point, and both the candidates and the T·N samples of
+    an agent form such stacks.  So it never beats the zero-deviation
+    scenario.  With T·N = 1 numpy evaluates the lone sample as a dot
+    product, which can round it differently, so the open face is kept.
+    All blocks' candidates are scored at once, in (s, i, t, f) order; per
+    sample index the first best one replaces the zero-deviation scenario if
+    it scores strictly higher.
     """
     psi, v_hat = state.psi_hat, state.v_hat
     T, M, N, kdim = samples.shape
@@ -468,14 +525,15 @@ def _cv_all(state: DROState, budgets, samples, faces):
     base_h = np.maximum(bt.reshape(T * M, N).max(axis=0), 0.0)  # (N,)
     best_val = base_h - v_hat[:N]  # zero-deviation scenario
     feet, dist, q = faces
-    qq = (q * q).sum(axis=-1)  # (T, M, T, F)
+    t, f = _distinct_faces(T, kdim, open_face=T * N == 1)
+    q = q[:, :, t, f]  # per block (s, i) and candidate: (T, M, C, k)
+    qq = (q * q).sum(axis=-1)
     room = v_n1 * v_n1 - qq
     root = np.sqrt(np.where(room > 0.0, room, 1.0))
-    # per block (s, i), sample, piece t and face: (T, M, N, T, F) and (T, M, N, T, F, k)
-    reach = np.where(qq[:, :, None] > 0.0, dist[:, :, :, None] / root[:, :, None], 0.0)
-    cands = feet[:, :, :, None] + reach[..., None] * q[:, :, None]
-    cands, ok = _in_budget(budgets, cands.reshape(T, M, N, -1, kdim))
-    ok &= ((qq == 0.0) | (room > 0.0)).reshape(T, M, 1, -1)
+    # per block (s, i), sample and candidate: (T, M, N, C) and (T, M, N, C, k)
+    reach = np.where(qq[:, :, None] > 0.0, dist[..., f] / root[:, :, None], 0.0)
+    cands, ok = _in_budget(budgets, feet[:, :, :, f] + reach[..., None] * q[:, :, None])
+    ok &= ((qq == 0.0) | (room > 0.0))[:, :, None]
     terms = _block_terms(budgets, psi, cands.reshape(T, M, -1, kdim)).reshape(ok.shape)
     gap = cands - samples[..., None, :]
     score = terms - (v_n1 * np.sqrt((gap * gap).sum(axis=-1)) + v_hat[:N, None])
@@ -484,7 +542,7 @@ def _cv_all(state: DROState, budgets, samples, faces):
     j = flat.argmax(axis=1)
     best_phi = [samples[:, :, k, :].copy() for k in range(N)]
     for k in np.flatnonzero(flat[np.arange(N), j] > best_val):
-        s, i, c = np.unravel_index(j[k], (T, M, ok.shape[-1]))
+        s, i, c = np.unravel_index(j[k], (T, M, t.size))
         best_val[k] = flat[k, j[k]]
         best_phi[k][s, i] = cands[s, i, k, c]
     return best_val, best_phi

@@ -14,6 +14,8 @@ affine budgets with mixed-power utilities and per-strategy sample clouds.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import ConstraintFunction, EmpiricalStrategy, Family, RPDataset
@@ -124,7 +126,7 @@ def _power_utility_argmax(p1: float, p2: float, alpha: np.ndarray) -> np.ndarray
         if a1 * x1 < 1.0:
             cands.append(np.array([x1, (1.0 - a1 * x1) / a2]))
     vals = [c[0] ** p1 + c[1] ** p2 for c in cands]
-    return cands[int(np.argmax(vals))]
+    return cands[vals.index(max(vals))]  # the first maximiser, as np.argmax picks
 
 
 def dro_instance(
@@ -139,23 +141,27 @@ def dro_instance(
     Agent utilities cycle through x1+x2, x1+x2^(1/4), x1^(1/4)+x2; each
     strategy is the budget-constrained optimum plus a small uniform jitter,
     projected back into the budget, giving N distinct samples per strategy.
+
+    The random stream is part of the contract: ``default_rng(seed)`` draws
+    ``T*M*(2 + 2*N)`` uniforms, for each period t and each agent i in turn
+    the budget's 2 prices on [0.1, 1.1), then the N×2 jitter on
+    [−jitter, jitter).
     """
-    rng = np.random.default_rng(seed)
+    jitter = float(jitter)
+    if not (math.isfinite(jitter) and jitter >= 0):
+        raise ValueError(f"jitter must be a finite number >= 0, got {jitter}")
+    # one draw in stream order, scaled as Generator.uniform scales its draws
+    u = np.random.default_rng(seed).random((T, M, 2 + 2 * N))
+    alpha = 0.1 + (1.1 - 0.1) * u[..., :2]
+    jit = -jitter + (jitter - -jitter) * u[..., 2:].reshape(T, M, N, 2)
     powers = [(1.0, 1.0), (1.0, 0.25), (0.25, 1.0)]
-    cons, strats = [], []
-    for _t in range(T):
-        row_c, row_s = [], []
-        for i in range(M):
-            alpha = rng.uniform(0.1, 1.1, size=2)
-            p1, p2 = powers[i % 3]
-            x = _power_utility_argmax(p1, p2, alpha)
-            pts = np.clip(x[None, :] + rng.uniform(-jitter, jitter, size=(N, 2)), 0.0, None)
-            load = pts @ alpha
-            over = load > 1.0
-            if over.any():
-                pts[over] /= load[over][:, None]
-            row_c.append(_affine(alpha, 1.0))
-            row_s.append(EmpiricalStrategy(pts))
-        cons.append(tuple(row_c))
-        strats.append(tuple(row_s))
-    return RPDataset(tuple(cons), tuple(strats))
+    x = np.array(
+        [[_power_utility_argmax(*powers[i % 3], a) for i, a in enumerate(row)] for row in alpha]
+    ).reshape(T, M, 2)
+    pts = np.clip(x[:, :, None] + jit, 0.0, None)
+    load = np.matmul(pts, alpha[..., None])[..., 0]  # (T, M, N), as each block's pts @ alpha
+    over = load > 1.0
+    pts[over] /= load[over][:, None]
+    cons = tuple(tuple(_affine(a, 1.0) for a in row) for row in alpha)
+    strats = tuple(tuple(EmpiricalStrategy(p) for p in row) for row in pts)
+    return RPDataset(cons, strats)

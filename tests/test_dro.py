@@ -238,6 +238,18 @@ class TestDROConfig:
             ({"lam_max": float("nan")}, "lam_max"),
             ({"max_exchange_iters": 0}, "max_exchange_iters"),
             ({"max_exchange_iters": -1}, "max_exchange_iters"),
+            ({"max_exchange_iters": 2.5}, "max_exchange_iters"),
+            ({"max_exchange_iters": True}, "max_exchange_iters"),
+            ({"max_exchange_iters": "60"}, "max_exchange_iters"),
+            ({"seed": True}, "seed"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": -1}, "seed"),
+            ({"lam_max": float("inf")}, "lam_max"),
+            ({"lambda_hat": float("nan")}, "lambda_hat"),
+            ({"lambda_hat": float("inf"), "lam_max": float("inf")}, "lambda_hat"),
+            ({"lambda_hat": True}, "lambda_hat"),
+            ({"lam_max": "10"}, "lam_max"),
+            ({"lam_max": 10**400}, "lam_max"),
         ],
     )
     def test_bad_boxes_and_budgets_name_the_field(self, kwargs, field):
@@ -246,6 +258,11 @@ class TestDROConfig:
 
     def test_degenerate_lambda_box_is_allowed(self):
         assert DROConfig(lambda_hat=1.0, lam_max=1.0).lam_max == 1.0
+
+    def test_numpy_and_int_values_are_accepted(self):
+        cfg = DROConfig(lambda_hat=1, lam_max=np.float64(4.0), max_exchange_iters=np.int64(3), seed=np.int64(7))
+        _psi, state, _trace = exchange_loop(dro_instance(T=3, M=2, N=2, seed=0), eps=1.0, delta=0.1, cfg=cfg)
+        assert state.iteration <= 3
 
 
 class TestHValue:
@@ -668,6 +685,31 @@ def _scoring_case(seed, T, M, N, psi_scale, v_n1, zero_vk):
     return d, state
 
 
+def _k3_scoring_case(seed, T, M, N, psi_scale, v_n1, zero_vk):
+    """A k = 3 affine dataset (every α > 0) with a random state, as in :func:`_scoring_case`.
+
+    Its 4 vertices and 3-D open face exercise the oracle's distinct-candidate
+    rule beyond dro_instance's k = 2.  Samples lie inside the budget sets or
+    on the budget row, and some sit on a coordinate face.
+    """
+    rng = np.random.default_rng(seed)
+    cons = [[_affine(rng.uniform(0.1, 1.1, size=3), rng.uniform(0.5, 2.0)) for _ in range(M)] for _ in range(T)]
+    strats = []
+    for row in cons:
+        srow = []
+        for f in row:
+            share = rng.dirichlet(np.ones(3), size=N)
+            share[rng.random(share.shape) < 0.2] = 0.0
+            spent = np.where(rng.random((N, 1)) < 0.3, 1.0, rng.uniform(0.0, 1.0, size=(N, 1)))
+            srow.append(EmpiricalStrategy(spent * share * f.b / np.asarray(f.alpha)))
+        strats.append(srow)
+    d = RPDataset(cons, strats)
+    u = psi_scale * rng.uniform(-1.0, 1.0, size=(T, M))
+    lam = psi_scale * rng.uniform(0.3, 3.0, size=(T, M))
+    v_k = np.zeros(N) if zero_vk else rng.uniform(0.0, 0.5, size=N)
+    return d, DROState(PsiVector(u, lam), np.append(v_k, v_n1), np.zeros(N), 1)
+
+
 class TestOracleScoring:
     """Scoring a candidate by its own term alone picks what the rest-tensor scoring picks."""
 
@@ -709,6 +751,53 @@ class TestOracleScoring:
                 assert np.array_equal(phi, ref)
                 moved += not np.array_equal(ref, samples[:, :, k, :])
         assert moved > 0
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        T=st.integers(1, 3),
+        M=st.integers(1, 2),
+        N=st.integers(1, 3),
+        psi_scale=st.floats(0.1, 10.0),
+        v_n1=st.sampled_from([0.0, 1e-9, 1e-3, 1e3]) | st.floats(0.0, 5.0),
+        zero_vk=st.booleans(),
+    )
+    @example(seed=0, T=1, M=1, N=2, psi_scale=1.0, v_n1=0.0, zero_vk=True)
+    @example(seed=3, T=1, M=2, N=3, psi_scale=10.0, v_n1=0.5, zero_vk=False)
+    @example(seed=4, T=3, M=2, N=3, psi_scale=0.1, v_n1=1e3, zero_vk=True)
+    def test_k3_matches_the_rest_tensor_reference(self, seed, T, M, N, psi_scale, v_n1, zero_vk):
+        d, state = _k3_scoring_case(seed, T, M, N, psi_scale, v_n1, zero_vk)
+        samples = _samples_tensor(d)
+        vals, phis = _cv_all(state, d, samples)
+        ref_vals, ref_phis = _reference_cv_all(state, d, samples)
+        assert np.array_equal(vals, ref_vals)
+        for phi, ref in zip(phis, ref_phis):
+            assert np.array_equal(phi, ref)
+
+    def test_k3_reference_moves_scenarios_to_every_kind_of_face(self):
+        # not vacuous: over these states the reference moves scenarios, some of
+        # them to a vertex and some to a face of dimension 1 or 2
+        moved, at_vertex = 0, 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            T, M, N = int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 4))
+            v_n1 = [0.0, 1e-3, 0.5, 1e3][seed % 4]
+            d, state = _k3_scoring_case(seed, T, M, N, 10.0 ** rng.uniform(-1, 1), v_n1, seed % 3 == 0)
+            samples = _samples_tensor(d)
+            vals, phis = _cv_all(state, d, samples)
+            ref_vals, ref_phis = _reference_cv_all(state, d, samples)
+            assert np.array_equal(vals, ref_vals)
+            for k, (phi, ref) in enumerate(zip(phis, ref_phis)):
+                assert np.array_equal(phi, ref)
+                changed = np.flatnonzero((ref != samples[:, :, k, :]).any(axis=-1).ravel())
+                moved += changed.size
+                for block in changed:
+                    s, i = divmod(int(block), d.M)
+                    point, f = ref[s, i], d.constraints[s][i]
+                    tight = abs(float(np.dot(f.alpha, point)) - f.b) <= 1e-9
+                    at_vertex += int((point > 0).sum()) == int(tight)
+        assert moved > at_vertex > 0
 
 
 class TestExchangeLoop:
@@ -852,6 +941,30 @@ class TestAffineEvaluator:
                 assert np.array_equal(shared[t, i], eval_constraint_many(f, pts[0, 0]))
                 stacked = eval_constraint_many(f, pts[:, i].reshape(-1, k)).reshape(T, n)
                 assert np.array_equal(cross[t, :, i], stacked)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        T=st.integers(1, 3),
+        M=st.integers(1, 3),
+        k=st.integers(1, 3),
+        n=st.integers(2, 200),
+        shift=st.booleans(),
+    )
+    def test_a_point_rounds_alike_in_every_stack_of_two_or_more(self, seed, T, M, k, n, shift):
+        # the oracle's distinct candidates rest on this: a point's value depends
+        # neither on the size (two or more) of the stack it is evaluated in nor
+        # on its place there (a lone point may round differently)
+        rng = np.random.default_rng(seed)
+        cons = [[_random_probe(rng, k, shift) for _ in range(M)] for _ in range(T)]
+        budgets = affine_budgets(cons)
+        pts = rng.uniform(0.0, 3.0, size=(T, M, n, k))
+        pts[rng.random(pts.shape) < 0.2] = 0.0
+        stacked = budget_values(budgets, pts)
+        assert budget_values(budgets, pts[:, :, ::-1]).tobytes() == stacked[:, :, ::-1].tobytes()
+        for j in range(n):
+            pair = budget_values(budgets, np.repeat(pts[:, :, j : j + 1], 2, axis=2))
+            assert pair.tobytes() == np.repeat(stacked[:, :, j : j + 1], 2, axis=2).tobytes()
 
     def test_cut_changed_in_place_is_read_by_the_next_solve(self):
         d = dro_instance(T=3, M=2, N=2, seed=2)

@@ -16,6 +16,7 @@ from pareto_forge.synthetic import (
     _affine,
     _reversal_pair,
     consistent_dataset,
+    dro_instance,
     violating_dataset,
 )
 
@@ -198,3 +199,61 @@ def test_audit_input_files_are_pinned(tmp_path, T, seed):
     path = tmp_path / "d.json"
     save_dataset(violating_dataset(T, 3, 3, seed=seed), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256[T, seed]
+
+
+def _dro_instance_serial(T, M, N, jitter, seed):
+    """The per-block reference: one price draw and one jitter draw per (t, i), in stream order."""
+    rng = np.random.default_rng(seed)
+    powers = [(1.0, 1.0), (1.0, 0.25), (0.25, 1.0)]
+    cons, strats = [], []
+    for _t in range(T):
+        row_c, row_s = [], []
+        for i in range(M):
+            alpha = rng.uniform(0.1, 1.1, size=2)
+            x = synthetic._power_utility_argmax(*powers[i % 3], alpha)
+            pts = np.clip(x[None, :] + rng.uniform(-jitter, jitter, size=(N, 2)), 0.0, None)
+            load = pts @ alpha
+            over = load > 1.0
+            if over.any():
+                pts[over] /= load[over][:, None]
+            row_c.append(_affine(alpha, 1.0))
+            row_s.append(EmpiricalStrategy(pts))
+        cons.append(row_c)
+        strats.append(row_s)
+    return RPDataset(cons, strats)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    T=st.integers(1, 8),
+    M=st.integers(1, 4),
+    N=st.integers(1, 8),
+    jitter=st.sampled_from([0.0, 0.05, 0.3, 2.0]) | st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_dro_instance_matches_the_per_block_loop(T, M, N, jitter, seed):
+    _assert_same_dataset(dro_instance(T, M, N, jitter, seed=seed), _dro_instance_serial(T, M, N, jitter, seed))
+
+
+@pytest.mark.parametrize("jitter", [-0.05, float("nan"), float("inf")])
+def test_dro_instance_rejects_a_jitter_that_is_not_a_finite_non_negative_number(jitter):
+    with pytest.raises(ValueError, match="jitter must be a finite number >= 0"):
+        dro_instance(3, 2, 2, jitter, seed=0)
+
+
+# sha256 of save_dataset(dro_instance(5, 3, 5, 0.05, seed=s)), the benchmark's dro
+# instance: any drift in the stream, the projection or the file format fails here
+DRO_PINNED_SHA256 = {
+    0: "b66f536f0a62b31c8842fbe6d803ca074c561fe24ab2121049c0af5ac6e65f73",
+    1: "31228be67a251f349e6280ac88999beaa395c421066cfdcafe8f504aef14ec2e",
+    2: "bcfd1ba32daa93ed8f5689b1ba2094a62c2dbcb184fff1ba861396d497a4f634",
+    3: "27bd5348865aa4701b95a8ace54bc6bee652934c9a54e20590fbdfb3c79a88c2",
+    4: "79b270bac1be3086906e06aa78453a04567faa532437268e26a07469ce09c616",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DRO_PINNED_SHA256))
+def test_dro_instance_files_are_pinned(tmp_path, seed):
+    path = tmp_path / "d.json"
+    save_dataset(dro_instance(5, 3, 5, 0.05, seed=seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DRO_PINNED_SHA256[seed]
