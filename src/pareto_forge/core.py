@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import chain
-from numbers import Real
+from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
@@ -102,6 +102,18 @@ def _check_reals(values, message: str) -> None:
         finite = False
     if not finite:
         raise ValueError(message.format("finite"))
+
+
+def _check_ints(obj, fields) -> None:
+    """Raise ValueError unless each (name, least) field of the frozen dataclass obj is an int,
+    bools excluded, and >= least; store it as a plain int, so numpy ints serialise to JSON."""
+    for name, least in fields:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+        object.__setattr__(obj, name, int(value))
 
 
 def eval_constraint(f: ConstraintFunction, x) -> float:

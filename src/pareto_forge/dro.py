@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import RPDataset, _check_reals, affine_budgets, budget_values
+from .core import RPDataset, _check_ints, _check_reals, affine_budgets, budget_values
 from .rp import _critical_levels
 
 # slack within which an oracle candidate counts as inside its budget set or ball
@@ -110,12 +109,7 @@ class DROConfig:
             raise ValueError(
                 f"lam_max must be >= lambda_hat ({self.lambda_hat}), got {self.lam_max}"
             )
-        for name, least in (("max_exchange_iters", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
+        _check_ints(self, (("max_exchange_iters", 1), ("seed", 0)))
 
 
 def _dataset_g_bound(d: RPDataset) -> float:

@@ -12,9 +12,12 @@ is an interval: ``probe_bounds`` reads it from the scalar affine probe by
 
 The flagship instance is a three-agent river-pollution game with a
 seven-dimensional mechanism parameter θ (demand slope plus per-agent cost
-coefficients) and station-wise pollution caps.  For θ ≥ 0 its payoff is
-convex in an agent's own action, so every best response sits at an end of
-the budget interval; the best response is exact for any θ.
+coefficients) and station-wise pollution caps.  When d2 ≥ 0 and every
+c1ᵢ ≥ 0 its payoff is convex in an agent's own action (−√ is convex and the
+other terms are linear), so every best response is the better end of the
+budget interval.  Only θ with d2 < 0 or some c1ᵢ < 0, which mechanism
+tuning's unprojected perturbations reach, also score the clipped roots of a
+quartic; the best response is exact for any θ.
 """
 
 from __future__ import annotations
@@ -196,18 +199,11 @@ class RiverPollutionGame(GameInterface):
     def best_responses(self, X, lo, hi) -> NDArray[np.float64]:
         """Every agent's exact maximiser over its budget interval [lo, hi], in every play.
 
-        With s = Σ_{j≠i} x_j, a = d1 − c_{2i} and y = √x_i, the payoff is
-        a·y² − d2·√(y² + s) − c_{1i}·y; squaring its stationarity condition
-        gives the quartic (y² + s)(2a·y − c_{1i})² − d2²·y² = 0.  Every
-        interior maximiser is the square of a real root, so the best of the
-        two endpoints and the clipped squared real parts of all four roots is
-        exact; spurious or complex roots only add feasible candidates.
-
-        The roots are ``np.roots``'s, found for all P·M quartics at once: zero
-        leading and trailing coefficients are stripped, each stripped trailing
-        one is a root at 0, and the rest go to one stacked companion-matrix
-        ``eigvals`` per degree.  A leading coefficient whose companion row
-        overflows is stripped too.  The first best candidate wins, as ``max`` picks.
+        When d2 ≥ 0 and every c_{1i} ≥ 0 the payoff is convex in x_i (−√ is
+        convex and the other terms are linear), so the candidates are the two
+        ends of the interval; otherwise they are the ends and the clipped roots
+        of :meth:`_quartic_candidates`.  The first best candidate wins, as
+        ``max`` picks, so a tie keeps the lower end.
         """
         X = np.asarray(X, dtype=float)
         lo = np.asarray(lo, dtype=float)
@@ -216,6 +212,29 @@ class RiverPollutionGame(GameInterface):
         if unbounded.size:
             p, i = unbounded[0]
             raise ValueError(f"agent {i} has an unbounded budget: upper bound {hi[p, i]}")
+        th = self.theta_vec
+        if th[0] >= 0 and np.all(th[1:4] >= 0):
+            cands = np.stack([lo, hi], axis=-1)
+        else:
+            cands = self._quartic_candidates(X, lo, hi)
+        best = self.deviation_payoffs(X, cands).argmax(axis=-1)
+        return np.take_along_axis(cands, best[..., None], axis=-1)[..., 0]
+
+    def _quartic_candidates(self, X, lo, hi) -> NDArray[np.float64]:
+        """The ends of every interval and the clipped squared real parts of four roots, (P, M, 6).
+
+        With s = Σ_{j≠i} x_j, a = d1 − c_{2i} and y = √x_i, the payoff is
+        a·y² − d2·√(y² + s) − c_{1i}·y; squaring its stationarity condition
+        gives the quartic (y² + s)(2a·y − c_{1i})² − d2²·y² = 0.  Every
+        interior maximiser is the square of a real root, so the best of these
+        candidates is exact; spurious or complex roots only add feasible ones.
+
+        The roots are ``np.roots``'s, found for all P·M quartics at once: zero
+        leading and trailing coefficients are stripped, each stripped trailing
+        one is a root at 0, and the rest go to one stacked companion-matrix
+        ``eigvals`` per degree.  A leading coefficient whose companion row
+        overflows is stripped too.
+        """
         th = self.theta_vec
         d2, c1 = th[0], th[1:4]
         a = self.d1 - th[4:7]
@@ -256,9 +275,7 @@ class RiverPollutionGame(GameInterface):
                 with np.errstate(over="ignore"):
                     squares[rows, :n] = np.linalg.eigvals(companion).real ** 2
         lo_c, hi_c = lo.reshape(-1, 1), hi.reshape(-1, 1)
-        cands = np.concatenate([lo_c, hi_c, np.clip(squares, lo_c, hi_c)], axis=1).reshape(*X.shape, 6)
-        best = self.deviation_payoffs(X, cands).argmax(axis=-1)
-        return np.take_along_axis(cands, best[..., None], axis=-1)[..., 0]
+        return np.concatenate([lo_c, hi_c, np.clip(squares, lo_c, hi_c)], axis=1).reshape(*X.shape, 6)
 
 
 def nikaido_isoda(g: GameInterface, x, y) -> NDArray[np.float64]:

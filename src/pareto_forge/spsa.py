@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
+from .core import _check_ints, _check_reals
 from .game import NashConvergenceError
 from .rp import TOL_R
 
@@ -30,7 +31,13 @@ STOP_TOL_DEFAULT = TOL_R
 
 @dataclass(frozen=True)
 class SPSAConfig:
-    """Gains, box, evaluation budget and seed for one tuning run."""
+    """Gains, box, evaluation budget and seed for one tuning run.
+
+    Checked where the config is built, each error naming its field: a, c, q,
+    eta and stop_tol are finite numbers with a > 0, c > 0, q >= 0 and eta in
+    [1/6, 1/2]; T (>= 1), max_iters (>= 0) and seed (>= 0) are ints, bools
+    excluded; theta_box rows are [lo, hi] with lo <= hi.
+    """
 
     a: float
     c: float
@@ -43,13 +50,17 @@ class SPSAConfig:
     seed: int = 0
 
     def __post_init__(self):
-        box = np.asarray(self.theta_box, dtype=float).reshape(-1, 2)
-        if not (self.a > 0 and self.c > 0 and self.q >= 0):
-            raise ValueError("require a > 0, c > 0, q >= 0")
+        for name in ("a", "c", "q", "eta", "stop_tol"):
+            _check_reals([getattr(self, name)], f"{name} must be a finite number, got a non-{{}} value")
+        for name, value in (("a", self.a), ("c", self.c)):
+            if not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
+        if not self.q >= 0:
+            raise ValueError(f"q must be >= 0, got {self.q}")
         if not (1.0 / 6.0 <= self.eta <= 0.5):
-            raise ValueError("eta must lie in [1/6, 1/2]")
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+            raise ValueError(f"eta must lie in [1/6, 1/2], got {self.eta}")
+        _check_ints(self, (("T", 1), ("max_iters", 0), ("seed", 0)))
+        box = np.asarray(self.theta_box, dtype=float).reshape(-1, 2)
         if not np.all(box[:, 0] <= box[:, 1]):
             raise ValueError("theta_box rows must be [lo, hi] with lo <= hi")
         object.__setattr__(self, "theta_box", box)

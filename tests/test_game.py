@@ -315,6 +315,18 @@ def _interval_stack(lo, hi, shape):
     return np.full(shape, float(lo)), np.full(shape, float(hi))
 
 
+def _count_eigvals(monkeypatch):
+    """Record the shape of every companion stack the river quartic solve hands to eigvals."""
+    calls, eigvals = [], np.linalg.eigvals
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(game.np.linalg, "eigvals", counted)
+    return calls
+
+
 class TestBestResponse:
     def test_quadratic_game_closed_form(self):
         g = QuadraticGame()
@@ -379,19 +391,26 @@ class TestBestResponse:
             assert g.payoff(joint, i) >= _river_grid_max(g, x, i, lo, hi) - 1e-12
 
 
-    def test_river_subnormal_leading_coefficient(self):
+    def test_river_subnormal_leading_coefficient(self, monkeypatch):
         # agent 1 has a = d1 - c2 = -5e-324: 4a² underflows to 0 and the companion
-        # row of the subnormal -4a·c1 overflows, which once made eigvals raise
-        g = RiverPollutionGame(np.array([0.0, 0.0, 1.0, 0.0, 0.0, 5e-324, 0.0]), d1=0.0, cap=1.0)
-        probes = river_probes(g, T=1, seed=0)
-        d = collect_dataset(g, probes)
-        X = np.array([[d.strategies[0][i].samples[0, 0] for i in range(g.M)]])
-        lo, hi = probe_bounds(probes, g.M)
-        Z = g.best_responses(X, lo, hi)
-        assert np.all((lo <= Z) & (Z <= hi))
-        grid = np.linspace(lo, hi, 20_001, axis=-1)  # (1, M, 20001)
-        best = g.deviation_payoffs(X, Z)
-        assert np.all(best >= g.deviation_payoffs(X, grid).max(axis=-1) - 1e-12)
+        # row of the subnormal -4a·c1 overflows, which once made eigvals raise; a
+        # negative c1 of agent 0 leaves agent 1's quartic as it is but makes the
+        # payoff non-convex, so best_responses solves the quartics
+        calls = _count_eigvals(monkeypatch)
+        for c1_agent0 in (0.0, -0.3):
+            theta = np.array([0.0, c1_agent0, 1.0, 0.0, 0.0, 5e-324, 0.0])
+            g = RiverPollutionGame(theta, d1=0.0, cap=1.0)
+            probes = river_probes(g, T=1, seed=0)
+            d = collect_dataset(g, probes)
+            X = np.array([[d.strategies[0][i].samples[0, 0] for i in range(g.M)]])
+            lo, hi = probe_bounds(probes, g.M)
+            calls.clear()
+            Z = g.best_responses(X, lo, hi)
+            assert bool(calls) == (c1_agent0 < 0)
+            assert np.all((lo <= Z) & (Z <= hi))
+            grid = np.linspace(lo, hi, 20_001, axis=-1)  # (1, M, 20001)
+            best = g.deviation_payoffs(X, Z)
+            assert np.all(best >= g.deviation_payoffs(X, grid).max(axis=-1) - 1e-12)
 
 
 class TestStackedPlayMatchesSerialReference:
@@ -418,21 +437,35 @@ class TestStackedPlayMatchesSerialReference:
             ([0.0, 0.0, 0.4, 0.5, 1.5, 0.3, 0.4], 1.5, "all zero"),
             # a = -5e-324 for agent 1: the leading coefficient is subnormal
             ([0.0, 0.0, 1.0, 0.0, 0.0, 5e-324, 0.0], 0.0, "subnormal leading"),
+            # the same five with the c1 of an agent the case does not depend on
+            # set to -0.3: the payoff is not convex, so the quartics are solved
+            ([0.5, 0.3, -0.3, 0.5, 0.7, 0.3, 0.4], 0.7, "leading zeros, c1 < 0"),
+            ([0.5, -0.3, 0.0, 0.5, 0.2, 0.3, 0.4], 3.0, "trailing zeros, c1 < 0"),
+            ([0.5, -0.3, 0.4, 0.5, 0.2, 0.3, 0.4], 3.0, "degree one, c1 < 0"),
+            ([0.0, 0.0, -0.3, 0.5, 1.5, 0.3, 0.4], 1.5, "all zero, c1 < 0"),
+            ([0.0, -0.3, 1.0, 0.0, 0.0, 5e-324, 0.0], 0.0, "subnormal leading, c1 < 0"),
         ],
     )
-    def test_degenerate_quartics(self, theta, d1, case):
+    def test_degenerate_quartics(self, theta, d1, case, monkeypatch):
         g = RiverPollutionGame(np.array(theta), d1=d1)
         # rows with s = 0 for every agent (the others idle) and generic rows, so
         # one stack mixes companion sizes
         X = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 1.5], [1.0, 2.5, 0.25], [0.0, 3.0, 0.0]])
         lo = np.array([[0.0] * 3, [0.5] * 3, [0.0] * 3, [0.2, 0.0, 1.0], [0.0] * 3])
         hi = np.array([[4.0] * 3, [4.0] * 3, [0.75] * 3, [9.0, 3.0, 2.0], [100.0] * 3])
+        calls = _count_eigvals(monkeypatch)
         self._assert_matches_serial(g, X, lo, hi)
+        assert bool(calls) == (min(theta[:4]) < 0)
 
-    def test_all_zero_quartic_keeps_the_lower_end(self):
-        g = RiverPollutionGame(np.array([0.0, 0.0, 0.4, 0.5, 1.5, 0.3, 0.4]), d1=1.5)
-        # agent 0's payoff is 0 on the whole interval: the first candidate wins
-        assert g.best_responses(np.array([[2.0, 1.0, 1.0]]), *_interval_stack(0.5, 3.0, (1, 3)))[0, 0] == 0.5
+    def test_all_zero_quartic_keeps_the_lower_end(self, monkeypatch):
+        calls = _count_eigvals(monkeypatch)
+        # agent 0's payoff is 0 on the whole interval: the first candidate wins,
+        # on the two-end path and, with agent 1's c1 < 0, on the quartic one
+        for c1_agent1 in (0.4, -0.4):
+            g = RiverPollutionGame(np.array([0.0, 0.0, c1_agent1, 0.5, 1.5, 0.3, 0.4]), d1=1.5)
+            calls.clear()
+            assert g.best_responses(np.array([[2.0, 1.0, 1.0]]), *_interval_stack(0.5, 3.0, (1, 3)))[0, 0] == 0.5
+            assert bool(calls) == (c1_agent1 < 0)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -444,6 +477,43 @@ class TestStackedPlayMatchesSerialReference:
         lo = rng.uniform(0.0, 2.0, (12, 3)) * (rng.random((12, 3)) < 0.5)
         hi = lo + rng.uniform(0.0, 20.0, (12, 3)) * (rng.random((12, 3)) < 0.9)
         self._assert_matches_serial(g, X, lo, hi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        theta=st.lists(st.sampled_from([0.0, 5e-324, 1.0]) | st.floats(0.0, 1.5), min_size=7, max_size=7),
+        seed=st.integers(0, 10_000),
+        data=st.data(),
+    )
+    def test_convex_payoffs_match_on_random_stacks(self, theta, seed, data):
+        # d2 >= 0 and every c1 >= 0: the stacked path scores only the ends of each
+        # interval, the serial one every root as well
+        d1 = data.draw(st.sampled_from([0.0, theta[4], theta[5], theta[6]]) | st.floats(0.0, 3.5))
+        g = RiverPollutionGame(np.array(theta), d1=d1)
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(0.0, 10.0, (12, 3)) * (rng.random((12, 3)) < 0.7)
+        X[0] = 0.0  # s = 0 for every agent
+        X[1, 1:] = 0.0  # s = 0 for agent 0
+        lo = rng.uniform(0.0, 2.0, (12, 3)) * (rng.random((12, 3)) < 0.5)
+        lo[2] = rng.uniform(0.1, 2.0, 3)  # lo > 0 for every agent
+        hi = lo + rng.uniform(0.0, 20.0, (12, 3)) * (rng.random((12, 3)) < 0.8)
+        hi[3] = lo[3]  # zero-width intervals
+        self._assert_matches_serial(g, X, lo, hi)
+
+    def test_convex_payoffs_skip_the_quartic(self, monkeypatch):
+        def no_eigvals(*args, **kwargs):
+            raise AssertionError("eigvals called")
+
+        monkeypatch.setattr(game.np.linalg, "eigvals", no_eigvals)
+        X = np.array([[0.0, 0.0, 0.0], [1.0, 2.5, 0.25], [2.0, 0.0, 3.0]])
+        lo, hi = np.zeros((3, 3)), np.full((3, 3), 4.0)
+        for theta in ([0.5, 0.3, 0.4, 0.5, 0.2, 0.3, 0.4], [0.0, 5e-324, 0.0, 1.0, 3.0, 0.0, 1.5]):
+            g = RiverPollutionGame(np.array(theta))
+            g.best_responses(X, lo, hi)
+            collect_dataset(g, river_probes(g, T=10, seed=0))
+        # the patch is live: a negative c1 solves the quartic
+        g = RiverPollutionGame(np.array([0.0, -1.0, 0.3, 0.3, 1.0, 0.2, 0.2]), d1=0.5)
+        with pytest.raises(AssertionError, match="eigvals called"):
+            g.best_responses(X, lo, hi)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -592,6 +662,17 @@ class TestCollectDataset:
         for t in range(d.T):
             for i in range(d.M):
                 assert abs(d.gbar[t, t, i]) <= 1e-5
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(theta=st.lists(st.floats(0.0, 1.0), min_size=7, max_size=7), seed=st.integers(0, 2**31 - 2))
+    def test_design_box_plays_the_upper_end_of_every_budget(self, theta, seed):
+        # on the default game every θ in [0,1]^7 plays hi, so no dataset the
+        # tuner observes can violate GARP and tuning stops at its first loss
+        g = RiverPollutionGame(np.array(theta))
+        probes = river_probes(g, T=10, seed=seed)
+        d = collect_dataset(g, probes)
+        samples = np.array([[s.samples[0, 0] for s in row] for row in d.strategies])
+        assert np.array_equal(samples, probe_bounds(probes, g.M)[1])
 
     def test_invalid_sample_count_rejected(self):
         g = RiverPollutionGame(np.full(7, 0.5))

@@ -32,18 +32,53 @@ def _cfg(**overrides):
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^a must be > 0, got 0\.0$"):
             _cfg(a=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^c must be > 0, got -1\.0$"):
             _cfg(c=-1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^q must be >= 0, got -1e-09$"):
             _cfg(q=-1e-9)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^eta must lie in \[1/6, 1/2\], got 0\.1$"):
             _cfg(eta=0.1)
         with pytest.raises(ValueError):
             _cfg(theta_box=np.array([[1.0, 0.0]]))
         with pytest.raises(ValueError, match="max_iters must be >= 0, got -3"):
             _cfg(max_iters=-3)
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            # each once ran or failed late: range() or river_probes raised TypeError,
+            # True ran one iteration, T = 0 hit "the probe grid is empty" and a NaN
+            # stop_tol ran every iteration
+            ("max_iters", 2.5, r"^max_iters must be an int, got 2\.5$"),
+            ("max_iters", True, r"^max_iters must be an int, got True$"),
+            ("T", 2.5, r"^T must be an int, got 2\.5$"),
+            ("T", 0, r"^T must be >= 1, got 0$"),
+            ("T", np.int64(0), r"^T must be >= 1, got 0$"),
+            ("stop_tol", np.nan, r"^stop_tol must be a finite number, got a non-finite value$"),
+            ("stop_tol", "1e-5", r"^stop_tol must be a finite number, got a non-numeric value$"),
+            ("seed", -1, r"^seed must be >= 0, got -1$"),
+            ("seed", 1.0, r"^seed must be an int, got 1\.0$"),
+            ("seed", np.bool_(True), r"^seed must be an int, got "),
+            ("a", np.inf, r"^a must be a finite number, got a non-finite value$"),
+            ("q", True, r"^q must be a finite number, got a non-numeric value$"),
+            ("eta", np.nan, r"^eta must be a finite number, got a non-finite value$"),
+        ],
+    )
+    def test_bad_field_rejected_where_the_config_is_built(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            _cfg(**{field: value})
+        with pytest.raises(ValueError, match=match):
+            river_spsa_config(**{field: value})
+
+    def test_integer_fields_accept_numpy_ints(self):
+        cfg = _cfg(T=np.int64(3), max_iters=np.int32(1), seed=np.uint8(7))
+        assert (cfg.T, cfg.max_iters, cfg.seed) == (3, 1, 7)
+        assert {type(v) for v in (cfg.T, cfg.max_iters, cfg.seed)} == {int}
+        # stored as plain ints, so the manifest's json.dumps takes them
+        manifest = run_mechanism_design(lambda theta, seed: 0.0, cfg).manifest(cfg)
+        assert manifest["config"]["seed"] == 7 and manifest["iterations"] == 1
 
     def test_projection_clamps_to_box(self):
         cfg = _cfg(theta_box=np.array([[0.0, 1.0], [0.0, 1.0]]))
