@@ -33,7 +33,7 @@ def main():
                 {
                     "game": {"T": 4, "seed": 7},
                     "spsa": {"max_iters": 3},
-                    "monte_carlo": {"command": "spsa", "replications": 3, "parallelism": 1},
+                    "monte_carlo": {"command": "spsa", "replications": 3},
                 },
                 indent=2,
             )

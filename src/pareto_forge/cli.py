@@ -11,9 +11,7 @@ Commands
 Exit codes: 0 success (audit: consistent), 1 semantic negative (audit:
 inconsistent), 2 error (bad config, malformed input, runtime failure).
 Configs are JSON validated against the bundled schema; unknown keys are
-rejected.  Monte-Carlo parallelism is the config's ``monte_carlo.parallelism``;
-only when that key is absent is ``PARETO_FORGE_THREADS`` read, and without
-either the usable CPUs are counted.
+rejected.
 """
 
 from __future__ import annotations
@@ -231,14 +229,13 @@ def cmd_mc(args) -> int:
         )
     reps = mc.get("replications", 10)
     base_seed = args.seed if args.seed is not None else mc.get("base_seed", 0)
-    parallelism = mc.get("parallelism")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if command == "spsa":
         # tuner settings come from the spsa block and game settings from the game
         # block, as in the spsa command
         task = partial(river_spsa_replication, game=_river_play(cfg), **cfg.get("spsa", {}))
-        results = monte_carlo(task, reps, base_seed=base_seed, parallelism=parallelism)
+        results = monte_carlo(task, reps, base_seed=base_seed)
         with open(out_dir / "mc_spsa.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["replication", "seed", "iterations", "final_loss"])
@@ -254,7 +251,7 @@ def cmd_mc(args) -> int:
         summary = {}
         for eps in s.pop("eps", DRO_RADII):
             task = partial(run_dro_replication, eps=eps, **s)
-            results = monte_carlo(task, reps, base_seed=base_seed, parallelism=parallelism)
+            results = monte_carlo(task, reps, base_seed=base_seed)
             for r_id, r in enumerate(results):
                 rows.append([r_id, eps, r["seed"], r["iterations"], r["certified"]])
             summary[str(eps)] = {

@@ -45,7 +45,10 @@ class ConstraintFunction:
     log-sigmoid ``log(2*sigma(sum x_j))``.  A nonzero shift ``a_t`` along the
     direction ``beta`` turns either base into the shifted probe
     ``g(x - a_t * beta)``.  ``family`` may be given as its string value
-    (``"affine"``); it is stored as the :class:`Family` member.
+    (``"affine"``); it is stored as the :class:`Family` member.  Coefficients
+    may be any real numbers (numpy scalars, and arrays for ``alpha`` and
+    ``beta``); they are stored as plain floats and float tuples, so that a
+    probe compares, hashes and saves to JSON alike whatever it was built from.
     """
 
     family: Family
@@ -64,12 +67,16 @@ class ConstraintFunction:
             raise DimensionError(
                 f"affine coefficient vector has length {len(self.alpha)}, expected {self.dim}"
             )
-        if self.beta and len(self.beta) != self.dim:
+        if len(self.beta) not in (0, self.dim):
             raise DimensionError(
                 f"shift direction has length {len(self.beta)}, expected {self.dim}"
             )
         coefs = (*self.alpha, self.b, self.a_t, *self.beta)
         _check_reals(coefs, "constraint has a non-{} coefficient")
+        object.__setattr__(self, "alpha", tuple(map(float, self.alpha)))
+        object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "a_t", float(self.a_t))
+        object.__setattr__(self, "beta", tuple(map(float, self.beta)))
 
     def shifted(self, a_t: float, beta: Sequence[float]) -> "ConstraintFunction":
         """Return g(. - a_t*beta) built on the same base.
@@ -79,7 +86,7 @@ class ConstraintFunction:
         and a log-sigmoid g depends on sum(x) only.  So no numerical check of
         this structure is kept.
         """
-        return replace(self, a_t=a_t, beta=tuple(float(v) for v in beta))
+        return replace(self, a_t=a_t, beta=beta)
 
     def __call__(self, x) -> float:
         return eval_constraint(self, x)

@@ -7,16 +7,12 @@ the acceptance suite use them:
   parameter until observed Nash play is socially optimal;
 * ``run_dro_replication`` — one exchange-method run on the finite-sample
   instance family;
-* ``monte_carlo`` — replication wrapper with derived seeds and optional
-  process-level parallelism: the ``parallelism`` argument when given (the
-  CLI passes the config's ``monte_carlo.parallelism``), else
-  ``PARETO_FORGE_THREADS``, else the usable CPUs.
+* ``monte_carlo`` — replication wrapper with derived seeds, run in the
+  calling process.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -106,31 +102,6 @@ def run_dro_replication(
     }
 
 
-def default_parallelism() -> int:
-    """Worker processes for ``monte_carlo``: ``PARETO_FORGE_THREADS``, else the usable CPUs."""
-    env = os.environ.get("PARETO_FORGE_THREADS")
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ValueError(f"PARETO_FORGE_THREADS must be a positive integer, got {env!r}")
-        return workers
-    if hasattr(os, "sched_getaffinity"):  # Linux only
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def monte_carlo(task, replications: int, base_seed: int = 0, parallelism: int | None = None):
-    """Run ``task(rep_seed)`` for derived seeds; results sorted by replication.
-
-    ``task`` must be picklable (module-level function or functools.partial)
-    when parallelism > 1.
-    """
-    seeds = [base_seed + 1000003 * r for r in range(replications)]
-    workers = parallelism if parallelism is not None else default_parallelism()
-    if workers <= 1 or replications <= 1:
-        return [task(s) for s in seeds]
-    with ProcessPoolExecutor(max_workers=min(workers, replications)) as pool:
-        return list(pool.map(task, seeds))
+def monte_carlo(task, replications: int, base_seed: int = 0) -> list:
+    """Run ``task(rep_seed)`` for derived seeds, in order, in this process."""
+    return [task(base_seed + 1000003 * r) for r in range(replications)]

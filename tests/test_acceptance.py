@@ -69,7 +69,7 @@ class TestMechanismTuningExperiment:
     """River-game tuning: most replications reach a socially optimal design."""
 
     def test_ninety_percent_success_within_30_iterations(self):
-        results = monte_carlo(river_spsa_replication, 50, base_seed=0, parallelism=1)
+        results = monte_carlo(river_spsa_replication, 50, base_seed=0)
         successes = sum(
             1 for r in results if r["final_loss"] <= 1e-5 and r["iterations"] <= 30
         )
@@ -92,7 +92,6 @@ def dro_replications():
             lambda seed, eps=eps: run_dro_replication(seed, eps=eps, delta=DRO_DELTA),
             50,
             base_seed=0,
-            parallelism=1,
         )
         assert all(r["certified"] for r in results)
         runs[eps] = results

@@ -29,7 +29,6 @@ from pareto_forge.core import (
     load_dataset,
     save_dataset,
 )
-from pareto_forge.experiments import default_parallelism
 from pareto_forge.rp import pareto_gap
 from pareto_forge.synthetic import violating_dataset
 
@@ -40,6 +39,25 @@ def gen_config(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def _loaded_by_fresh_cli_import(*packages) -> list:
+    """The modules of ``packages`` in sys.modules after ``import pareto_forge.cli`` in a
+    fresh interpreter (this one has loaded them already)."""
+    src = str(Path(pareto_forge.__file__).parents[1])
+    code = (
+        "import json, sys, pareto_forge.cli; "
+        f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r})))"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return json.loads(out.stdout)
 
 
 class TestConfigHandling:
@@ -204,18 +222,11 @@ class TestValidatorAndParserReuse:
         assert capsys.readouterr().err == expected + "\n"
 
     def test_import_leaves_jsonschema_unloaded(self):
-        # a fresh interpreter: this one has jsonschema loaded already
-        src = str(Path(pareto_forge.__file__).parents[1])
-        code = "import sys, pareto_forge.cli; print('jsonschema' in sys.modules)"
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            check=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
-        assert out.stdout.strip() == "False"
+        assert _loaded_by_fresh_cli_import("jsonschema") == []
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # mc runs its replications in the calling process
+        assert _loaded_by_fresh_cli_import("concurrent", "multiprocessing") == []
 
     @pytest.mark.parametrize(
         "argv",
@@ -507,7 +518,7 @@ class TestSpsaCommand:
         out = tmp_path / "out"
         cfg = _write(
             tmp_path / "cfg.json",
-            {"monte_carlo": {"replications": 1, "parallelism": 1}, "spsa": {"theta0": [0.2]}},
+            {"monte_carlo": {"replications": 1}, "spsa": {"theta0": [0.2]}},
         )
         assert main([command, "--config", cfg, "--out-dir", str(out)]) == 2
         assert "theta0 must have shape (7,)" in capsys.readouterr().err
@@ -573,7 +584,7 @@ class TestDroCommand:
         out = tmp_path / "out"
         doc = {"dro": {"eps": [1.0], "T": 2, "M": 1, "N": 2, "use_paper_v": True}}
         if command == "mc":
-            doc["monte_carlo"] = {"command": "dro", "replications": 1, "parallelism": 1}
+            doc["monte_carlo"] = {"command": "dro", "replications": 1}
         cfg = _write(tmp_path / "cfg.json", doc)
         assert main([command, "--config", cfg, "--out-dir", str(out)]) == 2
         assert "'use_paper_v' was unexpected" in capsys.readouterr().err
@@ -604,7 +615,6 @@ class TestMonteCarloCommand:
                         "command": "spsa",
                         "replications": 2,
                         "base_seed": 0,
-                        "parallelism": 1,
                     },
                     "spsa": {"max_iters": 2},
                     "game": {"T": 3},
@@ -626,7 +636,7 @@ class TestMonteCarloCommand:
         cfg = _write(
             tmp_path / "cfg.json",
             {
-                "monte_carlo": {"command": "spsa", "replications": 1, "parallelism": 1},
+                "monte_carlo": {"command": "spsa", "replications": 1},
                 "spsa": {"T": 4, "max_iters": 1},
                 "game": {"T": 7, "cap": 50.0, "seed": 3},
             },
@@ -642,7 +652,7 @@ class TestMonteCarloCommand:
         cfg = _write(
             tmp_path / "cfg.json",
             {
-                "monte_carlo": {"command": "spsa", "replications": 2, "parallelism": 1},
+                "monte_carlo": {"command": "spsa", "replications": 2},
                 "spsa": {"T": 3, "max_iters": 1, "theta0": theta0},
             },
         )
@@ -657,7 +667,7 @@ class TestMonteCarloCommand:
         cfg = _write(
             tmp_path / "cfg.json",
             {
-                "monte_carlo": {"command": "spsa", "replications": 1, "parallelism": 1},
+                "monte_carlo": {"command": "spsa", "replications": 1},
                 "spsa": {"T": 3, "max_iters": 1, "seed": 7},
             },
         )
@@ -671,7 +681,7 @@ class TestMonteCarloCommand:
         cfg = _write(
             tmp_path / "cfg.json",
             {
-                "monte_carlo": {"command": "dro", "replications": 1, "parallelism": 1},
+                "monte_carlo": {"command": "dro", "replications": 1},
                 "dro": {"eps": [1.0], "T": 2, "M": 1, "N": 2, "seed": 7},
             },
         )
@@ -686,7 +696,7 @@ class TestMonteCarloCommand:
         cfg_path.write_text(
             json.dumps(
                 {
-                    "monte_carlo": {"command": "dro", "replications": 2, "parallelism": 1},
+                    "monte_carlo": {"command": "dro", "replications": 2},
                     "dro": {
                         "eps": [1.0],
                         "delta": 1e-6,
@@ -710,7 +720,7 @@ class TestMonteCarloCommand:
         cfg_path.write_text(
             json.dumps(
                 {
-                    "monte_carlo": {"command": "dro", "replications": 1, "parallelism": 1},
+                    "monte_carlo": {"command": "dro", "replications": 1},
                     "dro": {"lambda_hat": 5, "lam_max": 1},
                 }
             )
@@ -724,7 +734,7 @@ class TestMonteCarloCommand:
         cfg = _write(
             tmp_path / "cfg.json",
             {
-                "monte_carlo": {"command": "dro", "replications": 1, "parallelism": 1},
+                "monte_carlo": {"command": "dro", "replications": 1},
                 "dro": {"eps": radii, "T": 2, "M": 1, "N": 2},
             },
         )
@@ -737,7 +747,7 @@ class TestMonteCarloCommand:
         cfg_path.write_text(
             json.dumps(
                 {
-                    "monte_carlo": {"command": "spsa", "replications": 2, "parallelism": 1},
+                    "monte_carlo": {"command": "spsa", "replications": 2},
                     "spsa": {"max_iters": 2},
                     "game": {"T": 3},
                 }
@@ -813,20 +823,3 @@ class TestDocumentedDefaults:
             outputs.append(self._outputs(out))
         assert len(outputs[0]) >= 2
         assert outputs[0] == outputs[1]
-
-
-class TestDefaultParallelism:
-    def test_positive_value_is_used(self, monkeypatch):
-        monkeypatch.setenv("PARETO_FORGE_THREADS", "2")
-        assert default_parallelism() == 2
-
-    @pytest.mark.parametrize("value", ["0", "junk"])
-    def test_invalid_value_names_the_variable(self, monkeypatch, value):
-        monkeypatch.setenv("PARETO_FORGE_THREADS", value)
-        with pytest.raises(ValueError, match="PARETO_FORGE_THREADS must be a positive integer"):
-            default_parallelism()
-
-    def test_falls_back_to_cpu_count_without_affinity(self, monkeypatch):
-        monkeypatch.delenv("PARETO_FORGE_THREADS", raising=False)
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert default_parallelism() == (os.cpu_count() or 1)

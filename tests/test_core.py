@@ -63,6 +63,30 @@ class TestConstraintFunction:
         with pytest.raises(ValueError, match="not a valid Family"):
             ConstraintFunction("quadratic", 1)
 
+    @pytest.mark.parametrize(
+        "scalar, vector",
+        [
+            (np.int64, lambda v: tuple(map(np.int64, v))),
+            (np.float32, lambda v: tuple(map(np.float32, v))),
+            (float, np.array),
+            (float, list),
+            (int, tuple),
+        ],
+        ids=["int64", "float32", "ndarray", "list", "int"],
+    )
+    def test_coefficients_are_stored_as_floats(self, tmp_path, scalar, vector):
+        # numpy scalars did not save to JSON, and an ndarray alpha could not compare or hash
+        f = ConstraintFunction(
+            Family.AFFINE, 2, alpha=vector([2, 1]), b=scalar(3), a_t=scalar(1), beta=vector([1, 0])
+        )
+        assert all(type(v) is float for v in (*f.alpha, f.b, f.a_t, *f.beta))
+        assert f == _affine([2.0, 1.0], 3.0).shifted(1.0, (1.0, 0.0))
+        path = tmp_path / "d.json"
+        save_dataset(RPDataset(((f,),), ((EmpiricalStrategy([[0.5, 0.5]]),),)), path)
+        loaded = load_dataset(path).constraints[0][0]
+        assert loaded == f
+        assert hash(loaded) == hash(f)
+
     def test_dimension_mismatch_raises(self):
         with pytest.raises(DimensionError):
             ConstraintFunction(Family.AFFINE, 2, alpha=(1.0,))

@@ -1,10 +1,11 @@
-"""Fuzz of malformed input at every entry point of a dataset.
+"""Fuzz of malformed input at every entry point of a dataset or a config.
 
 `ConstraintFunction` and `EmpiricalStrategy` reject a value that is not a
 finite real number where it enters, and `load_dataset` names the block.  Each
 malformed value must raise ValueError: never a numpy RuntimeWarning (an error
 under this suite's warning filter), TypeError, IndexError, OverflowError or a
-silent result.  `pareto-forge audit` on such a file exits 2 and writes nothing.
+silent result.  `pareto-forge audit` on such a file exits 2 and writes nothing,
+and so do `generate`, `spsa`, `dro` and `mc` on a config the schema rejects.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import json
 import tempfile
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -179,3 +181,57 @@ def test_audit_exits_two_on_a_malformed_file_and_writes_nothing(tmp_path, capsys
     assert main(["audit", str(path), "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"audit error: {prefix}")
     assert not out.exists()
+
+
+SCHEMA = json.loads(resources.files("pareto_forge").joinpath("schemas/config.schema.json").read_text())
+BLOCKS = sorted(SCHEMA["properties"])
+# (block, key, its schema) of every config key, and of those with a lower bound
+FIELDS = [(b, k, spec) for b in BLOCKS for k, spec in SCHEMA["properties"][b]["properties"].items()]
+BOUNDED = [f for f in FIELDS if {"minimum", "exclusiveMinimum"} & f[2].keys()]
+# JSON values of every type but the named one (jsonschema counts no bool as a number)
+WRONG_TYPE = {
+    "integer": ["1", True, None, [1], {"a": 1}, 2.5],
+    "number": ["1", True, None, [1], {"a": 1}],
+    "array": ["1", 1, True, None, {"a": 1}],
+    "string": [1, True, None, ["spsa"], {"a": 1}],
+}
+
+
+@st.composite
+def _bad_configs(draw):
+    """A config the schema rejects: one unknown key, wrong type, value below its minimum,
+    non-finite number or the retired ``monte_carlo.parallelism``."""
+    kind = draw(st.sampled_from(["unknown", "type", "minimum", "non-finite", "parallelism"]))
+    if kind == "parallelism":
+        return {"monte_carlo": {"parallelism": draw(st.integers(1, 4))}}
+    if kind == "unknown":
+        key = draw(st.text(max_size=6)) + "?"  # no schema key has a "?"
+        return {key: {}} if draw(st.booleans()) else {draw(st.sampled_from(BLOCKS)): {key: 1}}
+    if kind == "minimum":
+        block, key, spec = draw(st.sampled_from(BOUNDED))
+        least = spec.get("minimum", spec.get("exclusiveMinimum"))
+        if spec["type"] == "integer":
+            value = draw(st.integers(max_value=least - 1))
+        else:
+            value = draw(
+                st.floats(max_value=least, exclude_max="minimum" in spec, allow_nan=False, allow_infinity=False)
+            )
+        return {block: {key: value}}
+    block, key, spec = draw(st.sampled_from(FIELDS))
+    if kind == "type":
+        return {block: {key: draw(st.sampled_from(WRONG_TYPE[spec["type"]]))}}
+    # json.dumps writes a NaN or Infinity literal, which json.load reads back
+    value = draw(NON_FINITE)
+    return {block: {key: [value] if spec["type"] == "array" else value}}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["generate", "spsa", "dro", "mc"]), doc=_bad_configs())
+def test_config_commands_exit_two_on_a_rejected_config_and_write_nothing(capsys, command, doc):
+    with tempfile.TemporaryDirectory() as tmp:  # its own directory, so no example sees another's output
+        path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main([command, "--config", str(path), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(("invalid config: ", "cannot read config "))
+        assert not out.exists()
