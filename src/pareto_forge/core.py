@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from itertools import chain
 from numbers import Integral, Real
 from typing import Sequence
@@ -25,48 +24,29 @@ TOL_FEAS = 1e-6
 
 
 class DimensionError(ValueError):
-    """Point dimensionality does not match the constraint's."""
-
-
-class Family(str, Enum):
-    AFFINE = "affine"
-    LOG_SIGMOID = "log_sigmoid"
-
-
-def _sigmoid(z: NDArray[np.float64] | float):
-    return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=float)))
+    """A point, strategy or probe has another dimension than the one it must match."""
 
 
 @dataclass(frozen=True)
 class ConstraintFunction:
-    """A budget function g(x) on the non-negative orthant of dimension ``dim``.
+    """The affine budget function g(x) = <alpha, x> - b on the non-negative orthant.
 
-    Two closed forms are supported: affine ``<alpha, x> - b`` and the
-    log-sigmoid ``log(2*sigma(sum x_j))``.  A nonzero shift ``a_t`` along the
-    direction ``beta`` turns either base into the shifted probe
-    ``g(x - a_t * beta)``.  ``family`` may be given as its string value
-    (``"affine"``); it is stored as the :class:`Family` member.  Coefficients
-    may be any real numbers (numpy scalars, and arrays for ``alpha`` and
-    ``beta``); they are stored as plain floats and float tuples, so that a
-    probe compares, hashes and saves to JSON alike whatever it was built from.
+    Its dimension ``dim`` is the length of ``alpha``, which must be at least 1.
+    A nonzero shift ``a_t`` along the direction ``beta`` turns it into the
+    shifted probe ``g(x - a_t * beta)``.  Coefficients may be any real numbers
+    (numpy scalars, and arrays for ``alpha`` and ``beta``); they are stored as
+    plain floats and float tuples, so that a probe compares, hashes and saves
+    to JSON alike whatever it was built from.
     """
 
-    family: Family
-    dim: int
-    alpha: tuple[float, ...] = ()
+    alpha: tuple[float, ...]
     b: float = 0.0
     a_t: float = 0.0
     beta: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.family, Family):
-            object.__setattr__(self, "family", Family(self.family))
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.family == Family.AFFINE and len(self.alpha) != self.dim:
-            raise DimensionError(
-                f"affine coefficient vector has length {len(self.alpha)}, expected {self.dim}"
-            )
+        if len(self.alpha) < 1:
+            raise ValueError("the affine coefficient vector is empty")
         if len(self.beta) not in (0, self.dim):
             raise DimensionError(
                 f"shift direction has length {len(self.beta)}, expected {self.dim}"
@@ -78,13 +58,16 @@ class ConstraintFunction:
         object.__setattr__(self, "a_t", float(self.a_t))
         object.__setattr__(self, "beta", tuple(map(float, self.beta)))
 
+    @property
+    def dim(self) -> int:
+        return len(self.alpha)
+
     def shifted(self, a_t: float, beta: Sequence[float]) -> "ConstraintFunction":
         """Return g(. - a_t*beta) built on the same base.
 
-        Level sets of a shifted probe are level sets of its base, exactly, for
-        both closed-form families: an affine g(x - a*beta) = g(x) - a*alpha.beta,
-        and a log-sigmoid g depends on sum(x) only.  So no numerical check of
-        this structure is kept.
+        Level sets of a shifted probe are level sets of its base, exactly:
+        g(x - a*beta) = g(x) - a*alpha.beta.  So no numerical check of this
+        structure is kept.
         """
         return replace(self, a_t=a_t, beta=beta)
 
@@ -141,35 +124,28 @@ def eval_constraint_many(f: ConstraintFunction, X: NDArray[np.float64]) -> NDArr
     if f.a_t != 0.0:
         beta = np.asarray(f.beta, dtype=float) if f.beta else np.zeros(f.dim)
         X = X - f.a_t * beta
-    if f.family == Family.AFFINE:
-        return X @ np.asarray(f.alpha, dtype=float) - f.b
-    # log(2*sigma(sum x_j)); sigma(0) = 1/2 so the origin sits on the zero level set
-    return np.log(2.0 * _sigmoid(X.sum(axis=1)))
+    return X @ np.asarray(f.alpha, dtype=float) - f.b
 
 
 def affine_budgets(constraints, bounded: bool = False):
     """A T×M probe grid as (A, S, b), each (T, M, ·): g_t^i(γ) = A_t^i·(γ − S_t^i) − b_t^i.
 
-    This is the one reading of an affine probe's budget set {γ ≥ 0 : g(γ) ≤ 0}:
-    S is the shift a_t·β, and 0 for an unshifted probe.  Raises on an empty
-    grid, and on the first block, in row order, whose probe is not affine or,
-    when ``bounded``, whose budget set is not a bounded polytope.  Every
-    coefficient is a finite real number, as :class:`ConstraintFunction`
-    checks at construction.
+    This is the one reading of a probe's budget set {γ ≥ 0 : g(γ) ≤ 0}: S is
+    the shift a_t·β, and 0 for an unshifted probe.  Raises on an empty grid,
+    and, when ``bounded``, on the first block, in row order, whose budget set
+    is not a bounded polytope.  Every coefficient is a finite real number, as
+    :class:`ConstraintFunction` checks at construction.
     """
     if not constraints or not constraints[0]:
         raise ValueError("the probe grid is empty")
-    for s, row in enumerate(constraints):
-        for i, f in enumerate(row):
-            if f.family is not Family.AFFINE:
-                raise ValueError(
-                    f"block (s={s}, i={i}): only affine probes define a polyhedral budget set"
-                )
-            if bounded and min(f.alpha) <= 0:
-                raise ValueError(
-                    f"block (s={s}, i={i}): budget row {list(f.alpha)} has a non-positive "
-                    "entry, so its budget set is unbounded"
-                )
+    if bounded:
+        for s, row in enumerate(constraints):
+            for i, f in enumerate(row):
+                if min(f.alpha) <= 0:
+                    raise ValueError(
+                        f"block (s={s}, i={i}): budget row {list(f.alpha)} has a non-positive "
+                        "entry, so its budget set is unbounded"
+                    )
     T, M, k = len(constraints), len(constraints[0]), constraints[0][0].dim
     probes = [f for row in constraints for f in row]
     A = np.array([f.alpha for f in probes], dtype=float).reshape(T, M, k)
@@ -244,7 +220,7 @@ def _agent_budget_values(fs, xs) -> tuple[NDArray[np.float64], NDArray[np.float6
 
     G[t, s] is the mean of g_t over the samples of play s, own_max[t] the
     largest g_t over the samples of play t.  The samples of all T plays are
-    stacked once.  Single-sample plays under unshifted affine probes take one
+    stacked once.  Single-sample plays under unshifted probes take one
     GEMM, whose per-entry sums round as the one-row products of
     :func:`expected_constraint` do (a stacked matrix-vector product would
     not); every other agent takes one :func:`eval_constraint_many` call per
@@ -256,7 +232,7 @@ def _agent_budget_values(fs, xs) -> tuple[NDArray[np.float64], NDArray[np.float6
                 if x.shape[1] != f.dim:
                     raise DimensionError(f"strategy dim {x.shape[1]} != constraint dim {f.dim}")
     X = np.concatenate(xs)
-    if X.shape[0] == len(xs) and all(f.family == Family.AFFINE and f.a_t == 0.0 for f in fs):
+    if X.shape[0] == len(xs) and all(f.a_t == 0.0 for f in fs):
         A = np.array([f.alpha for f in fs], dtype=float)
         G = (X @ A.T).T - np.array([f.b for f in fs], dtype=float)[:, None]
         return G, np.diagonal(G)
@@ -307,6 +283,12 @@ class RPDataset:
             gbar[:, :, i], own_max[:, i] = _agent_budget_values(
                 [row[i] for row in cons], [row[i].samples for row in strats]
             )
+        # each agent's probes and samples share one dimension now, so row 0 holds the
+        # first block, in row order, of another dimension than block (0,0)'s
+        k = cons[0][0].dim
+        for i, f in enumerate(cons[0]):
+            if f.dim != k:
+                raise DimensionError(f"constraint (0,{i}) has dimension {f.dim}, constraint (0,0) {k}")
         if not np.isfinite(gbar).all():
             t, s, i = np.argwhere(~np.isfinite(gbar))[0]
             raise ValueError(
@@ -382,7 +364,7 @@ class ParetoCertificate:
 
 def _constraint_to_json(f: ConstraintFunction) -> dict:
     return {
-        "kind": f.family.value,
+        "kind": "affine",
         "alpha": list(f.alpha),
         "b": f.b,
         "a_t": f.a_t,
@@ -407,9 +389,15 @@ def _constraint_from_json(obj, dim: int, t: int, i: int) -> ConstraintFunction:
     # a coefficient vector that is not a list (a str, a number) is not numeric
     if type(alpha) is not list or type(beta) is not list:
         raise ValueError(f"constraint ({t},{i}) has a non-numeric coefficient")
+    if kind != "affine":
+        raise ValueError(f"constraint ({t},{i}) has the kind {kind!r}; only 'affine' is read")
+    if len(alpha) != dim:
+        raise DimensionError(
+            f"constraint ({t},{i}): affine coefficient vector has length {len(alpha)}, expected {dim}"
+        )
     b, a_t = obj.get("b", 0.0), obj.get("a_t", 0.0)
     try:
-        return ConstraintFunction(Family(kind), dim, tuple(alpha), b, a_t, tuple(beta))
+        return ConstraintFunction(tuple(alpha), b, a_t, tuple(beta))
     except ValueError as err:
         raise _at_block(err, "constraint", t, i) from None
 
@@ -448,10 +436,10 @@ def load_dataset(path) -> RPDataset:
 
     A malformed file raises ValueError naming the missing key, a header T, M
     or k that is not a JSON integer (a bool included), a grid that is not a
-    list of rows, or a bad (t, i) block: a coefficient or sample that is not
-    a JSON number (a bool included), or one that is not finite or too large
-    to be a float, a coefficient vector or a sample list of the wrong shape,
-    or samples of another dimension than k.
+    list of rows, or a bad (t, i) block: a kind other than ``"affine"``, a
+    coefficient or sample that is not a JSON number (a bool included), or one
+    that is not finite or too large to be a float, a coefficient vector or a
+    sample list of the wrong shape, or samples of another dimension than k.
     """
     with open(path) as fh:
         doc = json.load(fh)

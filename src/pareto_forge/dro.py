@@ -9,21 +9,18 @@ exchange (cutting) method:
   numbers ψ = (u, λ) subject to the accumulated scenario cuts, each v_k in
   [0, 2V] with V = 2·U_BOUND/λ̂ + G;
 * the **constraint-violation oracle** returns the most violated scenario of
-  the current master solution; for affine probes it is exact, a closed-form
-  candidate per face of each block's budget polytope, scored by its own
-  block's term alone;
+  the current master solution; it is exact, a closed-form candidate per
+  face of each block's budget polytope, scored by its own block's term alone;
 * the loop alternates the two until the maximum violation drops below δ.
 
 Key structural fact used throughout: h(ψ, Φ) is a pointwise maximum of terms
 that each touch a single scenario block γ_s^i, so worst-case searches only
 ever need to deviate one block from the samples at a time.
 
-Only affine probes are supported.  Each budget is read once, by
-:func:`~pareto_forge.core.affine_budgets`, as g_t^i(γ) = A_t^i·(γ − S_t^i) − b_t^i
-with S = a_t·β the probe's shift, and one batched product
-(:func:`~pareto_forge.core.budget_values`) evaluates all of them; a dataset
-with another probe family is rejected with a ``ValueError`` naming its first
-such block.
+Each budget is read once, by :func:`~pareto_forge.core.affine_budgets`, as
+g_t^i(γ) = A_t^i·(γ − S_t^i) − b_t^i with S = a_t·β the probe's shift, and one
+batched product (:func:`~pareto_forge.core.budget_values`) evaluates all of
+them.
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ by the relaxation method driven by the Nikaido-Isoda function, every play of
 the stack a lane of one loop; ``collect_dataset`` plays the game under a
 sequence of budget probes, all periods in one stacked solve, and records the
 observed strategies in the revealed-preference dataset format.  Every budget
-is an interval: ``probe_bounds`` reads it from the scalar affine probe by
-:func:`~pareto_forge.core.affine_budgets`, and other probes are rejected.
+is an interval: ``probe_bounds`` reads it from the scalar probe by
+:func:`~pareto_forge.core.affine_budgets`, and a probe of dimension above 1
+is rejected.
 
 The flagship instance is a three-agent river-pollution game with a
 seven-dimensional mechanism parameter θ (demand slope plus per-agent cost
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import ConstraintFunction, EmpiricalStrategy, Family, RPDataset, affine_budgets
+from .core import ConstraintFunction, EmpiricalStrategy, RPDataset, affine_budgets
 
 TOL_NE = 1e-5
 MAX_OUTER = 500
@@ -391,12 +392,7 @@ def river_probes(
     for _t in range(T):
         e = rng.uniform(0.0, 1.0, size=game.M)
         rows.append(
-            tuple(
-                ConstraintFunction(
-                    Family.AFFINE, 1, alpha=(float(worst[i] * e[i]),), b=float(game.cap)
-                )
-                for i in range(game.M)
-            )
+            tuple(ConstraintFunction((float(worst[i] * e[i]),), float(game.cap)) for i in range(game.M))
         )
     return tuple(rows)
 

@@ -18,12 +18,11 @@ import math
 
 import numpy as np
 
-from .core import ConstraintFunction, EmpiricalStrategy, Family, RPDataset
+from .core import ConstraintFunction, EmpiricalStrategy, RPDataset
 
 
 def _affine(alpha, b) -> ConstraintFunction:
-    alpha = tuple(float(a) for a in np.atleast_1d(alpha))
-    return ConstraintFunction(Family.AFFINE, len(alpha), alpha=alpha, b=float(b))
+    return ConstraintFunction(tuple(float(a) for a in np.atleast_1d(alpha)), float(b))
 
 
 def cobb_douglas_demand(expo, alpha, b):
@@ -49,7 +48,7 @@ def _consistent_rows(T: int, M: int, k: int, seed: int):
     alpha, b = blocks[..., :k], blocks[..., k]
     X = cobb_douglas_demand(expos, alpha, b[..., None])
     cons = [
-        [ConstraintFunction(Family.AFFINE, k, alpha=tuple(a), b=bi) for a, bi in zip(row_a, row_b)]
+        [ConstraintFunction(tuple(a), bi) for a, bi in zip(row_a, row_b)]
         for row_a, row_b in zip(alpha.tolist(), b.tolist())
     ]
     strats = [[EmpiricalStrategy(x[None, :]) for x in row] for row in X]

@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
-from pareto_forge.core import ConstraintFunction, EmpiricalStrategy, Family, RPDataset
+from pareto_forge.core import ConstraintFunction, EmpiricalStrategy, RPDataset
 from pareto_forge.dro import PsiVector, h_value
 from pareto_forge.experiments import monte_carlo, river_spsa_replication, run_dro_replication
 from pareto_forge.rp import (
@@ -310,8 +310,8 @@ def _mixed_strategy_dataset(N: int, seed: int) -> RPDataset:
     x1 = np.stack([0.45 - s1, 0.1 + 2 * s1], axis=1)
     x2 = np.stack([0.1 + 2 * s2, 0.45 - s2], axis=1)
     cons = (
-        (ConstraintFunction(Family.AFFINE, 2, alpha=(2.0, 1.0), b=1.0),),
-        (ConstraintFunction(Family.AFFINE, 2, alpha=(1.0, 2.0), b=1.0),),
+        (ConstraintFunction((2.0, 1.0), 1.0),),
+        (ConstraintFunction((1.0, 2.0), 1.0),),
     )
     return RPDataset(cons, ((EmpiricalStrategy(x1),), (EmpiricalStrategy(x2),)))
 

@@ -23,7 +23,6 @@ from pareto_forge.cli import _config_validator, build_parser, main
 from pareto_forge.core import (
     ConstraintFunction,
     EmpiricalStrategy,
-    Family,
     ParetoCertificate,
     RPDataset,
     load_dataset,
@@ -354,7 +353,7 @@ class TestGenerateAndAudit:
         # play 1.5 inside its own budget: gbar + 1 = -0.5, so CCEI is undefined
         path = tmp_path / "inside.json"
         d = RPDataset(
-            ((ConstraintFunction(Family.AFFINE, 1, alpha=(1.0,), b=2.0),),),
+            ((ConstraintFunction((1.0,), 2.0),),),
             ((EmpiricalStrategy(np.array([[0.5]])),),),
         )
         save_dataset(d, path)
@@ -367,11 +366,11 @@ class TestGenerateAndAudit:
         # agent 0 plays 1.5 inside its own budget (undefined); agent 1 is a budget reversal
         path = tmp_path / "mixed.json"
         reversal = (
-            ConstraintFunction(Family.AFFINE, 2, alpha=(2.0, 1.0), b=1.0),
-            ConstraintFunction(Family.AFFINE, 2, alpha=(1.0, 2.0), b=1.0),
+            ConstraintFunction((2.0, 1.0), 1.0),
+            ConstraintFunction((1.0, 2.0), 1.0),
         )
         d = RPDataset(
-            tuple((ConstraintFunction(Family.AFFINE, 2, alpha=(1.0, 1.0), b=2.0), g) for g in reversal),
+            tuple((ConstraintFunction((1.0, 1.0), 2.0), g) for g in reversal),
             tuple(
                 (EmpiricalStrategy(np.array([[0.5, 0.0]])), EmpiricalStrategy(np.array([x])))
                 for x in ([0.5, 0.0], [0.0, 0.5])

@@ -16,7 +16,6 @@ from pareto_forge.core import (
     ConstraintFunction,
     DimensionError,
     EmpiricalStrategy,
-    Family,
     ParetoCertificate,
     RPDataset,
     affine_budgets,
@@ -31,7 +30,7 @@ from pareto_forge.synthetic import dro_instance, violating_dataset
 
 def _affine(alpha, b):
     alpha = tuple(float(a) for a in np.atleast_1d(alpha))
-    return ConstraintFunction(Family.AFFINE, len(alpha), alpha=alpha, b=float(b))
+    return ConstraintFunction(alpha, float(b))
 
 
 class TestConstraintFunction:
@@ -39,29 +38,19 @@ class TestConstraintFunction:
         f = _affine([2.0, 1.0], 1.5)
         assert eval_constraint(f, [0.5, 0.25]) == pytest.approx(2 * 0.5 + 0.25 - 1.5)
 
-    def test_log_sigmoid_zero_at_origin(self):
-        f = ConstraintFunction(Family.LOG_SIGMOID, 3)
-        assert eval_constraint(f, np.zeros(3)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_log_sigmoid_hand_value(self):
-        f = ConstraintFunction(Family.LOG_SIGMOID, 2)
-        x = np.array([0.3, 0.7])
-        expected = np.log(2.0 / (1.0 + np.exp(-1.0)))
-        assert eval_constraint(f, x) == pytest.approx(expected)
-
     def test_shift_moves_evaluation_point(self):
         f = _affine([1.0, 2.0], 0.5)
         g = f.shifted(0.3, (1.0, 0.0))
         x = np.array([1.0, 1.0])
         assert g(x) == pytest.approx(f(x - 0.3 * np.array([1.0, 0.0])))
 
-    def test_family_string_means_the_member(self):
-        f = ConstraintFunction("affine", 1, alpha=(1.0,), b=1.0)
-        assert f.family is Family.AFFINE
-        assert f == _affine([1.0], 1.0)
-        assert ConstraintFunction("log_sigmoid", 2).family is Family.LOG_SIGMOID
-        with pytest.raises(ValueError, match="not a valid Family"):
-            ConstraintFunction("quadratic", 1)
+    def test_dimension_is_the_coefficient_count(self):
+        f = ConstraintFunction((2.0, 1.0, 0.5), 1.0)
+        assert f.dim == 3
+        with pytest.raises(AttributeError):
+            f.dim = 2
+        with pytest.raises(ValueError, match=r"^the affine coefficient vector is empty$"):
+            ConstraintFunction(())
 
     @pytest.mark.parametrize(
         "scalar, vector",
@@ -76,9 +65,7 @@ class TestConstraintFunction:
     )
     def test_coefficients_are_stored_as_floats(self, tmp_path, scalar, vector):
         # numpy scalars did not save to JSON, and an ndarray alpha could not compare or hash
-        f = ConstraintFunction(
-            Family.AFFINE, 2, alpha=vector([2, 1]), b=scalar(3), a_t=scalar(1), beta=vector([1, 0])
-        )
+        f = ConstraintFunction(vector([2, 1]), b=scalar(3), a_t=scalar(1), beta=vector([1, 0]))
         assert all(type(v) is float for v in (*f.alpha, f.b, f.a_t, *f.beta))
         assert f == _affine([2.0, 1.0], 3.0).shifted(1.0, (1.0, 0.0))
         path = tmp_path / "d.json"
@@ -88,8 +75,6 @@ class TestConstraintFunction:
         assert hash(loaded) == hash(f)
 
     def test_dimension_mismatch_raises(self):
-        with pytest.raises(DimensionError):
-            ConstraintFunction(Family.AFFINE, 2, alpha=(1.0,))
         f = _affine([1.0, 1.0], 0.0)
         with pytest.raises(DimensionError):
             eval_constraint(f, [1.0])
@@ -164,6 +149,14 @@ class TestRPDataset:
         with pytest.raises(ValueError, match="sample"):
             RPDataset(cons, strats)
 
+    def test_agents_of_different_dimensions_rejected(self):
+        # the grid built, and then save_dataset wrote a file that load_dataset rejects
+        # and the exchange loop died on numpy's inhomogeneous-shape error
+        cons = ((_affine([1.0, 1.0], 1.0), _affine([1.0, 1.0, 1.0], 1.0)),) * 2
+        strats = ((EmpiricalStrategy([[0.5, 0.5]]), EmpiricalStrategy([[0.25, 0.25, 0.25]])),) * 2
+        with pytest.raises(DimensionError, match=r"^constraint \(0,1\) has dimension 3, constraint \(0,0\) 2$"):
+            RPDataset(cons, strats)
+
     def test_ragged_grid_rejected(self):
         f = _affine([1.0], 1.0)
         s = EmpiricalStrategy(np.array([[0.0]]))
@@ -221,9 +214,9 @@ class TestRPDataset:
             ConstraintFunction(**{**vars(f), **fields})
 
     def test_non_finite_gbar_rejected(self):
-        # finite inputs, but log(2*sigma(-1000)) underflows to -inf
-        f = ConstraintFunction(Family.LOG_SIGMOID, 1, a_t=1000.0, beta=(1.0,))
-        strats = ((EmpiricalStrategy(np.array([[0.0]])),),)
+        # finite inputs, but 1e308 * 10 overflows to inf
+        f = _affine([1e308], 0.0)
+        strats = ((EmpiricalStrategy(np.array([[10.0]])),),)
         with np.errstate(over="ignore", divide="ignore"):
             with pytest.raises(ValueError, match=r"constraint \(0,0\) is not finite on strategy \(0,0\)"):
                 RPDataset(((f,),), strats)
@@ -237,6 +230,12 @@ def _reference_gbar(cons, strats):
         for t in range(T):
             for s in range(T):
                 gbar[t, s, i] = expected_constraint(cons[t][i], strats[s][i])
+    for t in range(T):
+        for i in range(M):
+            if cons[t][i].dim != cons[0][0].dim:
+                raise DimensionError(
+                    f"constraint ({t},{i}) has dimension {cons[t][i].dim}, constraint (0,0) {cons[0][0].dim}"
+                )
     if not np.isfinite(gbar).all():
         t, s, i = np.argwhere(~np.isfinite(gbar))[0]
         raise ValueError(
@@ -259,14 +258,12 @@ def _reference_gbar(cons, strats):
 
 def _term_scale(f, s):
     """Mean over the samples of |b| + sum_j |alpha_j * y_j|, y = x - a_t*beta: the size
-    of the terms an affine evaluation sums (0 for log-sigmoid, which sums none)."""
-    if f.family != Family.LOG_SIGMOID:
-        y = s.samples - f.a_t * np.asarray(f.beta or np.zeros(f.dim))
-        return float((np.abs(y) @ np.abs(np.asarray(f.alpha))).mean()) + abs(f.b)
-    return 0.0
+    of the terms an affine evaluation sums."""
+    y = s.samples - f.a_t * np.asarray(f.beta or np.zeros(f.dim))
+    return float((np.abs(y) @ np.abs(np.asarray(f.alpha))).mean()) + abs(f.b)
 
 
-KINDS = ("affine", "shifted", "log_sigmoid", "mixed")
+KINDS = ("affine", "shifted", "mixed")
 
 
 def _valid_grid(seed, T, M, k, kinds, counts):
@@ -280,20 +277,14 @@ def _valid_grid(seed, T, M, k, kinds, counts):
     strats = [[None] * M for _ in range(T)]
     for t in range(T):
         for i in range(M):
-            kind = kinds[i] if kinds[i] != "mixed" else KINDS[rng.integers(3)]
+            kind = kinds[i] if kinds[i] != "mixed" else KINDS[rng.integers(2)]
             beta = tuple(rng.uniform(0.0, 1.0, size=k) + 0.1)
-            if kind == "log_sigmoid":
-                x = rng.uniform(-2.0, 1.0, size=(counts[t][i], k))
-                # g(x - a*beta) <= 0 exactly when sum(x) <= a*sum(beta)
-                a = max(0.0, float(x.sum(axis=1).max())) / sum(beta) + rng.uniform(0.0, 0.5)
-                f = ConstraintFunction(Family.LOG_SIGMOID, k, a_t=float(a), beta=beta)
-            else:
-                x = rng.uniform(0.0, 2.0, size=(counts[t][i], k))
-                f = _affine(rng.uniform(0.1, 2.0, size=k), 0.0)
-                if kind == "shifted":
-                    f = f.shifted(float(rng.uniform(0.1, 1.0)), beta)
-                # budget level at or above the largest sample value
-                f = replace(f, b=float(eval_constraint_many(f, x).max()) + rng.choice([0.0, rng.uniform(0.0, 2.0)]))
+            x = rng.uniform(0.0, 2.0, size=(counts[t][i], k))
+            f = _affine(rng.uniform(0.1, 2.0, size=k), 0.0)
+            if kind == "shifted":
+                f = f.shifted(float(rng.uniform(0.1, 1.0)), beta)
+            # budget level at or above the largest sample value
+            f = replace(f, b=float(eval_constraint_many(f, x).max()) + rng.choice([0.0, rng.uniform(0.0, 2.0)]))
             cons[t][i] = f
             strats[t][i] = EmpiricalStrategy(x)
     return cons, strats
@@ -329,7 +320,7 @@ class TestBudgetMatrix:
             # a single-sample play inside a stacked matrix-vector product (instead
             # of numpy's one-row dot) may round differently when k >= 2
             single_in_gemv = k >= 2 and 1 in n and not (
-                equal and all(f.family is Family.AFFINE and f.a_t == 0.0 for f in (row[i] for row in cons))
+                equal and all(f.a_t == 0.0 for f in (row[i] for row in cons))
             )
             if equal and not single_in_gemv:
                 assert np.array_equal(gbar[:, :, i], ref[:, :, i])
@@ -360,7 +351,7 @@ class TestBudgetMatrix:
             if fault == "dim_strategy":
                 x = np.hstack([x, np.zeros((x.shape[0], 1))])
             elif fault == "dim_constraint":
-                cons[t][i] = ConstraintFunction(Family.LOG_SIGMOID, f.dim + 1)
+                cons[t][i] = _affine(np.ones(f.dim + 1), size)
             elif fault == "nan_sample":
                 # rejected where it enters, so the block keeps its valid strategy
                 x[-1, 0] = np.nan if size < 2.5 else -np.inf
@@ -603,6 +594,15 @@ class TestDatasetFiles:
         # RPDataset's "strategy dim 1 != constraint dim 2"
         with pytest.raises(error, match=f"^{message}"):
             load_dataset(self._edited_file(tmp_path, keys, value))
+
+    @pytest.mark.parametrize(
+        "kind", ["log_sigmoid", "quadratic", None, 1, ["affine"]], ids=["log_sigmoid", "quadratic", "null", "1", "list"]
+    )
+    def test_kind_other_than_affine_raises_naming_its_block(self, tmp_path, kind):
+        # a log-sigmoid block was read as such, and any other kind raised "... is not a
+        # valid Family"
+        with pytest.raises(ValueError, match=r"^constraint \(1,0\) has the kind .+; only 'affine' is read$"):
+            load_dataset(self._edited_file(tmp_path, ("constraints", 1, 0, "kind"), kind))
 
     @pytest.mark.parametrize(
         "keys, message",

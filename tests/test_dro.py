@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +10,6 @@ from hypothesis import strategies as st
 from pareto_forge.core import (
     ConstraintFunction,
     EmpiricalStrategy,
-    Family,
     RPDataset,
     affine_budgets,
     budget_values,
@@ -36,7 +33,7 @@ from pareto_forge.synthetic import dro_instance
 
 def _affine(alpha, b):
     alpha = tuple(float(a) for a in np.atleast_1d(alpha))
-    return ConstraintFunction(Family.AFFINE, len(alpha), alpha=alpha, b=float(b))
+    return ConstraintFunction(alpha, float(b))
 
 
 def _small_dataset(N=2):
@@ -838,18 +835,6 @@ class TestExchangeLoop:
         with pytest.raises(ValueError, match=f"^{message}$"):
             exchange_loop(dro_instance(T=3, M=2, N=2, seed=0), eps=eps, delta=delta)
 
-    def test_family_given_as_a_string_reads_as_the_member(self):
-        d = dro_instance(T=3, M=2, N=2, seed=4)
-        cons = tuple(tuple(replace(f, family=f.family.value) for f in row) for row in d.constraints)
-        s = RPDataset(cons, d.strategies)
-        assert all(f.family is Family.AFFINE for row in s.constraints for f in row)
-        assert pareto_gap(s).gap == pareto_gap(d).gap
-        cfg = DROConfig(seed=0)
-        psi_s, state_s, _ = exchange_loop(s, eps=1.0, delta=0.1, cfg=cfg)
-        psi_d, state_d, _ = exchange_loop(d, eps=1.0, delta=0.1, cfg=cfg)
-        assert state_s.certified and np.array_equal(state_s.v_hat, state_d.v_hat)
-        assert np.array_equal(psi_s.u, psi_d.u) and np.array_equal(psi_s.lam, psi_d.lam)
-
 
 class TestRobustGap:
     def test_zero_radius_equals_sample_h(self):
@@ -903,7 +888,7 @@ class TestRobustGap:
 
 def _random_probe(rng, k, shifted):
     alpha = tuple(float(a) for a in rng.uniform(-1.0, 3.0, size=k))
-    f = ConstraintFunction(Family.AFFINE, k, alpha=alpha, b=float(rng.uniform(-1.0, 5.0)))
+    f = ConstraintFunction(alpha, float(rng.uniform(-1.0, 5.0)))
     if shifted:
         f = f.shifted(float(rng.uniform(-2.0, 2.0)), rng.uniform(-1.0, 1.0, size=k))
     return f
@@ -977,18 +962,3 @@ class TestAffineEvaluator:
         fresh = ScenarioSet(2, cuts=[[phi.copy() for phi in c] for c in scen.cuts])
         for a, b in zip(dro._cut_data(d, samples, scen), dro._cut_data(d, samples, fresh)):
             np.testing.assert_array_equal(a, b)
-
-    def test_non_affine_probe_is_rejected_naming_the_block(self):
-        log_sigmoid = ConstraintFunction(Family.LOG_SIGMOID, 1)
-        cons = ((_affine([1.0], 1.0),), (log_sigmoid,))
-        strats = ((EmpiricalStrategy(np.array([[0.3]])),), (EmpiricalStrategy(np.array([[0.0]])),))
-        d = RPDataset(cons, strats)
-        psi = PsiVector(np.zeros((2, 1)), np.ones((2, 1)))
-        scen = ScenarioSet(1)
-        scen.cuts[0].append(_samples_tensor(d)[:, :, 0, :])
-        with pytest.raises(ValueError, match=r"block \(s=1, i=0\): only affine"):
-            h_value(psi, _samples_tensor(d)[:, :, 0, :], d)
-        with pytest.raises(ValueError, match=r"block \(s=1, i=0\): only affine"):
-            master_solve(scen, d, eps=1.0, cfg=DROConfig())
-        with pytest.raises(ValueError, match=r"block \(s=1, i=0\): only affine"):
-            exchange_loop(d, eps=1.0, delta=0.1)

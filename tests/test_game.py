@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pareto_forge import game
-from pareto_forge.core import ConstraintFunction, Family
+from pareto_forge.core import ConstraintFunction
 from pareto_forge.game import (
     MAX_OUTER,
     TOL_NE,
@@ -79,8 +79,6 @@ class TestAgentFeasibleSet:
 
 def _budget_rhs(probe):
     """rhs of an affine probe's budget <alpha, x> <= rhs, i.e. g(x) <= 0."""
-    if probe.family is not Family.AFFINE:
-        raise ValueError("only affine probes define a polyhedral feasible set")
     # g(x) = <alpha, x - a_t*beta> - b <= 0
     rhs = probe.b
     if probe.a_t:
@@ -107,7 +105,7 @@ _coef = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]) | st.floats
 
 @st.composite
 def _scalar_probe(draw):
-    f = ConstraintFunction(Family.AFFINE, 1, alpha=(draw(_coef),), b=draw(_coef))
+    f = ConstraintFunction((draw(_coef),), draw(_coef))
     if draw(st.booleans()):
         f = f.shifted(draw(_coef), (draw(_coef),))
     return f
@@ -115,24 +113,20 @@ def _scalar_probe(draw):
 
 class TestProbeFeasibleSet:
     def test_interval_for_scalar_probe(self):
-        f = ConstraintFunction(Family.AFFINE, 1, alpha=(2.0,), b=10.0)
+        f = ConstraintFunction((2.0,), 10.0)
         lo, hi = probe_bounds(((f,),), 1)
         assert lo[0, 0] == 0.0
         assert hi[0, 0] == pytest.approx(5.0)
 
     def test_shift_moves_interval(self):
-        f = ConstraintFunction(Family.AFFINE, 1, alpha=(2.0,), b=10.0)
+        f = ConstraintFunction((2.0,), 10.0)
         _lo, hi = probe_bounds(((f.shifted(1.0, (1.0,)),),), 1)
         assert hi[0, 0] == pytest.approx(6.0)
 
     def test_multivariate_probe_rejected(self):
-        f = ConstraintFunction(Family.AFFINE, 2, alpha=(1.0, 2.0), b=4.0)
+        f = ConstraintFunction((1.0, 2.0), 4.0)
         with pytest.raises(ValueError, match="play needs interval budgets"):
             probe_bounds(((f,),), 1)
-
-    def test_non_affine_probe_rejected(self):
-        with pytest.raises(ValueError, match=r"block \(s=0, i=0\): only affine"):
-            probe_bounds(((ConstraintFunction(Family.LOG_SIGMOID, 1),),), 1)
 
     @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would fail the test
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -369,7 +363,7 @@ class TestBestResponse:
         # a two-dimensional probe gives a halfspace, not an interval budget
         g = RiverPollutionGame(np.full(7, 0.5))
         row = river_probes(g, T=1, seed=0)[0]
-        wide = ConstraintFunction(Family.AFFINE, 2, alpha=(1.0, 2.0), b=4.0)
+        wide = ConstraintFunction((1.0, 2.0), 4.0)
         with pytest.raises(ValueError, match="interval"):
             collect_dataset(g, ((row[0], wide, row[2]),))
 

@@ -25,7 +25,6 @@ from pareto_forge.cli import main
 from pareto_forge.core import (
     ConstraintFunction,
     EmpiricalStrategy,
-    Family,
     RPDataset,
     load_dataset,
     save_dataset,
@@ -52,10 +51,10 @@ API_BAD = JSON_BAD | st.sampled_from(
 
 def _saved_doc() -> str:
     """A saved T = M = k = 2 dataset, with a shifted probe at (0, 1) so that every field is present."""
-    base = ConstraintFunction(Family.AFFINE, 2, alpha=(2.0, 1.0), b=1.0)
+    base = ConstraintFunction((2.0, 1.0), 1.0)
     cons = (
         (base, base.shifted(0.25, (1.0, 0.0))),
-        (ConstraintFunction(Family.AFFINE, 2, alpha=(1.0, 2.0), b=1.0), base),
+        (ConstraintFunction((1.0, 2.0), 1.0), base),
     )
     x = EmpiricalStrategy(np.array([[0.25, 0.25], [0.0, 0.5]]))
     with tempfile.TemporaryDirectory() as tmp:
@@ -73,7 +72,7 @@ def _edits(draw):
     doc = json.loads(SAVED)
     where = draw(
         st.sampled_from(
-            ["header", "grid", "row", "coefficient", "vector", "block", "sample", "point", "samples"]
+            ["header", "grid", "row", "kind", "coefficient", "vector", "block", "sample", "point", "samples"]
         )
     )
     bad = draw(JSON_BAD)
@@ -91,6 +90,10 @@ def _edits(draw):
         else:
             doc[key][t] = bad
         return doc, f"dataset file key '{key}' is not a list of rows"
+    if where == "kind":  # any JSON value but "affine", the one probe kind
+        kinds = st.text(max_size=12) | st.sampled_from(["log_sigmoid", "quadratic", "Affine", "affine "])
+        doc["constraints"][t][i]["kind"] = draw((JSON_BAD | kinds).filter(lambda v: v != "affine"))
+        return doc, f"constraint ({t},{i}) "
     if where == "coefficient":
         field = draw(st.sampled_from(["alpha", "b", "a_t", "beta"]))
         if field in ("alpha", "beta"):
@@ -132,7 +135,7 @@ def test_constraint_function_rejects_a_malformed_coefficient(field, j, bad):
         coefs[field] = bad
     fields = {key: tuple(v) if type(v) is list else v for key, v in coefs.items()}
     with pytest.raises(ValueError, match=r"^constraint has a non-(numeric|finite) coefficient$"):
-        ConstraintFunction(Family.AFFINE, 3, **fields)
+        ConstraintFunction(**fields)
 
 
 @settings(max_examples=200, deadline=None)
@@ -172,15 +175,15 @@ def test_load_dataset_rejects_a_malformed_file_naming_the_entry(tmp_path, edit):
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(edit=_edits())
-def test_audit_exits_two_on_a_malformed_file_and_writes_nothing(tmp_path, capsys, edit):
+def test_audit_exits_two_on_a_malformed_file_and_writes_nothing(capsys, edit):
     doc, prefix = edit
-    path = tmp_path / "d.json"
-    path.write_text(json.dumps(doc))
-    out = tmp_path / "out"
-    capsys.readouterr()
-    assert main(["audit", str(path), "--out-dir", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"audit error: {prefix}")
-    assert not out.exists()
+    with tempfile.TemporaryDirectory() as tmp:  # its own directory, so no example sees another's output
+        path, out = Path(tmp) / "d.json", Path(tmp) / "out"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["audit", str(path), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"audit error: {prefix}")
+        assert not out.exists()
 
 
 SCHEMA = json.loads(resources.files("pareto_forge").joinpath("schemas/config.schema.json").read_text())

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pareto_forge import lp, rp
-from pareto_forge.core import ConstraintFunction, EmpiricalStrategy, Family, RPDataset
+from pareto_forge.core import ConstraintFunction, EmpiricalStrategy, RPDataset
 from pareto_forge.lp import TOL_LP
 from pareto_forge.rp import (
     TOL_R,
@@ -34,7 +34,7 @@ from pareto_forge.synthetic import consistent_dataset, violating_dataset
 
 def _affine(alpha, b):
     alpha = tuple(float(a) for a in np.atleast_1d(alpha))
-    return ConstraintFunction(Family.AFFINE, len(alpha), alpha=alpha, b=float(b))
+    return ConstraintFunction(alpha, float(b))
 
 
 def _reversal_dataset():

@@ -155,7 +155,7 @@ def test_save_dataset_matches_the_json_dump_reference(tmp_path):
             "constraints": [
                 [
                     {
-                        "kind": f.family.value,
+                        "kind": "affine",
                         "alpha": list(f.alpha),
                         "b": f.b,
                         "a_t": f.a_t,
