@@ -5,7 +5,8 @@ excite the system; empirical strategies are finite sample clouds standing in
 for mixed strategies; a dataset bundles both over T periods and M agents and
 caches the matrix of expected budget values that every downstream test
 consumes.  :func:`affine_budgets` is the one decoder of an affine probe grid
-into its budget sets, read by both the game and the robust estimator.
+into its budget sets, read by both the game and the robust estimator, and
+:func:`budget_values` the one evaluator of g, in a fixed summation order.
 """
 
 from __future__ import annotations
@@ -45,12 +46,14 @@ class ConstraintFunction:
     beta: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if len(self.alpha) < 1:
+        try:
+            n_alpha, n_beta = len(self.alpha), len(self.beta)
+        except TypeError:  # a coefficient vector that is a number or None
+            raise ValueError("constraint has a non-numeric coefficient") from None
+        if n_alpha < 1:
             raise ValueError("the affine coefficient vector is empty")
-        if len(self.beta) not in (0, self.dim):
-            raise DimensionError(
-                f"shift direction has length {len(self.beta)}, expected {self.dim}"
-            )
+        if n_beta not in (0, n_alpha):
+            raise DimensionError(f"shift direction has length {n_beta}, expected {n_alpha}")
         coefs = (*self.alpha, self.b, self.a_t, *self.beta)
         _check_reals(coefs, "constraint has a non-{} coefficient")
         object.__setattr__(self, "alpha", tuple(map(float, self.alpha)))
@@ -117,14 +120,11 @@ def eval_constraint(f: ConstraintFunction, x) -> float:
 
 
 def eval_constraint_many(f: ConstraintFunction, X: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Vectorized evaluation at rows of X (no sign check; internal hot path)."""
+    """Vectorized evaluation at rows of X (no sign check): :func:`budget_values` of f alone."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != f.dim:
         raise DimensionError(f"expected (n, {f.dim}) array, got {X.shape}")
-    if f.a_t != 0.0:
-        beta = np.asarray(f.beta, dtype=float) if f.beta else np.zeros(f.dim)
-        X = X - f.a_t * beta
-    return X @ np.asarray(f.alpha, dtype=float) - f.b
+    return budget_values(affine_budgets(((f,),)), X)[0, 0]
 
 
 def affine_budgets(constraints, bounded: bool = False):
@@ -149,22 +149,33 @@ def affine_budgets(constraints, bounded: bool = False):
     T, M, k = len(constraints), len(constraints[0]), constraints[0][0].dim
     probes = [f for row in constraints for f in row]
     A = np.array([f.alpha for f in probes], dtype=float).reshape(T, M, k)
-    # the shift a_t·β; an unshifted probe subtracts nothing, as in eval_constraint_many
-    S = np.array(
-        [f.a_t * np.asarray(f.beta or np.zeros(k)) if f.a_t != 0.0 else np.zeros(k) for f in probes]
-    ).reshape(T, M, k)
+    # the shift a_t·β, +0 where a_t or β is 0, so budget_values may skip an all-zero S
+    S = np.zeros((T * M, k))
+    for j, f in enumerate(probes):
+        if f.a_t != 0.0 and any(f.beta):
+            S[j] = [f.a_t * c for c in f.beta]
     b = np.array([f.b for f in probes], dtype=float).reshape(T, M)
-    return A, S, b
+    return A, S.reshape(T, M, k), b
 
 
 def budget_values(budgets, X) -> NDArray[np.float64]:
     """g_t^i at points X (…, n, k) broadcast against the (T, M) probes of
     :func:`affine_budgets`: (T, M, n).
 
-    Rounds as :func:`eval_constraint_many` does, point for point.
+    g = Σ_j (x_j − S_j)·A_j − b takes one elementwise term per coordinate, added
+    left to right, and no BLAS product: a point gets the same bits alone, at
+    any place in any stack, and on any CPU.  A grid without a shift skips the
+    subtraction, which changes no bit: x − (+0) is x.
     """
     A, S, b = budgets
-    return np.matmul(X - S[..., None, :], A[..., :, None])[..., 0] - b[..., None]
+    X = np.asarray(X, dtype=float)
+    if S.any():
+        X = X - S[..., None, :]
+    g = X[..., 0] * A[..., 0, None]
+    for j in range(1, A.shape[-1]):
+        g += X[..., j] * A[..., j, None]
+    g -= b[..., None]
+    return g
 
 
 @dataclass(frozen=True)
@@ -190,6 +201,8 @@ class EmpiricalStrategy:
         arr = np.array(x, dtype=float)
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise ValueError("samples must be a (N, k) array with N >= 1")
+        if arr.shape[1] < 1:
+            raise ValueError("strategy has samples of dimension 0")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
@@ -208,47 +221,9 @@ class EmpiricalStrategy:
 
 def expected_constraint(f: ConstraintFunction, s: EmpiricalStrategy) -> float:
     """Sample-mean of g over the strategy's support."""
-    if s.n == 0:
-        raise ValueError("empty sample list")
     if s.dim != f.dim:
         raise DimensionError(f"strategy dim {s.dim} != constraint dim {f.dim}")
     return float(eval_constraint_many(f, s.samples).mean())
-
-
-def _agent_budget_values(fs, xs) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """One agent's budget values (G, own_max) from its probes fs and sample arrays xs.
-
-    G[t, s] is the mean of g_t over the samples of play s, own_max[t] the
-    largest g_t over the samples of play t.  The samples of all T plays are
-    stacked once.  Single-sample plays under unshifted probes take one
-    GEMM, whose per-entry sums round as the one-row products of
-    :func:`expected_constraint` do (a stacked matrix-vector product would
-    not); every other agent takes one :func:`eval_constraint_many` call per
-    probe and segment means.
-    """
-    if len({f.dim for f in fs} | {x.shape[1] for x in xs}) > 1:
-        for f in fs:
-            for x in xs:
-                if x.shape[1] != f.dim:
-                    raise DimensionError(f"strategy dim {x.shape[1]} != constraint dim {f.dim}")
-    X = np.concatenate(xs)
-    if X.shape[0] == len(xs) and all(f.a_t == 0.0 for f in fs):
-        A = np.array([f.alpha for f in fs], dtype=float)
-        G = (X @ A.T).T - np.array([f.b for f in fs], dtype=float)[:, None]
-        return G, np.diagonal(G)
-    n = np.array([x.shape[0] for x in xs])
-    starts = np.cumsum(n) - n
-    V = np.stack([eval_constraint_many(f, X) for f in fs])
-    G = np.empty((len(fs), len(xs)))
-    own_max = np.empty(len(fs))
-    for count in np.unique(n):
-        # plays with equal sample counts; take() keeps each row contiguous, so its
-        # sum rounds as that play's .mean() does
-        cols = np.flatnonzero(n == count)
-        idx = starts[cols, None] + np.arange(count)
-        G[:, cols] = V.take(idx, axis=1).sum(axis=2) / count
-        own_max[cols] = V[cols[:, None], idx].max(axis=1)
-    return G, own_max
 
 
 @dataclass(frozen=True)
@@ -256,10 +231,12 @@ class RPDataset:
     """Observed constraints and strategies over T periods and M agents.
 
     ``gbar[t, s, i]`` caches the expected value of period-t's budget for agent
-    i evaluated on the strategy played in period s.  It is built per agent
-    from the stacked samples of its T plays (one GEMM, or one vectorized
-    evaluation per probe; see :func:`_agent_budget_values`), not per entry;
-    :func:`expected_constraint` is the per-entry reference it matches.
+    i evaluated on the strategy played in period s.  The grid is decoded once
+    (:func:`affine_budgets`), and one :func:`budget_values` call evaluates
+    every probe of each agent at the samples of all its plays, each play
+    zero-padded to the largest sample count.  The plays of each sample count
+    are then averaged together, so every entry rounds as its per-entry
+    reference :func:`expected_constraint` does.
     """
 
     constraints: tuple[tuple[ConstraintFunction, ...], ...]  # T x M
@@ -272,23 +249,36 @@ class RPDataset:
         object.__setattr__(self, "constraints", cons)
         object.__setattr__(self, "strategies", strats)
         T = len(cons)
-        if T < 1 or len(strats) != T:
+        if T < 1 or len(strats) != T or not cons[0]:
             raise ValueError("constraints and strategies must be non-empty with equal T")
         M = len(cons[0])
         if any(len(row) != M for row in cons) or any(len(row) != M for row in strats):
             raise ValueError("ragged T x M grids")
-        gbar = np.empty((T, T, M))
-        own_max = np.empty((T, M))
-        for i in range(M):
-            gbar[:, :, i], own_max[:, i] = _agent_budget_values(
-                [row[i] for row in cons], [row[i].samples for row in strats]
-            )
-        # each agent's probes and samples share one dimension now, so row 0 holds the
-        # first block, in row order, of another dimension than block (0,0)'s
-        k = cons[0][0].dim
-        for i, f in enumerate(cons[0]):
-            if f.dim != k:
-                raise DimensionError(f"constraint (0,{i}) has dimension {f.dim}, constraint (0,0) {k}")
+        xs = [row[i].samples for i in range(M) for row in strats]  # agent by agent, play by play
+        if len({len(f.alpha) for row in cons for f in row} | {x.shape[1] for x in xs}) > 1:
+            # the first mismatch in (agent, probe, play) order; else every agent's probes and
+            # samples share one dimension, and row 0 has a block of another than block (0,0)'s
+            for i, t, s in np.ndindex(M, T, T):
+                if strats[s][i].dim != cons[t][i].dim:
+                    raise DimensionError(f"strategy dim {strats[s][i].dim} != constraint dim {cons[t][i].dim}")
+            i, k = next((i, f.dim) for i, f in enumerate(cons[0]) if f.dim != cons[0][0].dim)
+            raise DimensionError(f"constraint (0,{i}) has dimension {k}, constraint (0,0) {cons[0][0].dim}")
+        n = np.fromiter(map(len, xs), int, T * M).reshape(M, T)  # n[i, s]: samples of play (s, i)
+        c, k = n.max(), xs[0].shape[1]
+        held = np.arange(c) < n[..., None]  # (M, T, c): which of c slots play (s, i) fills
+        X = np.zeros((M, T, c, k))  # X[i, s]: the samples of play (s, i), zero-padded to c
+        X[held] = np.concatenate(xs)
+        # V[t, i, s, j] = g_t^i(X[i, s, j])
+        V = budget_values(affine_budgets(cons), X.reshape(1, M, T * c, k)).reshape(T, M, T, c)
+        G = np.empty((T, M, T))  # G[t, i, s] = gbar[t, s, i]
+        for count in {x.shape[0] for x in xs}:
+            # every play's first `count` values, one contiguous row per (probe, play), whose
+            # sum rounds as .mean() does; kept for the plays with `count` samples
+            mean = V[..., :count].reshape(-1, count).sum(axis=1) / count
+            np.copyto(G, mean.reshape(T, M, T), where=n == count)
+        gbar = np.ascontiguousarray(G.transpose(0, 2, 1))
+        at_own = np.diagonal(V, axis1=0, axis2=2).transpose(0, 2, 1)  # at_own[i, t] = V[t, i, t]
+        own_max = np.where(held, at_own, -np.inf).max(axis=2).T  # largest g_t^i over play (t, i)
         if not np.isfinite(gbar).all():
             t, s, i = np.argwhere(~np.isfinite(gbar))[0]
             raise ValueError(

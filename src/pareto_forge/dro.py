@@ -19,8 +19,8 @@ ever need to deviate one block from the samples at a time.
 
 Each budget is read once, by :func:`~pareto_forge.core.affine_budgets`, as
 g_t^i(γ) = A_t^i·(γ − S_t^i) − b_t^i with S = a_t·β the probe's shift, and one
-batched product (:func:`~pareto_forge.core.budget_values`) evaluates all of
-them.
+call of the fixed-order evaluator :func:`~pareto_forge.core.budget_values`
+evaluates all of them.
 """
 
 from __future__ import annotations
@@ -109,6 +109,12 @@ class DROConfig:
         _check_ints(self, (("max_exchange_iters", 1), ("seed", 0)))
 
 
+def _check_radius(eps) -> None:
+    """Raise ValueError unless the ball radius eps is a finite number >= 0."""
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be a finite number >= 0, got {eps}")
+
+
 def _dataset_g_bound(d: RPDataset) -> float:
     """Range bound G: |g| is at most max_t,i |g_t^i(0)| + spread over budgets."""
     vals = [abs(float(c.b)) + abs(float(c.a_t)) + 1.0 for row in d.constraints for c in row]
@@ -153,6 +159,7 @@ def h_value(psi: PsiVector, phi, d: RPDataset) -> float:
 
 def wasserstein_ball_check(phi, d: RPDataset, eps: float) -> bool:
     """Σ_{t,i} min_k ‖γ_t^i − γ̂_{t,k}^i‖₂ ≤ eps for the scenario phi."""
+    _check_radius(eps)
     phi = np.asarray(phi, dtype=float)
     samp = _samples(d)  # (T, M, N, k)
     dist = np.linalg.norm(samp - phi[:, :, None, :], axis=-1).min(axis=-1)
@@ -465,15 +472,15 @@ class DROState:
     certified: bool = False
 
 
-def _distinct_faces(T: int, k: int, open_face: bool):
+def _distinct_faces(T: int, k: int):
     """(piece, face) index pairs of the oracle's distinct candidates, in (t, f) order:
-    every vertex at piece 0 only, the open face (row 2^k − 1) at each piece if
-    ``open_face`` else never, and every other face at each piece."""
+    every vertex at piece 0 only, never the open face (row 2^k − 1), and every
+    other face at each piece."""
     _free, dim = _face_masks(k)
     keep = np.zeros((T, dim.size), dtype=bool)
     keep[:, dim > 0] = True
     keep[0, dim == 0] = True
-    keep[:, 2**k - 1] = open_face
+    keep[:, 2**k - 1] = False
     return np.nonzero(keep)
 
 
@@ -499,12 +506,9 @@ def _cv_all(state: DROState, budgets, samples, faces):
     A vertex's candidate is the same point, with the same score, for every
     piece, and its piece-0 copy comes first, so it wins every tie a later
     copy would.  The open face's foot is the anchor itself, at distance 0,
-    so its candidate is the sample, and its term is the sample's:
-    :func:`~pareto_forge.core.budget_values` rounds a stack of two or more
-    points point by point, and both the candidates and the T·N samples of
-    an agent form such stacks.  So it never beats the zero-deviation
-    scenario.  With T·N = 1 numpy evaluates the lone sample as a dot
-    product, which can round it differently, so the open face is kept.
+    so its candidate is the sample, and its term is the sample's, since
+    :func:`~pareto_forge.core.budget_values` gives a point the same bits in
+    every stack.  So it never beats the zero-deviation scenario.
     All blocks' candidates are scored at once, in (s, i, t, f) order; per
     sample index the first best one replaces the zero-deviation scenario if
     it scores strictly higher.
@@ -516,7 +520,7 @@ def _cv_all(state: DROState, budgets, samples, faces):
     base_h = np.maximum(bt.reshape(T * M, N).max(axis=0), 0.0)  # (N,)
     best_val = base_h - v_hat[:N]  # zero-deviation scenario
     feet, dist, q = faces
-    t, f = _distinct_faces(T, kdim, open_face=T * N == 1)
+    t, f = _distinct_faces(T, kdim)
     q = q[:, :, t, f]  # per block (s, i) and candidate: (T, M, C, k)
     qq = (q * q).sum(axis=-1)
     room = v_n1 * v_n1 - qq
@@ -559,8 +563,7 @@ def exchange_loop(
     iteration (mean iterations 3.00, 4.38, 2.00 for ε = 0.001, 1, 10 over
     50 replications).
     """
-    if not (math.isfinite(eps) and eps >= 0):
-        raise ValueError(f"eps must be a finite number >= 0, got {eps}")
+    _check_radius(eps)
     if not (math.isfinite(delta) and delta > 0):
         raise ValueError(f"delta must be a finite number > 0, got {delta}")
     cfg = cfg or DROConfig()
@@ -604,6 +607,7 @@ def robust_gap(psi_hat: PsiVector, d: RPDataset, eps: float) -> float:
     foot a′ of the sample on the face hull, or on the sphere at
     a′ + √(eps² − d²)·q/‖q‖.
     """
+    _check_radius(eps)
     samples = _samples(d)
     T, M, N, kdim = samples.shape
     budgets = affine_budgets(d.constraints, bounded=True)

@@ -349,6 +349,16 @@ class TestGenerateAndAudit:
         assert f"audit error: dataset file key '{key}' is not an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_audit_of_a_grid_without_agents_exits_two_without_a_report(self, tmp_path, capsys):
+        # it printed "audit error: tuple index out of range"
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"T": 1, "M": 0, "k": 2, "constraints": [[]], "strategies": [[]]}))
+        out = tmp_path / "out"
+        assert main(["audit", str(path), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "audit error: constraints and strategies must be non-empty with equal T" in err
+        assert not (out / "audit_report.json").exists()
+
     def test_audit_reports_undefined_ccei_as_null(self, tmp_path):
         # play 1.5 inside its own budget: gbar + 1 = -0.5, so CCEI is undefined
         path = tmp_path / "inside.json"

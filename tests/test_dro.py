@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -723,6 +725,8 @@ class TestOracleScoring:
     @example(seed=0, T=1, M=1, N=2, psi_scale=1.0, v_n1=0.0, zero_vk=True)
     @example(seed=1, T=1, M=1, N=3, psi_scale=10.0, v_n1=1e-3, zero_vk=False)
     @example(seed=2, T=3, M=2, N=3, psi_scale=0.1, v_n1=1e3, zero_vk=True)
+    # T·N = 1: the lone sample once read one ulp apart alone and in a stack
+    @example(seed=3041, T=1, M=1, N=1, psi_scale=1.0, v_n1=1e3, zero_vk=True)
     def test_matches_the_rest_tensor_reference(self, seed, T, M, N, psi_scale, v_n1, zero_vk):
         d, state = _scoring_case(seed, T, M, N, psi_scale, v_n1, zero_vk)
         samples = _samples_tensor(d)
@@ -837,6 +841,18 @@ class TestExchangeLoop:
 
 
 class TestRobustGap:
+    @pytest.mark.parametrize("eps", [np.inf, np.nan, -1.0], ids=["inf", "nan", "negative"])
+    @pytest.mark.parametrize("check", ["robust_gap", "wasserstein_ball_check"])
+    def test_bad_radius_rejected(self, check, eps):
+        # robust_gap returned its eps = 0 value for each (with a RuntimeWarning at inf),
+        # and the ball check held at inf
+        d = dro_instance(T=2, M=1, N=2, seed=0)
+        with pytest.raises(ValueError, match=f"^eps must be a finite number >= 0, got {re.escape(str(eps))}$"):
+            if check == "robust_gap":
+                robust_gap(PsiVector(np.zeros((2, 1)), np.ones((2, 1))), d, eps)
+            else:
+                wasserstein_ball_check(_samples_tensor(d)[:, :, 0, :], d, eps)
+
     def test_zero_radius_equals_sample_h(self):
         d = dro_instance(T=3, M=2, N=3, seed=5)
         psi = PsiVector(
@@ -933,13 +949,13 @@ class TestAffineEvaluator:
         T=st.integers(1, 3),
         M=st.integers(1, 3),
         k=st.integers(1, 3),
-        n=st.integers(2, 200),
+        n=st.integers(1, 200),
         shift=st.booleans(),
     )
-    def test_a_point_rounds_alike_in_every_stack_of_two_or_more(self, seed, T, M, k, n, shift):
+    def test_a_point_rounds_alike_alone_and_in_every_stack(self, seed, T, M, k, n, shift):
         # the oracle's distinct candidates rest on this: a point's value depends
-        # neither on the size (two or more) of the stack it is evaluated in nor
-        # on its place there (a lone point may round differently)
+        # neither on the size of the stack it is evaluated in, one point alone
+        # included, nor on its place there
         rng = np.random.default_rng(seed)
         cons = [[_random_probe(rng, k, shift) for _ in range(M)] for _ in range(T)]
         budgets = affine_budgets(cons)
@@ -948,6 +964,8 @@ class TestAffineEvaluator:
         stacked = budget_values(budgets, pts)
         assert budget_values(budgets, pts[:, :, ::-1]).tobytes() == stacked[:, :, ::-1].tobytes()
         for j in range(n):
+            alone = budget_values(budgets, pts[:, :, j : j + 1])
+            assert alone.tobytes() == stacked[:, :, j : j + 1].tobytes()
             pair = budget_values(budgets, np.repeat(pts[:, :, j : j + 1], 2, axis=2))
             assert pair.tobytes() == np.repeat(stacked[:, :, j : j + 1], 2, axis=2).tobytes()
 
