@@ -109,14 +109,19 @@ def _check_ints(obj, fields) -> None:
         object.__setattr__(obj, name, int(value))
 
 
-def eval_constraint(f: ConstraintFunction, x) -> float:
-    """Evaluate g at a single point of the non-negative orthant."""
+def _orthant_point(x, dim: int) -> NDArray[np.float64]:
+    """x as a (dim,) point of the non-negative orthant, where every probe is defined."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (f.dim,):
-        raise DimensionError(f"point has shape {x.shape}, expected ({f.dim},)")
+    if x.shape != (dim,):
+        raise DimensionError(f"point has shape {x.shape}, expected ({dim},)")
     if np.any(x < 0):
         raise ValueError("constraint functions are defined on the non-negative orthant")
-    return float(eval_constraint_many(f, x[None, :])[0])
+    return x
+
+
+def eval_constraint(f: ConstraintFunction, x) -> float:
+    """Evaluate g at a single point of the non-negative orthant."""
+    return float(eval_constraint_many(f, _orthant_point(x, f.dim)[None, :])[0])
 
 
 def eval_constraint_many(f: ConstraintFunction, X: NDArray[np.float64]) -> NDArray[np.float64]:

@@ -13,6 +13,9 @@ exchange (cutting) method:
   face of each block's budget polytope, scored by its own block's term alone;
 * the loop alternates the two until the maximum violation drops below δ.
 
+Both read one :class:`ScenarioSet`, which decodes the dataset once and holds
+the cuts as rows that each iteration extends by the new cuts only.
+
 Key structural fact used throughout: h(ψ, Φ) is a pointwise maximum of terms
 that each touch a single scenario block γ_s^i, so worst-case searches only
 ever need to deviate one block from the samples at a time.
@@ -26,7 +29,7 @@ evaluates all of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -62,27 +65,6 @@ class PsiVector:
         object.__setattr__(self, "lam", lam)
 
 
-@dataclass
-class ScenarioSet:
-    """Per-sample-index accumulated cuts: cuts[k] is a list of (T, M, k) scenarios.
-
-    Nothing derived from the cuts is kept: each master solve evaluates all of
-    them afresh, so cut lists and arrays may be replaced or changed in place
-    between solves.
-    """
-
-    N: int
-    cuts: list[list[NDArray[np.float64]]] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.cuts:
-            self.cuts = [[] for _ in range(self.N)]
-
-    @property
-    def total(self) -> int:
-        return sum(len(c) for c in self.cuts)
-
-
 @dataclass(frozen=True)
 class DROConfig:
     """λ box, iteration budget and seed for the robust estimation loop.
@@ -113,6 +95,17 @@ def _check_radius(eps) -> None:
     """Raise ValueError unless the ball radius eps is a finite number >= 0."""
     if not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be a finite number >= 0, got {eps}")
+
+
+def _check_shape(name: str, shape, expected) -> None:
+    """Raise ValueError unless an input of the dataset's grid has the expected shape."""
+    if shape != expected:
+        raise ValueError(f"{name} must have shape {expected}, got {shape}")
+
+
+def _read_only(a: NDArray) -> NDArray:
+    a.setflags(write=False)
+    return a
 
 
 def _dataset_g_bound(d: RPDataset) -> float:
@@ -152,7 +145,9 @@ def h_value(psi: PsiVector, phi, d: RPDataset) -> float:
     h(ψ, Φ) = max(0, max_{t,s,i} [(u_s^i − u_t^i)/λ_t^i − g_t^i(γ_s^i)]):
     for fixed utility numbers the smallest feasible relaxation r needs no LP.
     """
+    _check_shape("psi", psi.u.shape, (d.T, d.M))
     phi = np.asarray(phi, dtype=float)
+    _check_shape("phi", phi.shape, (d.T, d.M, d.k))
     bt = _block_terms(affine_budgets(d.constraints), psi, phi[:, :, None])  # one-sample scenario
     return float(max(0.0, bt.max()))
 
@@ -161,42 +156,73 @@ def wasserstein_ball_check(phi, d: RPDataset, eps: float) -> bool:
     """Σ_{t,i} min_k ‖γ_t^i − γ̂_{t,k}^i‖₂ ≤ eps for the scenario phi."""
     _check_radius(eps)
     phi = np.asarray(phi, dtype=float)
+    _check_shape("phi", phi.shape, (d.T, d.M, d.k))
     samp = _samples(d)  # (T, M, N, k)
     dist = np.linalg.norm(samp - phi[:, :, None, :], axis=-1).min(axis=-1)
     return bool(dist.sum() <= eps + 1e-12)
 
 
-# --- master problem -----------------------------------------------------------
+class ScenarioSet:
+    """The exchange loop's problem: a dataset's fixed data and the cuts found so far.
 
+    ``ScenarioSet(d)`` decodes d once: the (T, M, N, k) ``samples``, the
+    bounded ``budgets`` (:func:`~pareto_forge.core.affine_budgets`, which
+    raises on the first block whose budget set is unbounded), the range bound
+    ``g_bound`` and the samples' oracle ``faces`` (:func:`_face_points`).
 
-def _cut_data(d: RPDataset, samples, scen: ScenarioSet):
-    """Stacked cut tensors sorted by k: (G_all (J, T, T, M), dist (J,), k_index (J,)).
-
-    G_all[j, t, s, i] = g_t^i(γ_s^i) under cut j; all cuts are evaluated in
-    one call.  G_all is made C-contiguous, the layout the lane scores read.
+    Cut j is the scenario ``phi`` (T, M, k) of sample index ``k[j]``.  The
+    cuts are kept as read-only rows in append order: ``G[j, t, s, i]`` =
+    g_t^i(phi_s^i), ``dist[j]`` = Σ_{s,i} ‖phi_s^i − γ̂_{s,k}^i‖₂ and
+    ``level[j]`` (:func:`_cut_levels`); ``segs`` groups them by k.
+    :meth:`add` evaluates only the new cuts.
     """
-    phis = np.stack([phi for cuts in scen.cuts for phi in cuts])  # (J, T, M, k)
-    kidx = np.repeat(np.arange(scen.N), [len(cuts) for cuts in scen.cuts])
-    gaps = np.linalg.norm(phis - samples[:, :, kidx].transpose(2, 0, 1, 3), axis=-1)
-    G = _cross_values(affine_budgets(d.constraints), phis.transpose(1, 2, 0, 3))  # (T, T, M, J)
-    dists = gaps.reshape(len(phis), -1).sum(axis=1)
-    return np.ascontiguousarray(G.transpose(3, 0, 1, 2)), dists, kidx
+
+    def __init__(self, d: RPDataset):
+        self.samples = _samples(d)
+        T, M, self.N, _k = self.samples.shape
+        self.budgets = affine_budgets(d.constraints, bounded=True)
+        self.g_bound = _dataset_g_bound(d)
+        self.faces = _face_points(self.budgets, self.samples)
+        self.G = _read_only(np.empty((0, T, T, M)))
+        self.dist = _read_only(np.empty(0))
+        self.k = _read_only(np.empty(0, dtype=np.intp))
+        self.level = _read_only(np.empty(0))
+        self.segs = None
+
+    @property
+    def total(self) -> int:
+        return self.k.size
+
+    def add(self, ks, phis) -> None:
+        """Append the cuts phis[j] (T, M, k) of sample indices ks[j]."""
+        ks = np.asarray(ks, dtype=np.intp)
+        phis = np.asarray(phis, dtype=float)  # (J, T, M, k)
+        gaps = np.linalg.norm(phis - self.samples[:, :, ks].transpose(2, 0, 1, 3), axis=-1)
+        G = _cross_values(self.budgets, phis.transpose(1, 2, 0, 3)).transpose(3, 0, 1, 2)  # (J, T, T, M)
+        self.G = _read_only(np.concatenate([self.G, G]))
+        self.dist = _read_only(np.concatenate([self.dist, gaps.reshape(len(ks), -1).sum(axis=1)]))
+        self.k = _read_only(np.concatenate([self.k, ks]))
+        self.level = _read_only(np.concatenate([self.level, _cut_levels(G)]))
+        self.segs = _Segments(self.k)
+
+
+# --- master problem -----------------------------------------------------------
 
 
 class _Segments:
     """Cut indices grouped by sample index, one padded row per k that has cuts.
 
-    Cuts are sorted by k; cols[r, p] is the p-th cut of sample index ks[r].  A
-    row shorter than the longest repeats its first cut, which changes neither
-    the row's maximum nor its first maximising position.
+    cols[r, p] is the p-th cut, in append order, of sample index ks[r] (ks
+    ascending): a stable sort by k keeps each k's cuts in the order they came.
+    A row shorter than the longest repeats its first cut, which changes
+    neither the row's maximum nor its first maximising position.
     """
 
     def __init__(self, kidx):
-        starts = np.flatnonzero(np.diff(kidx, prepend=-1))
-        counts = np.diff(np.append(starts, kidx.size))
+        order = np.argsort(kidx, kind="stable")
+        self.ks, starts, counts = np.unique(kidx[order], return_index=True, return_counts=True)
         pos = np.arange(counts.max())
-        self.ks = kidx[starts]
-        self.cols = starts[:, None] + np.where(pos < counts[:, None], pos, 0)
+        self.cols = order[starts[:, None] + np.where(pos < counts[:, None], pos, 0)]
         self.rows = np.arange(starts.size)
 
 
@@ -211,38 +237,39 @@ def _cut_levels(Gs) -> NDArray[np.float64]:
     return np.maximum(_critical_levels(-Gs.transpose(0, 3, 1, 2)).max(axis=1), 0.0)
 
 
-def _lane_scores(psi, v_n1, cut_data, segs: _Segments):
+def _lane_scores(psi, v_n1, scen: ScenarioSet):
     """Per-lane attained cut maxima and the (t, s, i) entry behind each.
 
     A cut scores h − v_{N+1}·dist with h = max(0, max_{t,s,i} term).  For each
     sample index with cuts, returns its largest cut score and, for its first
     maximising cut, the flat (t, s, i) index of the first maximising term.
     psi is (L, 2, T, M), u then λ, and v_n1 is (L,); both results are
-    (L, len(segs.ks)).
+    (L, len(scen.segs.ks)).
     """
-    Gs, dists, _kidx = cut_data
+    segs = scen.segs
     u, lam = psi[:, 0], psi[:, 1]
-    L, J = len(psi), len(dists)
+    L, J = len(psi), scen.total
     c = (u[:, None] - u[:, :, None]) / lam[:, :, None]  # c[l, t, s, i]
-    term = (c[:, None] - Gs).reshape(L * J, -1)
+    term = (c[:, None] - scen.G).reshape(L * J, -1)
     arg = term.argmax(axis=1)
     h = np.maximum(term.ravel()[np.arange(L * J) * term.shape[1] + arg], 0.0)
-    scores = h.reshape(L, J) - v_n1[:, None] * dists
+    scores = h.reshape(L, J) - v_n1[:, None] * scen.dist
     cut = segs.cols[segs.rows, scores[:, segs.cols].argmax(axis=2)]
     cut += J * np.arange(L)[:, None]
     return scores.ravel()[cut], arg[cut]
 
 
-def _lane_objective(seg_max, v_n1, segs: _Segments, eps, N, two_v):
+def _lane_objective(seg_max, v_n1, scen: ScenarioSet, eps, two_v):
     """Objective and optimal v_k (clipped attained cut maxima) per lane."""
+    N = scen.N
     v = seg_max.clip(0.0, two_v)  # the method: np.clip's wrapper doubles its cost here
     if v.shape[1] < N:  # some sample index has no cuts: its v_k is 0
         v, attained = np.zeros((len(v_n1), N)), v
-        v[:, segs.ks] = attained
+        v[:, scen.segs.ks] = attained
     return eps * v_n1 + v.sum(axis=1) / N, v
 
 
-def _lane_floor(v_n1, cut_data, levels, segs: _Segments, eps, N, two_v):
+def _lane_floor(v_n1, scen: ScenarioSet, eps, two_v):
     """Per lane, a value that no objective of the lane can go below.
 
     Each cut's score fl(h_j − fl(v_{N+1}·dist_j)) is at least
@@ -251,13 +278,12 @@ def _lane_floor(v_n1, cut_data, levels, segs: _Segments, eps, N, two_v):
     every rounding are: so the objective of the per-k maxima of these bounds
     is a floor.  It is at least fl(ε·v_{N+1}), since every v_k ≥ 0.
     """
-    _Gs, dists, _kidx = cut_data
-    bound = levels - v_n1[:, None] * dists
-    floor, _ = _lane_objective(bound[:, segs.cols].max(axis=2), v_n1, segs, eps, N, two_v)
+    bound = scen.level - v_n1[:, None] * scen.dist
+    floor, _ = _lane_objective(bound[:, scen.segs.cols].max(axis=2), v_n1, scen, eps, two_v)
     return floor
 
 
-def _lane_descent(psi, v_n1, cut_data, levels, segs: _Segments, eps, N, two_v, box, incumbent):
+def _lane_descent(psi, v_n1, scen: ScenarioSet, eps, two_v, box, incumbent):
     """Projected subgradient descent over ψ for fixed v_{N+1}, one lane per start.
 
     psi is (L, 2, T, M), each lane's u then λ, and ``box`` is the ψ box as
@@ -284,16 +310,16 @@ def _lane_descent(psi, v_n1, cut_data, levels, segs: _Segments, eps, N, two_v, b
     """
     lo, hi = box
     L, _, T, M = psi.shape
-    TM = T * M
-    floor = _lane_floor(v_n1, cut_data, levels, segs, eps, N, two_v)
+    TM, N = T * M, scen.N
+    floor = _lane_floor(v_n1, scen, eps, two_v)
     # the incumbent test, once per lane: an infinite floor fails the own-best test
     floor = np.where(floor < incumbent, floor, np.inf)
     # flat (t, s, i) term index -> flat (s, i) and (t, i) indices into a lane's
     # u, and the flat (t, i) index into its λ
     t, s, i = np.unravel_index(np.arange(T * TM), (T, T, M))
     of_term = np.stack([s * M + i, t * M + i, t * M + i + TM], axis=1)
-    seg_max, entry = _lane_scores(psi, v_n1, cut_data, segs)
-    best_obj, _ = _lane_objective(seg_max, v_n1, segs, eps, N, two_v)
+    seg_max, entry = _lane_scores(psi, v_n1, scen)
+    best_obj, _ = _lane_objective(seg_max, v_n1, scen, eps, two_v)
     # the smallest best objective of any lane; bests only fall, so the lanes that
     # improve are the only ones that can lower it
     round_min = best_obj.min()
@@ -329,8 +355,8 @@ def _lane_descent(psi, v_n1, cut_data, levels, segs: _Segments, eps, N, two_v, b
             lanes, psi, f, v_l = lanes[moved], psi_next[moved], f[moved], v_l[moved]
             if not lanes.size:
                 break
-        seg_max, entry = _lane_scores(psi, v_l, cut_data, segs)
-        obj, _ = _lane_objective(seg_max, v_l, segs, eps, N, two_v)
+        seg_max, entry = _lane_scores(psi, v_l, scen)
+        obj, _ = _lane_objective(seg_max, v_l, scen, eps, two_v)
         better = obj < best_obj[lanes]
         won = lanes[better]
         if won.size:
@@ -343,7 +369,6 @@ def _lane_descent(psi, v_n1, cut_data, levels, segs: _Segments, eps, N, two_v, b
 
 def master_solve(
     scen: ScenarioSet,
-    d: RPDataset,
     eps: float,
     cfg: DROConfig,
     rng=None,
@@ -352,22 +377,21 @@ def master_solve(
 
     Outer refining grid over v_{N+1} ∈ [0, V/ε] (two rounds of V_GRID points,
     the second around the first's best), with V = 2·U_BOUND/λ̂ + G and G the
-    dataset's range bound; inner projected-subgradient descent over ψ in the
-    box [−U_BOUND, U_BOUND] × [λ̂, λ_max], SUBGRAD_ITERS steps from each of
-    MULTISTARTS starts per point (the box centre, then uniform draws), all
-    V_GRID × MULTISTARTS descents of a round run as one batch
-    (:func:`_lane_descent`); v_k recovered as the attained cut maxima clipped
-    to [0, 2V].  Every cut's level ℓ_j (:func:`_cut_levels`) comes from one
-    stacked cycle-bottleneck call, and gives each lane a floor that none of
-    its objectives goes below; a lane stops once its floor shows it cannot
-    win.  The second round passes the first round's best objective as the
-    incumbent it must beat.  The returned ψ, v and objective are those of
-    the serial descents.
+    dataset's range bound ``scen.g_bound``; inner projected-subgradient
+    descent over ψ in the box [−U_BOUND, U_BOUND] × [λ̂, λ_max], SUBGRAD_ITERS
+    steps from each of MULTISTARTS starts per point (the box centre, then
+    uniform draws), all V_GRID × MULTISTARTS descents of a round run as one
+    batch (:func:`_lane_descent`); v_k recovered as the attained cut maxima
+    clipped to [0, 2V].  Every cut's level ℓ_j (``scen.level``) gives each
+    lane a floor that none of its objectives goes below; a lane stops once
+    its floor shows it cannot win.  The second round passes the first
+    round's best objective as the incumbent it must beat.  The returned ψ, v
+    and objective are those of the serial descents.
     """
     rng = np.random.default_rng(cfg.seed if rng is None else rng)
-    T, M, N = d.T, d.M, scen.N
+    T, M, N, _k = scen.samples.shape
     # the printed V = 2·U_BOUND/λ̂, widened by the dataset's range bound G
-    V = 2.0 * U_BOUND / cfg.lambda_hat + _dataset_g_bound(d)
+    V = 2.0 * U_BOUND / cfg.lambda_hat + scen.g_bound
     two_v = 2.0 * V
     # the ψ box, u's then λ's
     low = np.array([-U_BOUND, cfg.lambda_hat])[:, None, None]
@@ -377,10 +401,6 @@ def master_solve(
         psi = PsiVector(np.zeros((T, M)), np.full((T, M), center_l))
         return psi, np.zeros(N + 1), 0.0
 
-    samples = _samples(d)
-    cut_data = _cut_data(d, samples, scen)
-    levels = _cut_levels(cut_data[0])
-    segs = _Segments(cut_data[2])
     vmax = V / eps if eps > 0 else two_v
     S = MULTISTARTS
 
@@ -395,8 +415,8 @@ def master_solve(
         # scaled as Generator.uniform scales its draws: the same stream
         psi0[:, 1:] = low + (high - low) * rng.random((V_GRID, S - 1, 2, T, M))
         psi, obj = _lane_descent(
-            psi0.reshape(-1, 2, T, M), np.repeat(grid, S), cut_data, levels,
-            segs, eps, N, two_v, (low, high), np.inf if best is None else best[2],
+            psi0.reshape(-1, 2, T, M), np.repeat(grid, S), scen, eps, two_v,
+            (low, high), np.inf if best is None else best[2],
         )
         j = int(obj.argmin())
         if best is None or obj[j] < best[2]:
@@ -405,8 +425,8 @@ def master_solve(
         lo = max(0.0, best[0] - width)
         hi = min(vmax, best[0] + width)
     v_n1, psi, obj = best
-    seg_max, _ = _lane_scores(psi[None], np.array([v_n1]), cut_data, segs)
-    _, v = _lane_objective(seg_max, np.array([v_n1]), segs, eps, N, two_v)
+    seg_max, _ = _lane_scores(psi[None], np.array([v_n1]), scen)
+    _, v = _lane_objective(seg_max, np.array([v_n1]), scen, eps, two_v)
     return PsiVector(psi[0], psi[1]), np.concatenate([v[0], [v_n1]]), float(obj)
 
 
@@ -484,11 +504,8 @@ def _distinct_faces(T: int, k: int):
     return np.nonzero(keep)
 
 
-def _cv_all(state: DROState, budgets, samples, faces):
+def _cv_all(scen: ScenarioSet, psi: PsiVector, v_hat):
     """Most violated scenario per sample index, exact over every block's faces.
-
-    ``budgets`` are the bounded budgets and ``faces`` the samples' face points
-    (:func:`_face_points`), which no master solve changes.
 
     For block (s, i) and sample k with anchor a, the score of γ is
     max(term(γ), rest_k, 0) − (v‖γ − a‖ + v_k), v = v_{N+1}, rest_k the other
@@ -513,13 +530,13 @@ def _cv_all(state: DROState, budgets, samples, faces):
     sample index the first best one replaces the zero-deviation scenario if
     it scores strictly higher.
     """
-    psi, v_hat = state.psi_hat, state.v_hat
+    budgets, samples = scen.budgets, scen.samples
     T, M, N, kdim = samples.shape
     v_n1 = float(v_hat[-1])
     bt = _block_terms(budgets, psi, samples)
     base_h = np.maximum(bt.reshape(T * M, N).max(axis=0), 0.0)  # (N,)
     best_val = base_h - v_hat[:N]  # zero-deviation scenario
-    feet, dist, q = faces
+    feet, dist, q = scen.faces
     t, f = _distinct_faces(T, kdim)
     q = q[:, :, t, f]  # per block (s, i) and candidate: (T, M, C, k)
     qq = (q * q).sum(axis=-1)
@@ -568,18 +585,13 @@ def exchange_loop(
         raise ValueError(f"delta must be a finite number > 0, got {delta}")
     cfg = cfg or DROConfig()
     rng = np.random.default_rng(cfg.seed)
-    samples = _samples(d)
-    N = samples.shape[2]
-    budgets = affine_budgets(d.constraints, bounded=True)
-    faces = _face_points(budgets, samples)
-    scen = ScenarioSet(N)
+    scen = ScenarioSet(d)
     trace: list[dict] = []
     state = None
     for it in range(1, cfg.max_exchange_iters + 1):
-        psi, v_hat, obj = master_solve(scen, d, eps, cfg, rng=rng)
-        state = DROState(psi, v_hat, np.zeros(N), it)
-        cvs, phis = _cv_all(state, budgets, samples, faces)
-        state.cv = cvs
+        psi, v_hat, obj = master_solve(scen, eps, cfg, rng=rng)
+        cvs, phis = _cv_all(scen, psi, v_hat)
+        state = DROState(psi, v_hat, cvs, it)
         trace.append(
             {
                 "iter": it,
@@ -591,9 +603,8 @@ def exchange_loop(
         if cvs.max() < delta:
             state.certified = True
             return psi, state, trace
-        for k in range(N):
-            if cvs[k] > 0:
-                scen.cuts[k].append(phis[k])
+        ks = np.flatnonzero(cvs > 0)
+        scen.add(ks, [phis[k] for k in ks])
     return state.psi_hat, state, trace
 
 
@@ -608,11 +619,12 @@ def robust_gap(psi_hat: PsiVector, d: RPDataset, eps: float) -> float:
     a′ + √(eps² − d²)·q/‖q‖.
     """
     _check_radius(eps)
-    samples = _samples(d)
+    _check_shape("psi", psi_hat.u.shape, (d.T, d.M))
+    scen = ScenarioSet(d)
+    budgets, samples = scen.budgets, scen.samples
     T, M, N, kdim = samples.shape
-    budgets = affine_budgets(d.constraints, bounded=True)
     best = max(0.0, float(_block_terms(budgets, psi_hat, samples).max()))
-    feet, dist, q = _face_points(budgets, samples)
+    feet, dist, q = scen.faces
     qn = np.sqrt((q * q).sum(axis=-1, keepdims=True))
     q_hat = np.divide(q, qn, out=np.zeros_like(q), where=qn > 0.0)  # (T, M, T, F, k)
     radius = np.sqrt(np.maximum(eps * eps - dist * dist, 0.0))  # (T, M, N, F)

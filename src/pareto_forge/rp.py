@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import ConstraintFunction, ParetoCertificate, RPDataset, eval_constraint
+from .core import ParetoCertificate, RPDataset, _orthant_point, affine_budgets, budget_values
 
 ALPHA_DEFAULT = 1e-3
 # Gap up to which the audit calls a dataset consistent; also the step above
@@ -324,11 +324,11 @@ def reconstruct_utility(cert: ParetoCertificate, d: RPDataset, agent: int, tol: 
         raise ValueError("certificate does not validate against the dataset")
     u = cert.u[:, agent].copy()
     lam = cert.lam[:, agent].copy()
-    g_fns: list[ConstraintFunction] = [d.constraints[t][agent] for t in range(d.T)]
+    budgets = affine_budgets([[row[agent]] for row in d.constraints])  # (T, 1, ·)
 
     def utility(gamma) -> float:
-        vals = [u[s] + lam[s] * eval_constraint(g_fns[s], gamma) for s in range(d.T)]
-        return float(min(vals))
+        g = budget_values(budgets, _orthant_point(gamma, d.k)[None, :])[:, 0, 0]  # g_s(γ)
+        return float((u + lam * g).min())
 
     return utility
 

@@ -15,8 +15,6 @@ m = n + 3 (the unshifted formula is undefined for n ≤ 3).
 from __future__ import annotations
 
 import csv
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,19 +71,6 @@ class SPSAConfig:
         """Per-coordinate clamp: the norm-minimizing projection onto the box."""
         return np.clip(theta, self.theta_box[:, 0], self.theta_box[:, 1])
 
-    def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "c": self.c,
-            "q": self.q,
-            "eta": self.eta,
-            "theta_box": self.theta_box.tolist(),
-            "T": self.T,
-            "max_iters": self.max_iters,
-            "stop_tol": self.stop_tol,
-            "seed": self.seed,
-        }
-
 
 def gains(n: int, cfg: SPSAConfig) -> tuple[float, float, float]:
     """(a_n, c_n, q_n) at iteration n >= 1."""
@@ -111,7 +96,7 @@ class StepRecord:
 
 @dataclass
 class SPSATrace:
-    """Per-iteration records of one tuning run, streamable to CSV + manifest."""
+    """Per-iteration records of one tuning run, streamable to CSV."""
 
     records: list[StepRecord] = field(default_factory=list)
 
@@ -135,19 +120,6 @@ class SPSATrace:
                     + [repr(float(v)) for v in r.theta]
                     + [repr(r.a_n), repr(r.c_n), repr(r.q_n)]
                 )
-
-    def manifest(self, cfg: SPSAConfig) -> dict:
-        payload = json.dumps(
-            {"config": cfg.to_dict(), "trace": [[r.n, r.loss] + r.theta.tolist() for r in self.records]},
-            sort_keys=True,
-        )
-        return {
-            "config": cfg.to_dict(),
-            "seed": cfg.seed,
-            "iterations": len(self.records),
-            "final_loss": self.records[-1].loss if self.records else None,
-            "content_hash": hashlib.sha256(payload.encode()).hexdigest(),
-        }
 
 
 def spsa_step(theta_n, loss, n: int, cfg: SPSAConfig, seed) -> tuple[NDArray[np.float64], dict]:

@@ -63,6 +63,38 @@ def _two_v(cfg, d):
     return 2.0 * (2.0 * dro.U_BOUND / cfg.lambda_hat + dro._dataset_g_bound(d))
 
 
+def _restack(d, cuts):
+    """The cut table rebuilt from scratch, sorted by k: (G (J, T, T, M), dist (J,), k (J,)).
+
+    cuts[k] lists the (T, M, k) scenarios of sample index k in the order they
+    were added; every cut is evaluated in one call on d's unbounded budgets.
+    """
+    samples = _samples_tensor(d)
+    phis = np.stack([phi for per_k in cuts for phi in per_k])  # (J, T, M, k)
+    kidx = np.repeat(np.arange(len(cuts)), [len(per_k) for per_k in cuts])
+    gaps = np.linalg.norm(phis - samples[:, :, kidx].transpose(2, 0, 1, 3), axis=-1)
+    G = dro._cross_values(affine_budgets(d.constraints), phis.transpose(1, 2, 0, 3))  # (T, T, M, J)
+    dists = gaps.reshape(len(phis), -1).sum(axis=1)
+    return np.ascontiguousarray(G.transpose(3, 0, 1, 2)), dists, kidx
+
+
+def _add_cuts(scen, cuts, new):
+    """Add new[k]'s cuts to scen round by round across k, as the exchange loop
+    adds them, and append them to cuts[k]."""
+    for r in range(max(map(len, new))):
+        ks = [k for k, per_k in enumerate(new) if len(per_k) > r]
+        scen.add(ks, [new[k][r] for k in ks])
+        for k in ks:
+            cuts[k].append(new[k][r])
+
+
+def _scenario(d, new):
+    """A ScenarioSet of d holding new[k]'s cuts, and the cut lists."""
+    scen, cuts = ScenarioSet(d), [[] for _ in new]
+    _add_cuts(scen, cuts, new)
+    return scen, cuts
+
+
 def _serial_objective(u, lam, v_n1, cut_data, eps, N, two_v):
     Gs, dists, kidx = cut_data
     term = (u[None, None, :, :] - u[None, :, None, :]) / lam[None, :, None, :] - Gs
@@ -111,14 +143,14 @@ def _psi_descent(u0, lam0, v_n1, cut_data, eps, N, two_v, u_lo, u_hi, l_lo, l_hi
     return best[0], best[1], best_obj
 
 
-def _serial_master(scen, d, eps, cfg):
-    """master_solve as one serial descent per v-grid point and start."""
+def _serial_master(cuts, d, eps, cfg):
+    """master_solve as one serial descent per v-grid point and start, on the restacked cuts."""
     rng = np.random.default_rng(cfg.seed)
-    T, M, N = d.T, d.M, scen.N
+    T, M, N = d.T, d.M, len(cuts)
     two_v = _two_v(cfg, d)
     u_lo, u_hi, l_lo, l_hi = -dro.U_BOUND, dro.U_BOUND, cfg.lambda_hat, cfg.lam_max
     center = (np.zeros((T, M)), np.full((T, M), 0.5 * (l_lo + l_hi)))
-    cut_data = dro._cut_data(d, dro._samples(d), scen)
+    cut_data = _restack(d, cuts)
     vmax = two_v / 2.0 / eps
     lo, hi = 0.0, vmax
     best = None
@@ -148,9 +180,10 @@ def _serial_master(scen, d, eps, cfg):
     return u, lam, np.concatenate([v, [v_n1]]), obj
 
 
-def _assert_matches_serial(scen, d, eps, cfg):
-    psi, v, obj = master_solve(scen, d, eps=eps, cfg=cfg)
-    u_ref, lam_ref, v_ref, obj_ref = _serial_master(scen, d, eps, cfg)
+def _assert_matches_serial(scen, cuts, d, eps, cfg):
+    """master_solve on scen equals the serial reference on cuts, the same cuts as lists."""
+    psi, v, obj = master_solve(scen, eps=eps, cfg=cfg)
+    u_ref, lam_ref, v_ref, obj_ref = _serial_master(cuts, d, eps, cfg)
     assert obj == obj_ref
     assert np.array_equal(psi.u, u_ref)
     assert np.array_equal(psi.lam, lam_ref)
@@ -162,19 +195,22 @@ def _cut_case(seed, T, M, N):
     d = dro_instance(T=T, M=M, N=N, seed=seed)
     rng = np.random.default_rng(seed)
     samples = _samples_tensor(d)
-    scen = ScenarioSet(N)
-    for k in range(N):
-        for _ in range(int(rng.integers(1, 4))):
-            scen.cuts[k].append(samples[:, :, k, :] * rng.uniform(0.0, 1.5, size=samples[:, :, k, :].shape))
+    new = [
+        [samples[:, :, k, :] * rng.uniform(0.0, 1.5, size=samples[:, :, k, :].shape) for _ in range(int(rng.integers(1, 4)))]
+        for k in range(N)
+    ]
+    scen, _cuts = _scenario(d, new)
     return d, scen, rng
 
 
-def _random_cuts(d, scen, rng, max_per_k=3):
+def _random_cuts(d, rng, max_per_k=3):
+    """Zero to max_per_k new cuts per sample index, each within 0.3 above its samples."""
     samples = _samples_tensor(d)
-    for k in range(scen.N):
+    new = [[] for _ in range(samples.shape[2])]
+    for k, per_k in enumerate(new):
         for _ in range(int(rng.integers(0, max_per_k + 1))):
-            phi = samples[:, :, k, :] + rng.uniform(0.0, 0.3, size=samples[:, :, k, :].shape)
-            scen.cuts[k].append(phi)
+            per_k.append(samples[:, :, k, :] + rng.uniform(0.0, 0.3, size=samples[:, :, k, :].shape))
+    return new
 
 
 # --- dense-grid references for the exact oracle -------------------------------
@@ -221,10 +257,54 @@ class TestPsiVector:
             PsiVector(np.zeros((2, 1)), np.ones((1, 1)))
 
     def test_scenario_set_bookkeeping(self):
-        scen = ScenarioSet(3)
-        assert scen.total == 0
-        scen.cuts[1].append(np.zeros((2, 1, 1)))
-        assert scen.total == 1
+        scen = ScenarioSet(_small_dataset(N=3))
+        assert (scen.N, scen.total) == (3, 0)
+        scen.add([1], [np.zeros((2, 1, 1))])
+        assert scen.total == 1 and scen.k.tolist() == [1]
+
+
+class TestScenarioSet:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        T=st.integers(1, 4),
+        M=st.integers(1, 3),
+        N=st.integers(1, 4),
+        adds=st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=6), min_size=1, max_size=5),
+    )
+    def test_table_regrouped_by_k_equals_the_restack(self, seed, T, M, N, adds):
+        # each add may hold several cuts of one k; segs, which the master reads,
+        # must list each k's cuts in the order they were added
+        d = dro_instance(T=T, M=M, N=N, seed=seed)
+        rng = np.random.default_rng(seed)
+        samples = _samples_tensor(d)
+        scen, cuts = ScenarioSet(d), [[] for _ in range(N)]
+        for ks in adds:
+            ks = [k % N for k in ks]
+            phis = samples[:, :, ks].transpose(2, 0, 1, 3) * rng.uniform(0.0, 1.5, size=(len(ks), T, M, d.k))
+            scen.add(ks, phis)
+            for k, phi in zip(ks, phis):
+                cuts[k].append(phi)
+        G, dist, kidx = _restack(d, cuts)
+        segs = scen.segs
+        counts = np.bincount(scen.k)[segs.ks]
+        assert segs.ks.tolist() == np.unique(kidx).tolist()
+        for row, n in zip(segs.cols, counts):
+            assert (row[n:] == row[0]).all()
+        order = np.concatenate([row[:n] for row, n in zip(segs.cols, counts)])
+        assert np.array_equal(scen.k[order], kidx)
+        assert scen.G[order].tobytes() == G.tobytes()
+        assert scen.dist[order].tobytes() == dist.tobytes()
+        assert scen.level[order].tobytes() == dro._cut_levels(G).tobytes()
+
+    def test_table_arrays_are_read_only(self):
+        d = dro_instance(T=3, M=2, N=2, seed=2)
+        scen = ScenarioSet(d)
+        for _grow in range(2):
+            scen.add([0, 1], _samples_tensor(d).transpose(2, 0, 1, 3) + 0.1)
+            for name in ("G", "dist", "k", "level"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(scen, name)[0] += 1
 
 
 class TestDROConfig:
@@ -299,6 +379,21 @@ class TestHValue:
             phi = rng.uniform(0.0, 1.0, size=(3, 2, 2))
             assert h_value(psi, phi, d) <= 2.0 * dro.U_BOUND / cfg.lambda_hat + G
 
+    @pytest.mark.parametrize(
+        "psi_shape, phi_shape, message",
+        [
+            ((1, 1), (5, 3, 2), "psi must have shape (5, 3), got (1, 1)"),  # returned 0.844
+            ((3, 5), (5, 3, 2), "psi must have shape (5, 3), got (3, 5)"),
+            ((5, 3), (5, 3, 1), "phi must have shape (5, 3, 2), got (5, 3, 1)"),  # IndexError
+            ((5, 3), (1, 1, 2), "phi must have shape (5, 3, 2), got (1, 1, 2)"),
+        ],
+    )
+    def test_rejects_a_shape_other_than_the_datasets(self, psi_shape, phi_shape, message):
+        d = dro_instance(5, 3, 5, seed=1)
+        psi = PsiVector(np.zeros(psi_shape), np.ones(psi_shape))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            h_value(psi, np.full(phi_shape, 0.1), d)
+
 
 class TestWassersteinBall:
     def test_samples_are_inside_every_ball(self):
@@ -316,11 +411,18 @@ class TestWassersteinBall:
         assert not wasserstein_ball_check(phi, d, eps=0.5)
         assert wasserstein_ball_check(phi, d, eps=0.9)
 
+    # (1, 1, 2) passed at eps = 100, and (5, 3, 1) failed
+    @pytest.mark.parametrize("shape", [(1, 1, 2), (5, 3, 1), (3, 5, 2), (5, 3)])
+    def test_rejects_a_shape_other_than_the_datasets(self, shape):
+        d = dro_instance(5, 3, 5, seed=1)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'phi must have shape (5, 3, 2), got {shape}')}$"):
+            wasserstein_ball_check(np.full(shape, 0.1), d, eps=100.0)
+
 
 class TestMasterSolve:
     def test_no_cuts_is_trivial(self):
         d = _small_dataset()
-        psi, v, obj = master_solve(ScenarioSet(2), d, eps=1.0, cfg=DROConfig())
+        psi, v, obj = master_solve(ScenarioSet(d), eps=1.0, cfg=DROConfig())
         assert obj == 0.0
         assert np.allclose(v, 0.0)
         assert psi.u.shape == (2, 1)
@@ -330,16 +432,12 @@ class TestMasterSolve:
         cfg = DROConfig(seed=0)
         samples = _samples_tensor(d)
         rng = np.random.default_rng(3)
-        scen = ScenarioSet(2)
-        for k in range(2):
-            for _ in range(2):
-                phi = samples[:, :, k, :] + rng.uniform(0.0, 0.3, size=samples[:, :, k, :].shape)
-                scen.cuts[k].append(phi)
-        _, _, obj_full = master_solve(scen, d, eps=0.5, cfg=cfg)
-        reduced = ScenarioSet(2)
-        reduced.cuts[0] = scen.cuts[0][:1]
-        reduced.cuts[1] = scen.cuts[1][:1]
-        _, _, obj_reduced = master_solve(reduced, d, eps=0.5, cfg=cfg)
+        scen, cuts = _scenario(
+            d, [[samples[:, :, k, :] + rng.uniform(0.0, 0.3, size=samples[:, :, k, :].shape) for _ in range(2)] for k in range(2)]
+        )
+        _, _, obj_full = master_solve(scen, eps=0.5, cfg=cfg)
+        reduced, _ = _scenario(d, [per_k[:1] for per_k in cuts])
+        _, _, obj_reduced = master_solve(reduced, eps=0.5, cfg=cfg)
         assert obj_reduced <= obj_full + 1e-6
 
     @pytest.mark.parametrize("eps", [0.001, 1.0, 10.0])
@@ -348,13 +446,13 @@ class TestMasterSolve:
         d = dro_instance(T=4, M=2, N=4, seed=seed)
         cfg = DROConfig(lambda_hat=1.0, lam_max=10.0, seed=seed)
         rng = np.random.default_rng(50 + seed)
-        scen = ScenarioSet(4)
-        _random_cuts(d, scen, rng)
-        if scen.total == 0:
-            scen.cuts[0].append(_samples_tensor(d)[:, :, 0, :] + 0.1)
-        for _grow in range(2):  # the second pass solves again after drawing more cuts
-            _assert_matches_serial(scen, d, eps, cfg)
-            _random_cuts(d, scen, rng, max_per_k=1)
+        new = _random_cuts(d, rng)
+        if not any(new):
+            new[0].append(_samples_tensor(d)[:, :, 0, :] + 0.1)
+        scen, cuts = _scenario(d, new)
+        for _grow in range(2):  # the second pass solves again after adding more cuts
+            _assert_matches_serial(scen, cuts, d, eps, cfg)
+            _add_cuts(scen, cuts, _random_cuts(d, rng, max_per_k=1))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -369,14 +467,14 @@ class TestMasterSolve:
         # a fixed λ box and cuts far outside the budget sets stop or freeze lanes early
         d = dro_instance(T=T, M=M, N=N, seed=seed)
         rng = np.random.default_rng(seed)
-        scen = ScenarioSet(N)
-        _random_cuts(d, scen, rng)
-        scen.cuts[0].append(_samples_tensor(d)[:, :, 0, :] + 0.1)
+        new = _random_cuts(d, rng)
+        new[0].append(_samples_tensor(d)[:, :, 0, :] + 0.1)
         if freeze == "far_cuts":
-            scen.cuts[::2] = [[phi + 100.0 for phi in cuts] for cuts in scen.cuts[::2]]
+            new[::2] = [[phi + 100.0 for phi in per_k] for per_k in new[::2]]
+        scen, cuts = _scenario(d, new)
         lambda_hat, lam_max = (2.0, 2.0) if freeze == "fixed_lambda" else (1.0, 10.0)
         cfg = DROConfig(lambda_hat=lambda_hat, lam_max=lam_max, seed=seed)
-        _assert_matches_serial(scen, d, eps, cfg)
+        _assert_matches_serial(scen, cuts, d, eps, cfg)
 
     def test_descent_ends_once_every_lane_is_frozen(self, monkeypatch):
         # the cut's largest term, (u_0 − u_1)/λ − g_1(0) = u_0 − u_1 + 10 under the
@@ -390,7 +488,7 @@ class TestMasterSolve:
                 (EmpiricalStrategy(np.linspace(3.0, 3.2, 2)[:, None]),),
             ),
         )
-        scen = ScenarioSet(2, cuts=[[np.array([[[0.0]], [[3.1]]])] for _ in range(2)])
+        scen, cuts = _scenario(d, [[np.array([[[0.0]], [[3.1]]])] for _ in range(2)])
         cfg = DROConfig(lambda_hat=1.0, lam_max=1.0)
         passes = 0
         score = dro._lane_scores
@@ -401,10 +499,10 @@ class TestMasterSolve:
             return score(*args)
 
         monkeypatch.setattr(dro, "_lane_scores", counting)
-        psi, _, _ = master_solve(scen, d, eps=1.0, cfg=cfg)
+        psi, _, _ = master_solve(scen, eps=1.0, cfg=cfg)
         assert psi.u.ravel().tolist() == [-1.0, 1.0]
         assert passes < 2 * dro.SUBGRAD_ITERS
-        _assert_matches_serial(scen, d, 1.0, cfg)
+        _assert_matches_serial(scen, cuts, d, 1.0, cfg)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -419,15 +517,14 @@ class TestMasterSolve:
         # h_j(ψ) >= ℓ_j for ψ in the box and far outside it: on the bottleneck
         # cycle some edge has u_s >= u_t, so its term is at least −G_j[t, s, i]
         d, scen, rng = _cut_case(seed, T, M, N)
-        cut_data = dro._cut_data(d, dro._samples(d), scen)
-        levels = dro._cut_levels(cut_data[0])
+        cut_data = (scen.G, scen.dist, scen.k)
         for _ in range(20):
             if inside:
                 u, lam = rng.uniform(-1.0, 1.0, size=(T, M)), rng.uniform(1.0, 10.0, size=(T, M))
             else:
                 u, lam = rng.uniform(-10.0, 10.0, size=(T, M)), 10.0 ** rng.uniform(-3.0, 3.0, size=(T, M))
             h = _serial_objective(u, lam, 0.0, cut_data, 1.0, N, np.inf)[2]
-            assert (h >= levels).all()
+            assert (h >= scen.level).all()
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -443,16 +540,14 @@ class TestMasterSolve:
         # the floor, the objective of the per-k maxima of ℓ_j − v_{N+1}·dist_j,
         # bounds every objective of its lane and is at least ε·v_{N+1}
         d, scen, rng = _cut_case(seed, T, M, N)
-        cut_data = dro._cut_data(d, dro._samples(d), scen)
-        segs = dro._Segments(cut_data[2])
         v_n1 = np.repeat(v_n1, 5)
         psi = np.stack(
             [rng.uniform(-10.0, 10.0, size=(len(v_n1), T, M)), 10.0 ** rng.uniform(-3.0, 3.0, size=(len(v_n1), T, M))],
             axis=1,
         )
-        floor = dro._lane_floor(v_n1, cut_data, dro._cut_levels(cut_data[0]), segs, eps, N, two_v)
-        seg_max, _ = dro._lane_scores(psi, v_n1, cut_data, segs)
-        obj, v = dro._lane_objective(seg_max, v_n1, segs, eps, N, two_v)
+        floor = dro._lane_floor(v_n1, scen, eps, two_v)
+        seg_max, _ = dro._lane_scores(psi, v_n1, scen)
+        obj, v = dro._lane_objective(seg_max, v_n1, scen, eps, two_v)
         assert (v >= 0.0).all()
         assert (floor >= eps * v_n1).all()
         assert (obj >= floor).all()
@@ -463,13 +558,12 @@ class TestMasterSolve:
         d = dro_instance(T=4, M=2, N=4, seed=0)
         cfg = DROConfig(lambda_hat=1.0, lam_max=10.0, seed=0)
         eps, two_v = 1.0, _two_v(cfg, d)
-        scen = ScenarioSet(4)
-        psi, v, _ = master_solve(scen, d, eps=eps, cfg=cfg)
-        samples = dro._samples(d)
-        cvs, phis = _cv_all(DROState(psi, v, np.zeros(4), 1), d, samples)
-        scen.cuts = [[phi] for phi in phis]
-        assert (cvs > 0).all() and (dro._cut_levels(dro._cut_data(d, samples, scen)[0]) > 0).all()
-        _assert_matches_serial(scen, d, eps, cfg)
+        scen = ScenarioSet(d)
+        psi, v, _ = master_solve(scen, eps=eps, cfg=cfg)
+        cvs, phis = dro._cv_all(scen, psi, v)
+        scen.add(range(4), phis)
+        assert (cvs > 0).all() and (scen.level > 0).all()
+        _assert_matches_serial(scen, [[phi] for phi in phis], d, eps, cfg)
         incumbents, scored = [], []  # per round: the incumbent, and (ε·v_{N+1}, floor, objective) per pass
         descent, score = dro._lane_descent, dro._lane_scores
 
@@ -478,17 +572,16 @@ class TestMasterSolve:
             scored.append([])
             return descent(*args)
 
-        def recorded_scores(psi, v_n1, cut_data, segs):
-            seg_max, entry = score(psi, v_n1, cut_data, segs)
-            obj, _ = dro._lane_objective(seg_max, v_n1, segs, eps, scen.N, two_v)
-            levels = dro._cut_levels(cut_data[0])
-            floor = dro._lane_floor(v_n1, cut_data, levels, segs, eps, scen.N, two_v)
+        def recorded_scores(psi, v_n1, scen):
+            seg_max, entry = score(psi, v_n1, scen)
+            obj, _ = dro._lane_objective(seg_max, v_n1, scen, eps, two_v)
+            floor = dro._lane_floor(v_n1, scen, eps, two_v)
             scored[-1].append((eps * v_n1, floor, obj))
             return seg_max, entry
 
         monkeypatch.setattr(dro, "_lane_descent", recorded_descent)
         monkeypatch.setattr(dro, "_lane_scores", recorded_scores)
-        master_solve(scen, d, eps=eps, cfg=cfg)
+        master_solve(scen, eps=eps, cfg=cfg)
         scored[-1].pop()  # master_solve's last pass rescores the winner
         assert incumbents[0] == np.inf and incumbents[1] < np.inf
         for incumbent, passes in zip(incumbents, scored):
@@ -505,28 +598,15 @@ class TestMasterSolve:
             dropped.append([by_old.sum(), (by_floor & ~by_old).sum(), ((floor >= obj) & ~by_floor).sum()])
         assert dropped == [[21, 3, 3], [18, 6, 2]]
 
-    def test_replaced_cut_lists_are_read_afresh(self):
-        d = dro_instance(T=3, M=2, N=2, seed=2)
-        scen = ScenarioSet(2)
-        _random_cuts(d, scen, np.random.default_rng(0))
-        scen.cuts[0].append(_samples_tensor(d)[:, :, 0, :] + 0.2)
-        samples = _samples_tensor(d)
-        dro._cut_data(d, samples, scen)
-        scen.cuts[0] = scen.cuts[0][::-1]
-        fresh = ScenarioSet(2, cuts=[list(c) for c in scen.cuts])
-        for a, b in zip(dro._cut_data(d, samples, scen), dro._cut_data(d, samples, fresh)):
-            np.testing.assert_array_equal(a, b)
 
-
-def _cv_all(state, d, samples):
-    """The oracle on d's bounded budgets and face points, as exchange_loop computes them."""
-    budgets = affine_budgets(d.constraints, bounded=True)
-    return dro._cv_all(state, budgets, samples, dro._face_points(budgets, samples))
+def _cv_all(state, d):
+    """The oracle at the state's ψ and v on d's ScenarioSet."""
+    return dro._cv_all(ScenarioSet(d), state.psi_hat, state.v_hat)
 
 
 def _violation(k, state, d):
     """The oracle's violation and scenario for sample index k."""
-    vals, phis = _cv_all(state, d, _samples_tensor(d))
+    vals, phis = _cv_all(state, d)
     return float(vals[k]), phis[k]
 
 
@@ -572,7 +652,7 @@ class TestExactOracle:
         T, M, N, _k = samples.shape
         v_n1 = v_hat[-1]
         state = DROState(psi, v_hat, np.zeros(N), 1)
-        vals, phis = _cv_all(state, d, samples)
+        vals, phis = _cv_all(state, d)
         at_samples = np.array(
             [[_term(d, psi, s, i, samples[s, i]) for i in range(M)] for s in range(T)]
         )  # (T, M, N)
@@ -730,7 +810,7 @@ class TestOracleScoring:
     def test_matches_the_rest_tensor_reference(self, seed, T, M, N, psi_scale, v_n1, zero_vk):
         d, state = _scoring_case(seed, T, M, N, psi_scale, v_n1, zero_vk)
         samples = _samples_tensor(d)
-        vals, phis = _cv_all(state, d, samples)
+        vals, phis = _cv_all(state, d)
         ref_vals, ref_phis = _reference_cv_all(state, d, samples)
         assert np.array_equal(vals, ref_vals)
         for phi, ref in zip(phis, ref_phis):
@@ -745,7 +825,7 @@ class TestOracleScoring:
             v_n1 = [0.0, 1e-3, 0.5, 1e3][seed % 4]
             d, state = _scoring_case(seed, T, M, N, 10.0 ** rng.uniform(-1, 1), v_n1, seed % 3 == 0)
             samples = _samples_tensor(d)
-            vals, phis = _cv_all(state, d, samples)
+            vals, phis = _cv_all(state, d)
             ref_vals, ref_phis = _reference_cv_all(state, d, samples)
             assert np.array_equal(vals, ref_vals)
             for k, (phi, ref) in enumerate(zip(phis, ref_phis)):
@@ -770,7 +850,7 @@ class TestOracleScoring:
     def test_k3_matches_the_rest_tensor_reference(self, seed, T, M, N, psi_scale, v_n1, zero_vk):
         d, state = _k3_scoring_case(seed, T, M, N, psi_scale, v_n1, zero_vk)
         samples = _samples_tensor(d)
-        vals, phis = _cv_all(state, d, samples)
+        vals, phis = _cv_all(state, d)
         ref_vals, ref_phis = _reference_cv_all(state, d, samples)
         assert np.array_equal(vals, ref_vals)
         for phi, ref in zip(phis, ref_phis):
@@ -786,7 +866,7 @@ class TestOracleScoring:
             v_n1 = [0.0, 1e-3, 0.5, 1e3][seed % 4]
             d, state = _k3_scoring_case(seed, T, M, N, 10.0 ** rng.uniform(-1, 1), v_n1, seed % 3 == 0)
             samples = _samples_tensor(d)
-            vals, phis = _cv_all(state, d, samples)
+            vals, phis = _cv_all(state, d)
             ref_vals, ref_phis = _reference_cv_all(state, d, samples)
             assert np.array_equal(vals, ref_vals)
             for k, (phi, ref) in enumerate(zip(phis, ref_phis)):
@@ -852,6 +932,12 @@ class TestRobustGap:
                 robust_gap(PsiVector(np.zeros((2, 1)), np.ones((2, 1))), d, eps)
             else:
                 wasserstein_ball_check(_samples_tensor(d)[:, :, 0, :], d, eps)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (5, 1)])  # (1, 1) returned 0.902
+    def test_rejects_a_psi_shape_other_than_the_datasets(self, shape):
+        d = dro_instance(5, 3, 5, seed=1)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'psi must have shape (5, 3), got {shape}')}$"):
+            robust_gap(PsiVector(np.zeros(shape), np.ones(shape)), d, eps=0.5)
 
     def test_zero_radius_equals_sample_h(self):
         d = dro_instance(T=3, M=2, N=3, seed=5)
@@ -968,15 +1054,3 @@ class TestAffineEvaluator:
             assert alone.tobytes() == stacked[:, :, j : j + 1].tobytes()
             pair = budget_values(budgets, np.repeat(pts[:, :, j : j + 1], 2, axis=2))
             assert pair.tobytes() == np.repeat(stacked[:, :, j : j + 1], 2, axis=2).tobytes()
-
-    def test_cut_changed_in_place_is_read_by_the_next_solve(self):
-        d = dro_instance(T=3, M=2, N=2, seed=2)
-        samples = _samples_tensor(d)
-        scen = ScenarioSet(2)
-        _random_cuts(d, scen, np.random.default_rng(0))
-        scen.cuts[0].append(samples[:, :, 0, :] + 0.2)
-        master_solve(scen, d, eps=1.0, cfg=DROConfig(seed=0))
-        scen.cuts[0][-1][0, 1] += 0.1
-        fresh = ScenarioSet(2, cuts=[[phi.copy() for phi in c] for c in scen.cuts])
-        for a, b in zip(dro._cut_data(d, samples, scen), dro._cut_data(d, samples, fresh)):
-            np.testing.assert_array_equal(a, b)

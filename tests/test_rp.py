@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pareto_forge import lp, rp
-from pareto_forge.core import ConstraintFunction, EmpiricalStrategy, RPDataset
+from pareto_forge.core import ConstraintFunction, DimensionError, EmpiricalStrategy, RPDataset, eval_constraint
 from pareto_forge.lp import TOL_LP
 from pareto_forge.rp import (
     TOL_R,
@@ -595,6 +595,41 @@ class TestReconstructUtility:
         res = pareto_gap(d)
         with pytest.raises(IndexError):
             reconstruct_utility(res.certificate, d, 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        T=st.integers(1, 5),
+        M=st.integers(1, 3),
+        k=st.integers(1, 3),
+        violating=st.booleans(),
+        shift=st.booleans(),
+    )
+    def test_equals_the_per_period_minimum_bit_for_bit(self, seed, T, M, k, violating, shift):
+        d = violating_dataset(max(T, 2), M, max(k, 2), seed=seed) if violating else consistent_dataset(T, M, k, seed=seed)
+        rng = np.random.default_rng(seed)
+        if shift:  # a shift a_t·β >= 0 of some probes loosens their budgets, so every sample stays inside
+            cons = [
+                [f.shifted(float(rng.uniform(0.0, 1.0)), rng.uniform(0.0, 1.0, size=d.k)) if rng.random() < 0.5 else f for f in row]
+                for row in d.constraints
+            ]
+            d = RPDataset(cons, d.strategies)
+        cert = pareto_gap(d).certificate
+        for i in range(M):
+            util = reconstruct_utility(cert, d, i, tol=1e-5)
+            points = rng.uniform(0.0, 2.0, size=(10, d.k))
+            points[rng.random(points.shape) < 0.2] = 0.0
+            for x in points:
+                ref = min(cert.u[s, i] + cert.lam[s, i] * eval_constraint(d.constraints[s][i], x) for s in range(d.T))
+                assert util(x).hex() == float(ref).hex()
+
+    def test_point_checks_are_kept(self):
+        d = consistent_dataset(T=2, M=1, k=2, seed=11)
+        util = reconstruct_utility(pareto_gap(d).certificate, d, 0, tol=1e-5)
+        with pytest.raises(DimensionError, match=r"expected \(2,\)"):
+            util(np.ones(3))
+        with pytest.raises(ValueError, match="non-negative orthant"):
+            util(np.array([0.5, -1e-9]))
 
 
 class TestRankOptimality:

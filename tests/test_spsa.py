@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -76,19 +77,13 @@ class TestConfig:
         cfg = _cfg(T=np.int64(3), max_iters=np.int32(1), seed=np.uint8(7))
         assert (cfg.T, cfg.max_iters, cfg.seed) == (3, 1, 7)
         assert {type(v) for v in (cfg.T, cfg.max_iters, cfg.seed)} == {int}
-        # stored as plain ints, so the manifest's json.dumps takes them
-        manifest = run_mechanism_design(lambda theta, seed: 0.0, cfg).manifest(cfg)
-        assert manifest["config"]["seed"] == 7 and manifest["iterations"] == 1
+        # stored as plain ints, so json.dumps takes them
+        assert json.dumps([cfg.T, cfg.max_iters, cfg.seed]) == "[3, 1, 7]"
 
     def test_projection_clamps_to_box(self):
         cfg = _cfg(theta_box=np.array([[0.0, 1.0], [0.0, 1.0]]))
         assert np.allclose(cfg.project(np.array([-3.0, 0.5])), [0.0, 0.5])
         assert np.allclose(cfg.project(np.array([5.0, 5.0])), [1.0, 1.0])
-
-    def test_round_trip_through_dict(self):
-        cfg = _cfg()
-        rebuilt = SPSAConfig(**{**cfg.to_dict(), "theta_box": np.asarray(cfg.to_dict()["theta_box"])})
-        assert rebuilt.to_dict() == cfg.to_dict()
 
 
 class TestGains:
@@ -291,15 +286,3 @@ class TestTraceOutput:
         assert len(rows) == 1 + len(trace.records)
         assert float(rows[1][1]) == pytest.approx(trace.records[0].loss)
         assert float(rows[1][2]) == pytest.approx(1.0)
-
-    def test_manifest_hash_is_stable(self, tmp_path):
-        cfg = _cfg(max_iters=5, seed=3)
-        loss = TestRun._quadratic_loss(np.zeros(2))
-        m1 = run_mechanism_design(loss, cfg).manifest(cfg)
-        m2 = run_mechanism_design(loss, cfg).manifest(cfg)
-        assert m1["content_hash"] == m2["content_hash"]
-        assert m1["iterations"] == 5
-        other = run_mechanism_design(loss, _cfg(max_iters=5, seed=4)).manifest(
-            _cfg(max_iters=5, seed=4)
-        )
-        assert other["content_hash"] != m1["content_hash"]
