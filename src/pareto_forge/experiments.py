@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from .dro import DROConfig, exchange_loop
-from .game import RiverPollutionGame, collect_dataset, river_probes
+from .game import THETA_NAMES, RiverPollutionGame, collect_dataset, river_probes
 from .rp import pareto_gap
 from .spsa import SPSAConfig, SPSATrace, run_mechanism_design
 from .synthetic import dro_instance
@@ -40,11 +40,21 @@ def river_loss(theta, seed, T: int, N: int = 1, jitter: float = 0.0, **settings)
 
 
 def river_spsa_config(seed: int = 0, **overrides) -> SPSAConfig:
-    """Experiment settings: p=7, a=c=0.5, η=1/4, q=0.001, T=10, Θ=[0,1]^7."""
+    """Experiment settings: p=7, a=c=0.5, η=1/4, q=0.001, T=10, Θ=[0,1]^7.
+
+    A ``theta_box`` override needs one row per component of θ, and the d2
+    and c1 rows need lower bounds >= 0, so that Θ holds only playable θ.
+    """
     params = dict(RIVER_SPSA_DEFAULTS)
     params.update(overrides)
     box = params.pop("theta_box", np.tile([0.0, 1.0], (7, 1)))
-    return SPSAConfig(theta_box=box, seed=seed, **params)
+    cfg = SPSAConfig(theta_box=box, seed=seed, **params)
+    if cfg.p != len(THETA_NAMES):
+        raise ValueError(f"theta_box must have 7 rows ({', '.join(THETA_NAMES)}), got {cfg.p}")
+    for row, lower in enumerate(cfg.theta_box[:4, 0].tolist()):
+        if lower < 0:
+            raise ValueError(f"theta_box row {row} ({THETA_NAMES[row]}) needs a lower bound >= 0, got {lower}")
+    return cfg
 
 
 def run_river_spsa(cfg: SPSAConfig, theta0=None, **play) -> SPSATrace:

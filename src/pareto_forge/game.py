@@ -13,17 +13,17 @@ is rejected.
 
 The flagship instance is a three-agent river-pollution game with a
 seven-dimensional mechanism parameter θ (demand slope plus per-agent cost
-coefficients) and station-wise pollution caps.  When d2 ≥ 0 and every
-c1ᵢ ≥ 0 its payoff is convex in an agent's own action (−√ is convex and the
-other terms are linear), so every best response is the better end of the
-budget interval.  Only θ with d2 < 0 or some c1ᵢ < 0, which mechanism
-tuning's unprojected perturbations reach, also score the clipped roots of a
-quartic; the best response is exact for any θ.
+coefficients) and station-wise pollution caps.  The game accepts only θ with
+d2 ≥ 0 and every c1ᵢ ≥ 0, where its payoff is convex in an agent's own action
+(−√ is convex and the other terms are linear), so every best response is the
+better end of the budget interval.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 from numpy.typing import NDArray
@@ -32,6 +32,8 @@ from .core import ConstraintFunction, EmpiricalStrategy, RPDataset, affine_budge
 
 TOL_NE = 1e-5
 MAX_OUTER = 500
+# the river game's mechanism parameter θ, component by component
+THETA_NAMES = ("d2", "c11", "c12", "c13", "c21", "c22", "c23")
 
 
 # --- feasible sets ------------------------------------------------------------
@@ -136,9 +138,10 @@ class RiverPollutionGame(GameInterface):
     """Three agents discharge into a river monitored at two stations.
 
     Agent i's profit is d1·x_i − d2·√(x1+x2+x3) − c_{1i}·√x_i − c_{2i}·x_i,
-    where θ = [d2, c11, c12, c13, c21, c22, c23] ∈ [0,1]^7 is the mechanism
-    parameter.  Station l caps pollutant concentration: Σ_i δ_il·e_i·x_i ≤ cap,
-    with δ a non-negative (3, L) array whose rows each reach some station.
+    where θ = [d2, c11, c12, c13, c21, c22, c23] is the mechanism parameter,
+    with d2 ≥ 0 and every c_{1i} ≥ 0 (the design box is [0,1]^7).  Station l
+    caps pollutant concentration: Σ_i δ_il·e_i·x_i ≤ cap, with δ a
+    non-negative (3, L) array whose rows each reach some station.
     """
 
     theta_vec: NDArray[np.float64]
@@ -157,8 +160,9 @@ class RiverPollutionGame(GameInterface):
             raise ValueError("theta must have 7 components")
         if not np.all(np.isfinite(th)):
             raise ValueError("theta must be finite")
-        # the design box is [0,1]^7, but the payoff is well defined beyond it
-        # and perturbed evaluations during mechanism tuning may step outside
+        negative = [f"{name} = {v}" for name, v in zip(THETA_NAMES[:4], th[:4].tolist()) if v < 0]
+        if negative:
+            raise ValueError(f"theta must have d2 >= 0 and every c1i >= 0, got {', '.join(negative)}")
         if not np.isfinite(self.d1):
             raise ValueError(f"d1 must be finite, got {self.d1}")
         if not (np.isfinite(self.cap) and self.cap > 0):
@@ -200,11 +204,10 @@ class RiverPollutionGame(GameInterface):
     def best_responses(self, X, lo, hi) -> NDArray[np.float64]:
         """Every agent's exact maximiser over its budget interval [lo, hi], in every play.
 
-        When d2 ≥ 0 and every c_{1i} ≥ 0 the payoff is convex in x_i (−√ is
+        With d2 ≥ 0 and every c_{1i} ≥ 0 the payoff is convex in x_i (−√ is
         convex and the other terms are linear), so the candidates are the two
-        ends of the interval; otherwise they are the ends and the clipped roots
-        of :meth:`_quartic_candidates`.  The first best candidate wins, as
-        ``max`` picks, so a tie keeps the lower end.
+        ends of the interval.  The first best candidate wins, as ``max``
+        picks, so a tie keeps the lower end.
         """
         X = np.asarray(X, dtype=float)
         lo = np.asarray(lo, dtype=float)
@@ -213,70 +216,9 @@ class RiverPollutionGame(GameInterface):
         if unbounded.size:
             p, i = unbounded[0]
             raise ValueError(f"agent {i} has an unbounded budget: upper bound {hi[p, i]}")
-        th = self.theta_vec
-        if th[0] >= 0 and np.all(th[1:4] >= 0):
-            cands = np.stack([lo, hi], axis=-1)
-        else:
-            cands = self._quartic_candidates(X, lo, hi)
+        cands = np.stack([lo, hi], axis=-1)
         best = self.deviation_payoffs(X, cands).argmax(axis=-1)
         return np.take_along_axis(cands, best[..., None], axis=-1)[..., 0]
-
-    def _quartic_candidates(self, X, lo, hi) -> NDArray[np.float64]:
-        """The ends of every interval and the clipped squared real parts of four roots, (P, M, 6).
-
-        With s = Σ_{j≠i} x_j, a = d1 − c_{2i} and y = √x_i, the payoff is
-        a·y² − d2·√(y² + s) − c_{1i}·y; squaring its stationarity condition
-        gives the quartic (y² + s)(2a·y − c_{1i})² − d2²·y² = 0.  Every
-        interior maximiser is the square of a real root, so the best of these
-        candidates is exact; spurious or complex roots only add feasible ones.
-
-        The roots are ``np.roots``'s, found for all P·M quartics at once: zero
-        leading and trailing coefficients are stripped, each stripped trailing
-        one is a root at 0, and the rest go to one stacked companion-matrix
-        ``eigvals`` per degree.  A leading coefficient whose companion row
-        overflows is stripped too.
-        """
-        th = self.theta_vec
-        d2, c1 = th[0], th[1:4]
-        a = self.d1 - th[4:7]
-        s = _sum_in_order(list(X.T))[:, None] - X
-        quartic = np.stack(
-            np.broadcast_arrays(
-                4 * a * a, -4 * a * c1, c1 * c1 + 4 * a * a * s - d2 * d2, -4 * a * c1 * s, c1 * c1 * s
-            ),
-            axis=-1,
-        ).reshape(-1, 5)
-        nonzero = quartic != 0
-        lead = nonzero.argmax(axis=1)
-        degree = np.where(nonzero.any(axis=1), 4 - nonzero[:, ::-1].argmax(axis=1) - lead, 0)
-        # a stripped trailing root or a missing one stays 0, which clips to lo: a
-        # copy of the first candidate, so it never wins
-        squares = np.zeros((len(quartic), 4))
-        for n in range(4, 0, -1):
-            rows = np.flatnonzero(degree == n)
-            if rows.size:
-                coef = np.take_along_axis(quartic[rows], lead[rows, None] + np.arange(n + 1), axis=1)
-                with np.errstate(over="ignore"):
-                    top = -coef[:, 1:] / coef[:, :1]
-                # A row that overflows (a subnormal leading coefficient) carries a
-                # root beyond the double range, whose clipped square is hi, already
-                # a candidate: strip that coefficient and any zeros after it, and
-                # solve the row with its lower degree, later in this loop.
-                over = ~np.isfinite(top).all(axis=1)
-                if over.any():
-                    strip = rows[over]
-                    after = (nonzero[strip] & (np.arange(5) > lead[strip, None])).argmax(axis=1)
-                    degree[strip] -= after - lead[strip]
-                    lead[strip] = after
-                    rows, top = rows[~over], top[~over]
-                companion = np.zeros((rows.size, n, n))
-                companion[:, 1:, :-1] = np.eye(n - 1)
-                companion[:, 0] = top
-                # a root too large to square becomes inf, which clips to hi
-                with np.errstate(over="ignore"):
-                    squares[rows, :n] = np.linalg.eigvals(companion).real ** 2
-        lo_c, hi_c = lo.reshape(-1, 1), hi.reshape(-1, 1)
-        return np.concatenate([lo_c, hi_c, np.clip(squares, lo_c, hi_c)], axis=1).reshape(*X.shape, 6)
 
 
 def nikaido_isoda(g: GameInterface, x, y) -> NDArray[np.float64]:
@@ -411,10 +353,14 @@ def collect_dataset(
     emits N samples per agent: the equilibrium action plus optional uniform
     jitter clipped back into the budget interval (jitter=0 gives N identical
     samples, a pure strategy).  If a period's equilibrium does not converge,
-    NashConvergenceError names the first such period.
+    NashConvergenceError names the first such period.  N must be an int >= 1,
+    bools excluded, and jitter a finite number >= 0.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    if isinstance(N, bool) or not isinstance(N, Integral) or N < 1:
+        raise ValueError(f"N must be an int >= 1, got {N!r}")
+    jitter = float(jitter)
+    if not (math.isfinite(jitter) and jitter >= 0):
+        raise ValueError(f"jitter must be a finite number >= 0, got {jitter}")
     T = len(probes)
     lo, hi = probe_bounds(probes, g.M)
     x0 = np.clip(0.5 * (lo + np.where(np.isfinite(hi), hi, lo + 1.0)), lo, hi)

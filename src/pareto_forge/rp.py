@@ -254,42 +254,38 @@ def garp_f_threshold(d: RPDataset) -> float:
     return max(map(float, _critical_levels(_slack(_agents(d)))))
 
 
-def _ccei(g: NDArray[np.float64]) -> NDArray[np.float64]:
-    """CCEI of each slice of an (K, T, T) stack of satiated budgets with positive g[t,t].
-
-    GARP_e relates t R s iff rho[t,s] = g[t,s] / g[t,t] <= e and fails
-    exactly when a cycle of such edges has one with rho < e.  So the index is
-    minus the largest cycle bottleneck of -rho, clipped to [0, 1]: one
-    closure for the whole stack.  GARP_e passes at every smaller e, and at
-    the index itself unless a bottleneck cycle has a lighter edge.
-    """
-    rho = g / np.diagonal(g, axis1=-2, axis2=-1)[..., :, None]
-    return np.clip(-_critical_levels(-rho), 0.0, 1.0)
-
-
 def ccei_all(d: RPDataset) -> list[float | None]:
-    """Every agent's :func:`ccei_scalar` from one closure, None where it is undefined.
+    """Every agent's CCEI from one closure, None where it is undefined.
 
-    An agent's index is undefined when a satiated own-budget value g[t,t] is <= 0.
+    An agent's CCEI is the largest common efficiency e in [0,1] passing GARP_e
+    (a supremum).  It uses satiated budgets g = gbar + 1 so that budget values
+    are positive and the multiplicative deflation e is meaningful, and it is
+    undefined when a satiated own-budget value g[t,t] is <= 0.  GARP_e relates
+    t R s iff rho[t,s] = g[t,s] / g[t,t] <= e and fails exactly when a cycle
+    of such edges has one with rho < e.  So the index is minus the largest
+    cycle bottleneck of -rho, clipped to [0, 1]: one closure for all defined
+    agents.  GARP_e passes at every smaller e, and at the index itself unless
+    a bottleneck cycle has a lighter edge.
     """
     g = _agents(d) + 1.0
     defined = (np.diagonal(g, axis1=-2, axis2=-1) > 0).all(axis=-1)
-    values = iter(_ccei(g[defined]).tolist())
+    g = g[defined]
+    rho = g / np.diagonal(g, axis1=-2, axis2=-1)[..., :, None]
+    values = iter(np.clip(-_critical_levels(-rho), 0.0, 1.0).tolist())
     return [next(values) if ok else None for ok in defined.tolist()]
 
 
 def ccei_scalar(d: RPDataset, agent: int) -> float:
-    """Largest common efficiency e in [0,1] passing GARP_e for one agent (a supremum).
+    """One agent's entry of :func:`ccei_all`.
 
-    Uses satiated budgets g = gbar + 1 so that budget values are positive and
-    the multiplicative deflation e is meaningful (see :func:`_ccei`).
+    An agent out of range is an IndexError, and an undefined index a ValueError.
     """
     if not 0 <= agent < d.M:
         raise IndexError(f"agent index {agent} out of range")
-    g = d.gbar[:, :, agent] + 1.0
-    if np.any(np.diag(g) <= 0):
+    value = ccei_all(d)[agent]
+    if value is None:
         raise ValueError(f"agent {agent}: satiated own-budget values g[t,t] must be positive")
-    return float(_ccei(g[None])[0])
+    return value
 
 
 # --- concentration bound ----------------------------------------------------

@@ -2,10 +2,12 @@
 
 The mechanism parameter θ lives in a box Θ; the loss is the (empirical)
 social-optimality gap of the dataset generated by playing the game at θ.  Each
-iteration perturbs θ along a random Rademacher direction, forms the two-point
-gradient estimate, takes a projected step, and injects annealed Gaussian noise
-so the iterate can escape local minima:
+iteration perturbs θ along a random Rademacher direction Δ, forms the
+two-point gradient estimate from the perturbed points projected onto Θ (as in
+Sadegh 1997), takes a projected step, and injects annealed Gaussian noise so
+the iterate can escape local minima:
 
+    G_n(θ_n) = [L(Proj_Θ(θ_n + c_n·Δ)) − L(Proj_Θ(θ_n − c_n·Δ))] / (2·c_n·Δ),
     θ_{n+1} = Proj_Θ(θ_n − a_n·G_n(θ_n) + q_n·w_n),   w_n ~ N(0, I).
 
 Gains decay as a_n = a/n, c_n = c/n^η, q_n = sqrt(q / (m·ln ln m)) with
@@ -25,6 +27,8 @@ from .game import NashConvergenceError
 from .rp import TOL_R
 
 STOP_TOL_DEFAULT = TOL_R
+# loss attempts, each on fresh probe seeds, before a Nash failure aborts the run
+RETRIES = 3
 
 
 @dataclass(frozen=True)
@@ -125,16 +129,17 @@ class SPSATrace:
 def spsa_step(theta_n, loss, n: int, cfg: SPSAConfig, seed) -> tuple[NDArray[np.float64], dict]:
     """One update: perturb, estimate the gradient, project the noisy step.
 
-    The two perturbed points θ ± c_n·Δ are evaluated as-is (not projected);
-    only the new iterate is clamped into the box.
+    The loss is evaluated at the perturbed points θ ± c_n·Δ clamped into the
+    box; the estimate keeps the unprojected difference 2·c_n·Δ as its
+    denominator, and the new iterate is clamped into the box too.
     """
     theta_n = np.asarray(theta_n, dtype=float)
     rng = np.random.default_rng(seed)
     a_n, c_n, q_n = gains(n, cfg)
     delta = rng.integers(0, 2, size=cfg.p) * 2.0 - 1.0  # Rademacher +-1
     w = rng.standard_normal(cfg.p)
-    r1 = float(loss(theta_n + c_n * delta))
-    r2 = float(loss(theta_n - c_n * delta))
+    r1 = float(loss(cfg.project(theta_n + c_n * delta)))
+    r2 = float(loss(cfg.project(theta_n - c_n * delta)))
     grad = (r1 - r2) / (2.0 * c_n * delta)
     theta_next = cfg.project(theta_n - a_n * grad + q_n * w)
     record = {
@@ -150,18 +155,13 @@ def spsa_step(theta_n, loss, n: int, cfg: SPSAConfig, seed) -> tuple[NDArray[np.
     return theta_next, record
 
 
-def run_mechanism_design(
-    loss,
-    cfg: SPSAConfig,
-    theta0=None,
-    retries: int = 3,
-) -> SPSATrace:
+def run_mechanism_design(loss, cfg: SPSAConfig, theta0=None) -> SPSATrace:
     """Tune θ until the observed-play loss falls below stop_tol.
 
     ``loss(theta, seed)`` plays the game at θ (probes drawn from ``seed``) and
     returns the empirical social-optimality gap.  A Nash computation that does
     not converge (NashConvergenceError) is retried with fresh probe seeds up
-    to ``retries`` times before aborting; any other error, such as a gap
+    to ``RETRIES`` times before aborting; any other error, such as a gap
     certificate that fails validation, propagates at once.  The run is
     bit-reproducible given (cfg, theta0); a given ``theta0`` must have shape
     (cfg.p,).
@@ -183,13 +183,13 @@ def run_mechanism_design(
 
         def eval_loss(th, base_seed=eval_seed):
             last_err = None
-            for attempt, s in enumerate(base_seed.spawn(retries)):
+            for s in base_seed.spawn(RETRIES):
                 try:
                     return loss(th, s)
                 except NashConvergenceError as err:
                     last_err = err
             raise RuntimeError(
-                f"loss evaluation failed after {retries} attempts at n={n}: {last_err}"
+                f"loss evaluation failed after {RETRIES} attempts at n={n}: {last_err}"
             )
 
         a_n, c_n, q_n = gains(n, cfg)

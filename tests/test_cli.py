@@ -118,6 +118,40 @@ class TestConfigHandling:
         assert not (out / "dataset.json").exists()
         assert not (out / "spsa_manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "theta0, named",
+        [([0.5, 0.3, -0.4, 0.5, 0.2, 0.3, 0.4], "c12 = -0.4"), ([-0.5, 0.3, 0.4, 0.5, -0.2, 0.3, 0.4], "d2 = -0.5")],
+        ids=["c12", "d2"],
+    )
+    def test_generate_with_a_negative_d2_or_c1_exits_two(self, tmp_path, capsys, theta0, named):
+        path = _write(tmp_path / "cfg.json", {"game": {"T": 2, "theta0": theta0}})
+        out = tmp_path / "out"
+        assert main(["generate", "--config", path, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: theta must have d2 >= 0 and every c1i >= 0, got {named}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["spsa", "mc"])
+    @pytest.mark.parametrize(
+        "box, message",
+        [
+            ([[0.0, 1.0]] * 2, "theta_box must have 7 rows (d2, c11, c12, c13, c21, c22, c23), got 2"),
+            ([[-0.5, 1.0]] + [[0.0, 1.0]] * 6, "theta_box row 0 (d2) needs a lower bound >= 0, got -0.5"),
+            ([[0.0, 1.0]] * 3 + [[-1.0, 1.0]] * 4, "theta_box row 3 (c13) needs a lower bound >= 0, got -1.0"),
+        ],
+        ids=["two rows", "d2", "c13"],
+    )
+    def test_theta_box_outside_the_playable_theta_exits_two(
+        self, tmp_path, capsys, monkeypatch, command, box, message
+    ):
+        # rejected with the config, before θ0 is drawn or the game is played
+        monkeypatch.setattr(experiments, "river_loss", lambda *a, **k: pytest.fail("the game was played"))
+        doc = {"spsa": {"theta_box": box, "max_iters": 1}, "monte_carlo": {"replications": 1}}
+        path = _write(tmp_path / "cfg.json", doc)
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "spsa_manifest.json").exists() and not (out / "mc_spsa.csv").exists()
+
 
 class TestNegativeSeed:
     """A negative seed reached np.random.default_rng, whose message named no key."""

@@ -184,6 +184,23 @@ class TestRiverPollutionGame:
             RiverPollutionGame(np.array([np.nan] + [0.0] * 6))
 
     @pytest.mark.parametrize(
+        "theta, named",
+        [
+            ([-0.5, 0.3, 0.4, 0.5, 0.2, 0.3, 0.4], "d2 = -0.5"),
+            ([0.5, 0.3, -0.4, 0.5, 0.2, 0.3, 0.4], "c12 = -0.4"),
+            ([-1e-300, -0.3, 0.4, -5e-324, 0.2, 0.3, 0.4], "d2 = -1e-300, c11 = -0.3, c13 = -5e-324"),
+        ],
+    )
+    def test_negative_d2_or_c1_rejected_naming_the_entries(self, theta, named):
+        # outside d2 >= 0 and c1 >= 0 the payoff is not convex in an agent's own action
+        with pytest.raises(ValueError, match=f"^theta must have d2 >= 0 and every c1i >= 0, got {named}$"):
+            RiverPollutionGame(np.array(theta))
+
+    def test_negative_zeros_and_negative_c2_accepted(self):
+        g = RiverPollutionGame(np.array([-0.0, -0.0, 0.4, -0.0, -0.2, 0.3, -1.0]))
+        assert np.signbit(g.theta[[0, 1, 3]]).all()
+
+    @pytest.mark.parametrize(
         "kwargs, field",
         [
             ({"d1": float("nan")}, "d1"),
@@ -224,6 +241,13 @@ def _serial_payoff(g, x, i):
 
 
 def _serial_best_response(g, x, i, fs):
+    """Agent i's best response, scoring the ends of its interval and every stationary point.
+
+    With s = Σ_{j≠i} x_j, a = d1 − c_{2i} and y = √x_i, the payoff is
+    a·y² − d2·√(y² + s) − c_{1i}·y; squaring its stationarity condition gives
+    the quartic (y² + s)(2a·y − c_{1i})² − d2²·y² = 0, so every interior
+    maximiser is the square of a real root.  It does not assume convexity.
+    """
     lo, hi = float(fs.lower[0]), float(fs.upper[0])
     if not np.isfinite(hi):
         raise ValueError(f"agent {i} has an unbounded budget: upper bound {hi}")
@@ -232,7 +256,8 @@ def _serial_best_response(g, x, i, fs):
     d2, c1 = g.theta[0], g.theta[1 + i]
     a = g.d1 - g.theta[4 + i]
     quartic = np.array([4 * a * a, -4 * a * c1, c1 * c1 + 4 * a * a * s - d2 * d2, -4 * a * c1 * s, c1 * c1 * s])
-    # the stacked path's guard: strip a leading coefficient whose companion row overflows
+    # strip a leading coefficient whose companion row overflows, on which np.roots
+    # fails: its root lies beyond the double range, and its clipped square is hi
     quartic = np.trim_zeros(quartic, "f")
     with np.errstate(over="ignore"):
         while quartic.size > 1 and not np.isfinite(quartic[1:] / quartic[0]).all():
@@ -309,18 +334,6 @@ def _interval_stack(lo, hi, shape):
     return np.full(shape, float(lo)), np.full(shape, float(hi))
 
 
-def _count_eigvals(monkeypatch):
-    """Record the shape of every companion stack the river quartic solve hands to eigvals."""
-    calls, eigvals = [], np.linalg.eigvals
-
-    def counted(a):
-        calls.append(a.shape)
-        return eigvals(a)
-
-    monkeypatch.setattr(game.np.linalg, "eigvals", counted)
-    return calls
-
-
 class TestBestResponse:
     def test_quadratic_game_closed_form(self):
         g = QuadraticGame()
@@ -330,7 +343,8 @@ class TestBestResponse:
         assert g.best_responses(np.array([[0.0, 10.0]]), lo, hi)[0, 0] == pytest.approx(2.0)
 
     def test_best_deviation_stacks_best_responses(self):
-        g = RiverPollutionGame(np.array([0.0, -1.0, 0.3, 0.3, 1.0, 0.2, 0.2]), d1=0.5)
+        # agent 0's payoff falls on the whole budget, so it plays lo; agents 1 and 2 play hi
+        g = RiverPollutionGame(np.array([0.2, 1.0, 0.3, 0.3, 1.0, 0.2, 0.2]), d1=0.5)
         lo, hi = _interval_stack(0.0, 4.0, (2, 3))
         x = np.array([[2.0, 1.0, 3.0], [0.0, 0.5, 0.0]])
         z = best_deviation(g, x, lo, hi)
@@ -339,13 +353,6 @@ class TestBestResponse:
         for p in range(2):
             for i in range(3):
                 assert np.array_equal(z[p, i : i + 1], _serial_best_response(g, x[p], i, sets[i]))
-
-    def test_river_interior_hand_value(self):
-        # d2 = 0, c1 = -1, c2 = 1, d1 = 0.5: agent 0 maximises sqrt(x) - x / 2,
-        # whose stationary point x = 1 is inside the budget [0, 4]
-        g = RiverPollutionGame(np.array([0.0, -1.0, 0.3, 0.3, 1.0, 0.2, 0.2]), d1=0.5)
-        lo, hi = _interval_stack(0.0, 4.0, (1, 3))
-        assert g.best_responses(np.zeros((1, 3)), lo, hi)[0, 0] == 1.0
 
     def test_river_convex_payoff_picks_an_endpoint(self):
         g = RiverPollutionGame(np.full(7, 0.5))
@@ -370,10 +377,10 @@ class TestBestResponse:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_river_best_response_beats_dense_grid(self, seed):
-        # about 2% of draws have an interior maximiser, so each example checks 40
+        # d2 and every c1 >= 0, the only θ the game accepts; c2 may be negative
         rng = np.random.default_rng(seed)
         for _ in range(40):
-            g = RiverPollutionGame(rng.uniform(-0.5, 1.5, 7), d1=rng.uniform(0.0, 3.0))
+            g = RiverPollutionGame(rng.uniform([0.0] * 4 + [-0.5] * 3, 1.5), d1=rng.uniform(0.0, 3.0))
             i = int(rng.integers(3))
             lo = rng.uniform(0.0, 5.0) * (rng.random() < 0.5)
             hi = lo + rng.uniform(0.0, 20.0) * (rng.random() < 0.9)
@@ -383,28 +390,6 @@ class TestBestResponse:
             joint = x.copy()
             joint[i] = xi[0]
             assert g.payoff(joint, i) >= _river_grid_max(g, x, i, lo, hi) - 1e-12
-
-
-    def test_river_subnormal_leading_coefficient(self, monkeypatch):
-        # agent 1 has a = d1 - c2 = -5e-324: 4a² underflows to 0 and the companion
-        # row of the subnormal -4a·c1 overflows, which once made eigvals raise; a
-        # negative c1 of agent 0 leaves agent 1's quartic as it is but makes the
-        # payoff non-convex, so best_responses solves the quartics
-        calls = _count_eigvals(monkeypatch)
-        for c1_agent0 in (0.0, -0.3):
-            theta = np.array([0.0, c1_agent0, 1.0, 0.0, 0.0, 5e-324, 0.0])
-            g = RiverPollutionGame(theta, d1=0.0, cap=1.0)
-            probes = river_probes(g, T=1, seed=0)
-            d = collect_dataset(g, probes)
-            X = np.array([[d.strategies[0][i].samples[0, 0] for i in range(g.M)]])
-            lo, hi = probe_bounds(probes, g.M)
-            calls.clear()
-            Z = g.best_responses(X, lo, hi)
-            assert bool(calls) == (c1_agent0 < 0)
-            assert np.all((lo <= Z) & (Z <= hi))
-            grid = np.linspace(lo, hi, 20_001, axis=-1)  # (1, M, 20001)
-            best = g.deviation_payoffs(X, Z)
-            assert np.all(best >= g.deviation_payoffs(X, grid).max(axis=-1) - 1e-12)
 
 
 class TestStackedPlayMatchesSerialReference:
@@ -431,46 +416,22 @@ class TestStackedPlayMatchesSerialReference:
             ([0.0, 0.0, 0.4, 0.5, 1.5, 0.3, 0.4], 1.5, "all zero"),
             # a = -5e-324 for agent 1: the leading coefficient is subnormal
             ([0.0, 0.0, 1.0, 0.0, 0.0, 5e-324, 0.0], 0.0, "subnormal leading"),
-            # the same five with the c1 of an agent the case does not depend on
-            # set to -0.3: the payoff is not convex, so the quartics are solved
-            ([0.5, 0.3, -0.3, 0.5, 0.7, 0.3, 0.4], 0.7, "leading zeros, c1 < 0"),
-            ([0.5, -0.3, 0.0, 0.5, 0.2, 0.3, 0.4], 3.0, "trailing zeros, c1 < 0"),
-            ([0.5, -0.3, 0.4, 0.5, 0.2, 0.3, 0.4], 3.0, "degree one, c1 < 0"),
-            ([0.0, 0.0, -0.3, 0.5, 1.5, 0.3, 0.4], 1.5, "all zero, c1 < 0"),
-            ([0.0, -0.3, 1.0, 0.0, 0.0, 5e-324, 0.0], 0.0, "subnormal leading, c1 < 0"),
         ],
     )
-    def test_degenerate_quartics(self, theta, d1, case, monkeypatch):
+    def test_degenerate_quartics(self, theta, d1, case):
+        # the reference solves these quartics; the stacked path scores the two ends
         g = RiverPollutionGame(np.array(theta), d1=d1)
         # rows with s = 0 for every agent (the others idle) and generic rows, so
-        # one stack mixes companion sizes
+        # the reference meets quartics of several degrees
         X = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 1.5], [1.0, 2.5, 0.25], [0.0, 3.0, 0.0]])
         lo = np.array([[0.0] * 3, [0.5] * 3, [0.0] * 3, [0.2, 0.0, 1.0], [0.0] * 3])
         hi = np.array([[4.0] * 3, [4.0] * 3, [0.75] * 3, [9.0, 3.0, 2.0], [100.0] * 3])
-        calls = _count_eigvals(monkeypatch)
         self._assert_matches_serial(g, X, lo, hi)
-        assert bool(calls) == (min(theta[:4]) < 0)
 
-    def test_all_zero_quartic_keeps_the_lower_end(self, monkeypatch):
-        calls = _count_eigvals(monkeypatch)
-        # agent 0's payoff is 0 on the whole interval: the first candidate wins,
-        # on the two-end path and, with agent 1's c1 < 0, on the quartic one
-        for c1_agent1 in (0.4, -0.4):
-            g = RiverPollutionGame(np.array([0.0, 0.0, c1_agent1, 0.5, 1.5, 0.3, 0.4]), d1=1.5)
-            calls.clear()
-            assert g.best_responses(np.array([[2.0, 1.0, 1.0]]), *_interval_stack(0.5, 3.0, (1, 3)))[0, 0] == 0.5
-            assert bool(calls) == (c1_agent1 < 0)
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 10_000))
-    def test_best_responses_match_on_random_stacks(self, seed):
-        rng = np.random.default_rng(seed)
-        theta = rng.uniform(-2.0, 3.0, 7) * (rng.random(7) < 0.8)
-        g = RiverPollutionGame(theta, d1=float(rng.choice([rng.uniform(0.0, 3.5), theta[4]])))
-        X = rng.uniform(0.0, 10.0, (12, 3)) * (rng.random((12, 3)) < 0.7)
-        lo = rng.uniform(0.0, 2.0, (12, 3)) * (rng.random((12, 3)) < 0.5)
-        hi = lo + rng.uniform(0.0, 20.0, (12, 3)) * (rng.random((12, 3)) < 0.9)
-        self._assert_matches_serial(g, X, lo, hi)
+    def test_all_zero_quartic_keeps_the_lower_end(self):
+        # agent 0's payoff is 0 on the whole interval: the first candidate wins
+        g = RiverPollutionGame(np.array([0.0, 0.0, 0.4, 0.5, 1.5, 0.3, 0.4]), d1=1.5)
+        assert g.best_responses(np.array([[2.0, 1.0, 1.0]]), *_interval_stack(0.5, 3.0, (1, 3)))[0, 0] == 0.5
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -479,8 +440,8 @@ class TestStackedPlayMatchesSerialReference:
         data=st.data(),
     )
     def test_convex_payoffs_match_on_random_stacks(self, theta, seed, data):
-        # d2 >= 0 and every c1 >= 0: the stacked path scores only the ends of each
-        # interval, the serial one every root as well
+        # the stacked path scores only the ends of each interval, the serial one
+        # every root as well
         d1 = data.draw(st.sampled_from([0.0, theta[4], theta[5], theta[6]]) | st.floats(0.0, 3.5))
         g = RiverPollutionGame(np.array(theta), d1=d1)
         rng = np.random.default_rng(seed)
@@ -493,25 +454,10 @@ class TestStackedPlayMatchesSerialReference:
         hi[3] = lo[3]  # zero-width intervals
         self._assert_matches_serial(g, X, lo, hi)
 
-    def test_convex_payoffs_skip_the_quartic(self, monkeypatch):
-        def no_eigvals(*args, **kwargs):
-            raise AssertionError("eigvals called")
-
-        monkeypatch.setattr(game.np.linalg, "eigvals", no_eigvals)
-        X = np.array([[0.0, 0.0, 0.0], [1.0, 2.5, 0.25], [2.0, 0.0, 3.0]])
-        lo, hi = np.zeros((3, 3)), np.full((3, 3), 4.0)
-        for theta in ([0.5, 0.3, 0.4, 0.5, 0.2, 0.3, 0.4], [0.0, 5e-324, 0.0, 1.0, 3.0, 0.0, 1.5]):
-            g = RiverPollutionGame(np.array(theta))
-            g.best_responses(X, lo, hi)
-            collect_dataset(g, river_probes(g, T=10, seed=0))
-        # the patch is live: a negative c1 solves the quartic
-        g = RiverPollutionGame(np.array([0.0, -1.0, 0.3, 0.3, 1.0, 0.2, 0.2]), d1=0.5)
-        with pytest.raises(AssertionError, match="eigvals called"):
-            g.best_responses(X, lo, hi)
-
     @settings(max_examples=25, deadline=None)
     @given(
-        theta=st.lists(st.floats(-0.5, 1.5), min_size=7, max_size=7),
+        # d2 and every c1 >= 0, the only θ the game accepts; c2 may be negative
+        theta=st.tuples(*[st.floats(0.0, 1.5)] * 4, *[st.floats(-0.5, 1.5)] * 3),
         d1=st.floats(0.0, 3.5),
         cap=st.sampled_from([1.0, 10.0, 100.0]),
         T=st.integers(1, 6),
@@ -525,7 +471,7 @@ class TestStackedPlayMatchesSerialReference:
         probes = river_probes(g, T, seed=seed)
         try:
             expected = _serial_collect(g, probes, N, jitter, seed)
-        except (NashConvergenceError, np.linalg.LinAlgError, RuntimeWarning) as err:
+        except NashConvergenceError as err:
             with pytest.raises(type(err)) as got:
                 collect_dataset(g, probes, N=N, jitter=jitter, seed=seed)
             assert str(got.value) == str(err)
@@ -673,6 +619,27 @@ class TestCollectDataset:
         probes = river_probes(g, T=1, seed=0)
         with pytest.raises(ValueError):
             collect_dataset(g, probes, N=0)
+
+    @pytest.mark.parametrize(
+        "sampling, message",
+        [
+            ({"N": 2.5}, "N must be an int >= 1, got 2.5"),
+            ({"N": True}, "N must be an int >= 1, got True"),
+            ({"jitter": -0.5}, "jitter must be a finite number >= 0, got -0.5"),
+            ({"jitter": float("nan")}, "jitter must be a finite number >= 0, got nan"),
+            ({"jitter": float("inf")}, "jitter must be a finite number >= 0, got inf"),
+        ],
+    )
+    def test_invalid_sampling_rejected_naming_the_field(self, sampling, message):
+        g = RiverPollutionGame(np.full(7, 0.5))
+        probes = river_probes(g, T=1, seed=0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            collect_dataset(g, probes, **sampling)
+
+    def test_numpy_sample_count_accepted(self):
+        g = RiverPollutionGame(np.full(7, 0.5))
+        probes = river_probes(g, T=1, seed=0)
+        assert collect_dataset(g, probes, N=np.int64(2)).strategies[0][0].n == 2
 
     def test_empty_probe_table_rejected(self):
         g = RiverPollutionGame(np.full(7, 0.5))

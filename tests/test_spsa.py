@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pareto_forge import game, rp
 from pareto_forge.experiments import river_spsa_config, run_river_spsa
@@ -119,13 +121,29 @@ class TestStep:
             nxt, _rec = spsa_step(theta, loss, 1, cfg, seed)
             assert np.all(nxt >= 0.0) and np.all(nxt <= 1.0)
 
-    def test_perturbed_points_not_projected(self):
-        cfg = _cfg(theta_box=np.array([[0.0, 1.0]]), c=0.5)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 2.0)), min_size=1, max_size=7),
+        c=st.floats(0.01, 5.0),
+        n=st.integers(1, 50),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_perturbed_points_are_projected(self, rows, c, n, seed, data):
+        # the loss sees θ ± c_n·Δ clamped into the box, and the estimate keeps 2·c_n·Δ
+        box = np.array([[lo, lo + width] for lo, width in rows])
+        theta = np.array([data.draw(st.floats(lo, hi)) for lo, hi in box])
+        cfg = _cfg(theta_box=box, c=c)
         seen = []
-        loss = lambda th: seen.append(th.copy()) or 0.0  # noqa: E731
-        spsa_step(np.array([0.0]), loss, 1, cfg, seed=0)
-        # one of the two evaluations must leave the box (theta -+ c)
-        assert any(p[0] < 0.0 or p[0] > 1.0 for p in seen)
+        loss = lambda th: seen.append(th.copy()) or float(np.sum(th))  # noqa: E731
+        _nxt, rec = spsa_step(theta, loss, n, cfg, seed)
+        assert len(seen) == 2
+        for point in seen:
+            assert np.all((box[:, 0] <= point) & (point <= box[:, 1]))
+        assert np.array_equal(seen[0], np.clip(theta + rec["c_n"] * rec["delta"], box[:, 0], box[:, 1]))
+        assert np.array_equal(seen[1], np.clip(theta - rec["c_n"] * rec["delta"], box[:, 0], box[:, 1]))
+        expected = (rec["r_plus"] - rec["r_minus"]) / (2.0 * rec["c_n"] * rec["delta"])
+        assert np.array_equal(rec["gradient_estimate"], expected)
 
     def test_scalar_affine_gradient_is_exact(self):
         # p = 1: the two-point estimate of d/dθ (3θ) is 3 for either delta sign
