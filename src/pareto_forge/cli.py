@@ -99,13 +99,25 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
 
 
+def _out_dir(name) -> Path:
+    """The output directory ``name``, made with its parents unless it is one already."""
+    out_dir = Path(name)
+    if not out_dir.is_dir():  # mkdir(exist_ok=True) raises and catches on an existing one
+        out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
+def _write_json(path: Path, obj) -> None:
+    """obj as indented JSON with sorted keys and a final newline, in one write."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def _write_manifest(out_dir: Path, name: str, cfg: dict, seed, extra=None) -> None:
     manifest = {"config": cfg, "config_hash": _config_hash(cfg), "seed": seed}
     if extra:
         manifest.update(extra)
-    with open(out_dir / name, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / name, manifest)
 
 
 def cmd_audit(args) -> int:
@@ -134,11 +146,7 @@ def cmd_audit(args) -> int:
         "tol": tol,
         "consistent": res.gap <= tol,
     }
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "audit_report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(_out_dir(args.out_dir) / "audit_report.json", report)
     print(json.dumps({k: report[k] for k in ("mm_garp", "pareto_gap", "consistent")}))
     return EXIT_OK if report["consistent"] else EXIT_NEGATIVE
 
@@ -154,8 +162,7 @@ def cmd_generate(args) -> int:
     sampling = {k: g.pop(k) for k in ("N", "jitter") if k in g}
     game = RiverPollutionGame(theta0, **g)
     d = collect_dataset(game, river_probes(game, T, seed=seed), seed=seed, **sampling)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out_dir)
     path = out_dir / "dataset.json"
     save_dataset(d, path)
     _write_manifest(out_dir, "generate_manifest.json", cfg, seed)
@@ -178,8 +185,7 @@ def cmd_spsa(args) -> int:
     if args.max_iters is not None:
         s["max_iters"] = args.max_iters
     run_cfg = river_spsa_config(seed=seed, **s)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out_dir)
     if run_cfg.max_iters == 0:
         trace = None
     else:
@@ -203,11 +209,10 @@ def cmd_dro(args) -> int:
     seed = s.pop("seed", 0)
     if args.seed is not None:
         seed = args.seed
-    out_dir = Path(args.out_dir)
     results = {}
     for eps in s.pop("eps", DRO_RADII):
         rep = run_dro_replication(seed, eps=eps, **s)
-        out_dir.mkdir(parents=True, exist_ok=True)  # not before a bad block is rejected
+        out_dir = _out_dir(args.out_dir)  # not before a bad block is rejected
         tag = str(eps).replace(".", "p")
         with open(out_dir / f"dro_trace_eps_{tag}.csv", "w", newline="") as fh:
             w = csv.writer(fh)
@@ -229,13 +234,14 @@ def cmd_mc(args) -> int:
         )
     reps = mc.get("replications", 10)
     base_seed = args.seed if args.seed is not None else mc.get("base_seed", 0)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # each branch makes the out-dir once its replications return, so a block rejected
+    # at play time leaves none
     if command == "spsa":
         # tuner settings come from the spsa block and game settings from the game
         # block, as in the spsa command
         task = partial(river_spsa_replication, game=_river_play(cfg), **cfg.get("spsa", {}))
         results = monte_carlo(task, reps, base_seed=base_seed)
+        out_dir = _out_dir(args.out_dir)
         with open(out_dir / "mc_spsa.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["replication", "seed", "iterations", "final_loss"])
@@ -258,6 +264,7 @@ def cmd_mc(args) -> int:
                 "mean_iterations": float(np.mean([r["iterations"] for r in results])),
                 "certified_rate": float(np.mean([r["certified"] for r in results])),
             }
+        out_dir = _out_dir(args.out_dir)
         with open(out_dir / "mc_dro.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["replication", "eps", "seed", "iterations", "certified"])

@@ -37,7 +37,8 @@ class ConstraintFunction:
     shifted probe ``g(x - a_t * beta)``.  Coefficients may be any real numbers
     (numpy scalars, and arrays for ``alpha`` and ``beta``); they are stored as
     plain floats and float tuples, so that a probe compares, hashes and saves
-    to JSON alike whatever it was built from.
+    to JSON alike whatever it was built from.  Float tuples and floats are
+    kept as given.
     """
 
     alpha: tuple[float, ...]
@@ -56,6 +57,8 @@ class ConstraintFunction:
             raise DimensionError(f"shift direction has length {n_beta}, expected {n_alpha}")
         coefs = (*self.alpha, self.b, self.a_t, *self.beta)
         _check_reals(coefs, "constraint has a non-{} coefficient")
+        if type(self.alpha) is tuple and type(self.beta) is tuple and _FLOAT.issuperset(map(type, coefs)):
+            return  # stored as given: a decoded probe is plain floats already
         object.__setattr__(self, "alpha", tuple(map(float, self.alpha)))
         object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "a_t", float(self.a_t))
@@ -79,6 +82,7 @@ class ConstraintFunction:
 
 
 _PLAIN = frozenset((float, int))  # the types a JSON number is read as
+_FLOAT = frozenset((float,))
 
 
 def _check_reals(values, message: str) -> None:
@@ -239,9 +243,9 @@ class RPDataset:
     i evaluated on the strategy played in period s.  The grid is decoded once
     (:func:`affine_budgets`), and one :func:`budget_values` call evaluates
     every probe of each agent at the samples of all its plays, each play
-    zero-padded to the largest sample count.  The plays of each sample count
-    are then averaged together, so every entry rounds as its per-entry
-    reference :func:`expected_constraint` does.
+    zero-padded to the largest sample count when the counts differ.  The
+    plays of each sample count are then averaged together, so every entry
+    rounds as its per-entry reference :func:`expected_constraint` does.
     """
 
     constraints: tuple[tuple[ConstraintFunction, ...], ...]  # T x M
@@ -271,8 +275,11 @@ class RPDataset:
         n = np.fromiter(map(len, xs), int, T * M).reshape(M, T)  # n[i, s]: samples of play (s, i)
         c, k = n.max(), xs[0].shape[1]
         held = np.arange(c) < n[..., None]  # (M, T, c): which of c slots play (s, i) fills
-        X = np.zeros((M, T, c, k))  # X[i, s]: the samples of play (s, i), zero-padded to c
-        X[held] = np.concatenate(xs)
+        if n.min() == c:  # X[i, s]: the samples of play (s, i)
+            X = np.concatenate(xs).reshape(M, T, c, k)
+        else:  # zero-padded to c
+            X = np.zeros((M, T, c, k))
+            X[held] = np.concatenate(xs)
         # V[t, i, s, j] = g_t^i(X[i, s, j])
         V = budget_values(affine_budgets(cons), X.reshape(1, M, T * c, k)).reshape(T, M, T, c)
         G = np.empty((T, M, T))  # G[t, i, s] = gbar[t, s, i]

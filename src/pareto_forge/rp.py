@@ -27,7 +27,9 @@ no tolerance.  The closure only takes max and min, so H[t, s] >= r holds
 exactly when some path from t to s has every edge >= r: one float closure
 answers the test at every level.  ``pareto_gap`` reads the gap, whether it
 is attained and every agent's certificate (Varian 1982) from one closure of
--gbar, and ``ccei_all`` every agent's efficiency index from one more.
+-gbar.  ``mm_garp``, ``garp_f``, ``garp_f_threshold`` and ``ccei_all`` read
+one more, of the slack stack and the CCEI ratio stack closed together, which
+a dataset keeps after its first use; so an audit makes two closures.
 
 For weakly decreasing levels, social(o) = Σ_{k<D} (l_k − l_{k+1})·rnk_k(o)
 + M·l_D, a nonnegative combination of the k-rank counts.  So a strategy that
@@ -100,6 +102,28 @@ def _agents(d: RPDataset) -> NDArray[np.float64]:
 def _slack(g: NDArray[np.float64]) -> NDArray[np.float64]:
     """w[..., k, j] = g_k(mu_k) - g_k(mu_j): how much cheaper play j is than play k on budget k."""
     return np.diagonal(g, axis1=-2, axis2=-1)[..., :, None] - g
+
+
+def _slack_and_ratio(d: RPDataset):
+    """(S, H_S, defined, W, H_W): the slack stack of every agent and the ratio stack -rho of
+    the agents whose CCEI is defined, each with its closure, both closed in one call.
+
+    The first call stores the tuple on ``d``, as ``functools.cached_property`` stores a
+    value, and later calls read it: ``d`` is frozen and its ``gbar`` read-only.
+    """
+    cached = d.__dict__.get("_slack_and_ratio")
+    if cached is None:
+        g = _agents(d)
+        S = _slack(g)
+        g = g + 1.0  # satiated budgets, see ccei_all
+        defined = (np.diagonal(g, axis1=-2, axis2=-1) > 0).all(axis=-1)
+        g = g[defined]
+        W = -(g / np.diagonal(g, axis1=-2, axis2=-1)[..., :, None])
+        H = _closure(np.concatenate([S, W]))
+        for a in (S, W, H):
+            a.setflags(write=False)
+        cached = d.__dict__["_slack_and_ratio"] = (S, H[: d.M], defined, W, H[d.M :])
+    return cached
 
 
 # --- Pareto gap -------------------------------------------------------------
@@ -239,7 +263,8 @@ def garp_f(d: RPDataset, F: float) -> bool:
     """GARP with additive budget slack F: k R j iff gbar[k,j,i] + F <= gbar[k,k,i]."""
     if not F >= 0:
         raise ValueError("F must be >= 0")
-    return bool(_garp(_slack(_agents(d)), F).all())
+    S, H, *_ = _slack_and_ratio(d)
+    return bool(_garp(S, F, H).all())
 
 
 def garp_f_threshold(d: RPDataset) -> float:
@@ -251,11 +276,12 @@ def garp_f_threshold(d: RPDataset) -> float:
     every F above it, and at the threshold itself unless a bottleneck cycle
     has a heavier edge.
     """
-    return max(map(float, _critical_levels(_slack(_agents(d)))))
+    S, H, *_ = _slack_and_ratio(d)
+    return max(map(float, _critical_levels(S, H)))
 
 
 def ccei_all(d: RPDataset) -> list[float | None]:
-    """Every agent's CCEI from one closure, None where it is undefined.
+    """Every agent's CCEI, None where it is undefined.
 
     An agent's CCEI is the largest common efficiency e in [0,1] passing GARP_e
     (a supremum).  It uses satiated budgets g = gbar + 1 so that budget values
@@ -267,11 +293,8 @@ def ccei_all(d: RPDataset) -> list[float | None]:
     agents.  GARP_e passes at every smaller e, and at the index itself unless
     a bottleneck cycle has a lighter edge.
     """
-    g = _agents(d) + 1.0
-    defined = (np.diagonal(g, axis1=-2, axis2=-1) > 0).all(axis=-1)
-    g = g[defined]
-    rho = g / np.diagonal(g, axis1=-2, axis2=-1)[..., :, None]
-    values = iter(np.clip(-_critical_levels(-rho), 0.0, 1.0).tolist())
+    _, _, defined, W, H = _slack_and_ratio(d)
+    values = iter(np.clip(-_critical_levels(W, H), 0.0, 1.0).tolist())
     return [next(values) if ok else None for ok in defined.tolist()]
 
 

@@ -38,7 +38,7 @@ class SPSAConfig:
     Checked where the config is built, each error naming its field: a, c, q,
     eta and stop_tol are finite numbers with a > 0, c > 0, q >= 0 and eta in
     [1/6, 1/2]; T (>= 1), max_iters (>= 0) and seed (>= 0) are ints, bools
-    excluded; theta_box rows are [lo, hi] with lo <= hi.
+    excluded; theta_box rows are [lo, hi] of finite numbers with lo <= hi.
     """
 
     a: float
@@ -63,6 +63,8 @@ class SPSAConfig:
             raise ValueError(f"eta must lie in [1/6, 1/2], got {self.eta}")
         _check_ints(self, (("T", 1), ("max_iters", 0), ("seed", 0)))
         box = np.asarray(self.theta_box, dtype=float).reshape(-1, 2)
+        if not np.isfinite(box).all():
+            raise ValueError(f"theta_box must hold finite numbers, got {box.tolist()}")
         if not np.all(box[:, 0] <= box[:, 1]):
             raise ValueError("theta_box rows must be [lo, hi] with lo <= hi")
         object.__setattr__(self, "theta_box", box)

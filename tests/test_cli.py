@@ -428,15 +428,16 @@ class TestGenerateAndAudit:
         assert report["ccei"] == [None, rp.ccei_scalar(d, 1)]
         assert report["ccei"][1] == pytest.approx(0.5, abs=2e-4)
 
-    def test_audit_makes_four_closures(self, tmp_path, monkeypatch):
-        # one each for the gap and its certificates, mm_garp, garp_f_threshold and every CCEI
+    def test_audit_makes_two_closures(self, tmp_path, monkeypatch):
+        # one of -gbar for the gap and its certificates, and one of the slack and CCEI ratio
+        # stacks together for mm_garp, garp_f_threshold and every CCEI
         calls = []
         close = rp._closure
         monkeypatch.setattr(rp, "_closure", lambda W: calls.append(W.shape) or close(W))
         path = tmp_path / "violating.json"
         save_dataset(violating_dataset(T=8, M=3, k=3, seed=2), path)
         assert main(["audit", str(path), "--out-dir", str(tmp_path)]) == 1
-        assert calls == [(3, 8, 8)] * 4
+        assert calls == [(3, 8, 8), (6, 8, 8)]
 
     def test_audit_certificate_validation_failure_exits_two(self, tmp_path, capsys, monkeypatch):
         # a certificate that does not validate must reach the user, never a report
@@ -770,6 +771,21 @@ class TestMonteCarloCommand:
         )
         assert main(["mc", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 2
         assert "lam_max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"monte_carlo": {"replications": 1}, "spsa": {"theta_box": [[0.0, 1.0]] * 2}}, "must have 7 rows"),
+            ({"monte_carlo": {"command": "dro", "replications": 1}, "dro": {"lambda_hat": 5, "lam_max": 1}}, "lam_max"),
+        ],
+        ids=["spsa", "dro"],
+    )
+    def test_block_rejected_at_play_time_exits_two_without_an_out_dir(self, tmp_path, capsys, doc, message):
+        # the schema accepts both blocks; the out-dir is made only once the replications return
+        out = tmp_path / "out"
+        assert main(["mc", "--config", _write(tmp_path / "cfg.json", doc), "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("radii", [[0.5, 0.5], [1, 1.0], [0, 0.0]])
     def test_repeated_dro_radius_exits_two_without_output(self, tmp_path, capsys, radii):

@@ -75,6 +75,31 @@ class TestConstraintFunction:
         assert hash(loaded) == hash(f)
 
     @pytest.mark.parametrize(
+        "alpha, b, beta",
+        [
+            ((np.float64(2.0), np.float64(-0.0)), 3.0, (1.0, -0.0)),  # np.float64 subclasses float
+            ((2.0, -0.0), np.float64(3.0), (1.0, -0.0)),
+            ((2.0, -0.0), 3, (1.0, -0.0)),
+            ([2.0, -0.0], 3.0, (1.0, -0.0)),
+            ((2.0, -0.0), 3.0, [1.0, -0.0]),
+        ],
+        ids=["float64-alpha", "float64-b", "int-b", "list-alpha", "list-beta"],
+    )
+    def test_other_coefficients_become_float_tuples(self, alpha, b, beta):
+        f = ConstraintFunction(alpha, b, 0.5, beta)
+        assert type(f.alpha) is tuple and type(f.beta) is tuple
+        assert all(type(v) is float for v in (*f.alpha, f.b, f.a_t, *f.beta))
+        # repr tells -0.0 from 0.0
+        assert list(map(repr, (*f.alpha, f.b, *f.beta))) == ["2.0", "-0.0", "3.0", "1.0", "-0.0"]
+
+    def test_float_coefficients_are_kept_as_given(self):
+        # a decoded probe holds plain floats already
+        alpha, beta = (2.0, -0.0), (-0.0, 1.5)
+        f = ConstraintFunction(alpha, -0.0, -0.0, beta)
+        assert f.alpha is alpha and f.beta is beta
+        assert list(map(repr, (*f.alpha, f.b, f.a_t, *f.beta))) == ["2.0", "-0.0", "-0.0", "-0.0", "-0.0", "1.5"]
+
+    @pytest.mark.parametrize(
         "args",
         [(2.0, 1.0), (None, 1.0), ((1.0,), 1.0, 0.0, 5.0)],
         ids=["scalar-alpha", "none-alpha", "scalar-beta"],

@@ -320,20 +320,22 @@ class TestParetoGap:
         assert mm_garp(d) == (pareto_gap(d).gap <= 1e-5)
 
 
+@pytest.fixture
+def closures(monkeypatch):
+    """The shape of every stack rp._closure closes."""
+    calls = []
+    close = rp._closure
+
+    def counted(W):
+        calls.append(W.shape)
+        return close(W)
+
+    monkeypatch.setattr(rp, "_closure", counted)
+    return calls
+
+
 class TestOneClosurePerGap:
     """pareto_gap and afriat_feasible read everything from one closure of -gbar."""
-
-    @pytest.fixture
-    def closures(self, monkeypatch):
-        calls = []
-        close = rp._closure
-
-        def counted(W):
-            calls.append(W.shape)
-            return close(W)
-
-        monkeypatch.setattr(rp, "_closure", counted)
-        return calls
 
     def test_pareto_gap_closes_once(self, closures):
         d = violating_dataset(T=8, M=3, k=3, seed=2)
@@ -499,6 +501,67 @@ class TestCcei:
         mixed = RPDataset(cons, strats)
         assert ccei_all(mixed) == [None, ccei_scalar(mixed, 1)]
         assert ccei_all(mixed)[1] == ccei_scalar(d, 0)
+
+
+def _ccei_dataset(seed, T, M, k, undefined):
+    """Random probes and plays on agents whose CCEI is defined, or undefined where
+    ``undefined[i]``: agent i then plays 0 in period 0, so g[0, 0] = 1 - b <= -0.5."""
+    rng = np.random.default_rng(seed)
+    cons, strats = [], []
+    for t in range(T):
+        alpha = rng.uniform(0.5, 2.0, (M, k))
+        b = np.where(undefined & (t == 0), rng.uniform(1.5, 3.0, M), rng.uniform(0.5, 2.0, M))
+        n = int(rng.integers(1, 4))  # sample counts differ between periods
+        # samples on or inside each budget, near enough to its line to make cycles
+        x = rng.uniform(0.6, 1.0, (M, n, 1)) * rng.dirichlet(np.ones(k), (M, n)) * (b / alpha.T).T[:, None, :]
+        x[undefined & (t == 0)] = 0.0
+        cons.append([ConstraintFunction(tuple(a), bi) for a, bi in zip(alpha.tolist(), b.tolist())])
+        strats.append([EmpiricalStrategy(xi) for xi in x])
+    return RPDataset(cons, strats)
+
+
+class TestSharedSlackClosure:
+    """mm_garp, garp_f, garp_f_threshold and ccei_all share one closure that the dataset keeps."""
+
+    def test_second_calls_close_nothing(self, closures):
+        d = violating_dataset(T=8, M=3, k=3, seed=2)
+        first = (mm_garp(d), garp_f_threshold(d), ccei_all(d))
+        assert closures == [(6, 8, 8)]  # three slack and three ratio matrices
+        assert (mm_garp(d), garp_f_threshold(d), ccei_all(d)) == first
+        assert garp_f(d, 0.0) == first[0] and ccei_scalar(d, 1) == first[2][1]
+        assert closures == [(6, 8, 8)]
+        # a fresh dataset of the same data closes once again
+        assert garp_f_threshold(violating_dataset(T=8, M=3, k=3, seed=2)) == first[1]
+        assert closures == [(6, 8, 8)] * 2
+
+    def test_undefined_agents_leave_the_ratio_stack(self, closures):
+        d = _ccei_dataset(0, T=5, M=3, k=2, undefined=np.array([True, False, True]))
+        assert ccei_all(d)[0] is None and ccei_all(d)[2] is None
+        assert closures == [(4, 5, 5)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        T=st.integers(1, 14),
+        k=st.integers(1, 3),
+        undefined=st.lists(st.booleans(), min_size=1, max_size=3),
+    )
+    def test_matches_fresh_closures(self, seed, T, k, undefined):
+        d = _ccei_dataset(seed, T, len(undefined), k, np.array(undefined))
+        # the answers as each function gave them when it closed its own stack
+        S = rp._slack(rp._agents(d))
+        threshold = max(map(float, _critical_levels(S)))
+        g = rp._agents(d) + 1.0
+        defined = (np.diagonal(g, axis1=-2, axis2=-1) > 0).all(axis=-1)
+        rho = g[defined] / np.diagonal(g[defined], axis1=-2, axis2=-1)[..., :, None]
+        values = iter(np.clip(-_critical_levels(-rho), 0.0, 1.0).tolist())
+        ccei = [next(values) if ok else None for ok in defined.tolist()]
+        assert defined.tolist() == [not u for u in undefined]
+        assert mm_garp(d) == bool(_garp(S, 0.0).all())
+        assert repr(garp_f_threshold(d)) == repr(threshold)
+        assert repr(ccei_all(d)) == repr(ccei)
+        for F in (0.0, 0.5 * threshold, threshold, threshold + 1e-9):
+            assert garp_f(d, F) == bool(_garp(S, F).all())
 
 
 class TestHoeffdingConfidence:

@@ -75,6 +75,16 @@ class TestConfig:
         with pytest.raises(ValueError, match=match):
             river_spsa_config(**{field: value})
 
+    @pytest.mark.parametrize("lo, hi", [(-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0), (0.0, np.nan)])
+    def test_non_finite_theta_box_rejected_where_the_config_is_built(self, lo, hi):
+        # [-inf, 1] once passed lo <= hi and died in Generator.uniform with a bare
+        # "OverflowError: Range exceeds valid bounds"
+        match = r"^theta_box must hold finite numbers, got "
+        with pytest.raises(ValueError, match=match):
+            _cfg(theta_box=[[lo, hi]])
+        with pytest.raises(ValueError, match=match):
+            river_spsa_config(theta_box=[[0.0, 1.0]] * 6 + [[lo, hi]])
+
     def test_integer_fields_accept_numpy_ints(self):
         cfg = _cfg(T=np.int64(3), max_iters=np.int32(1), seed=np.uint8(7))
         assert (cfg.T, cfg.max_iters, cfg.seed) == (3, 1, 7)
