@@ -2,18 +2,23 @@
 
 Constraint "probes" are the designer-chosen budget functions g_t^i used to
 excite the system; empirical strategies are finite sample clouds standing in
-for mixed strategies; a dataset bundles both over T periods and M agents and
-caches the matrix of expected budget values that every downstream test
-consumes.  :func:`affine_budgets` is the one decoder of an affine probe grid
-into its budget sets, read by both the game and the robust estimator, and
-:func:`budget_values` the one evaluator of g, in a fixed summation order.
+for mixed strategies.  A dataset holds both over T periods and M agents as
+arrays, the decoded probe grid and the padded sample stack, and caches the
+matrix of expected budget values that every downstream test consumes; it
+builds block objects only when they are read.  :func:`affine_budgets` is the
+one decoder of a grid of probe objects into its budget sets, which a dataset
+holds decoded (``RPDataset.budgets``), and :func:`budget_values` the one
+evaluator of g, in a fixed summation order.  :func:`load_dataset` reads a
+file as arrays, with every check in bulk, and walks the blocks one by one
+only to name the first bad one.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain
 from numbers import Integral, Real
 from typing import Sequence
@@ -83,6 +88,7 @@ class ConstraintFunction:
 
 _PLAIN = frozenset((float, int))  # the types a JSON number is read as
 _FLOAT = frozenset((float,))
+_LIST = frozenset((list,))  # the type a JSON array is read as
 
 
 def _check_reals(values, message: str) -> None:
@@ -136,35 +142,64 @@ def eval_constraint_many(f: ConstraintFunction, X: NDArray[np.float64]) -> NDArr
     return budget_values(affine_budgets(((f,),)), X)[0, 0]
 
 
-def affine_budgets(constraints, bounded: bool = False):
+def affine_budgets(constraints):
     """A T×M probe grid as (A, S, b), each (T, M, ·): g_t^i(γ) = A_t^i·(γ − S_t^i) − b_t^i.
 
     This is the one reading of a probe's budget set {γ ≥ 0 : g(γ) ≤ 0}: S is
-    the shift a_t·β, and 0 for an unshifted probe.  Raises on an empty grid,
-    and, when ``bounded``, on the first block, in row order, whose budget set
-    is not a bounded polytope.  Every coefficient is a finite real number, as
-    :class:`ConstraintFunction` checks at construction.
+    the shift a_t·β, and 0 for an unshifted probe.  Raises on an empty grid.
+    Every coefficient is a finite real number, as :class:`ConstraintFunction`
+    checks at construction.  A dataset holds its grid decoded, as
+    ``RPDataset.budgets``; :func:`check_bounded` checks that each set is bounded.
     """
     if not constraints or not constraints[0]:
         raise ValueError("the probe grid is empty")
-    if bounded:
-        for s, row in enumerate(constraints):
-            for i, f in enumerate(row):
-                if min(f.alpha) <= 0:
-                    raise ValueError(
-                        f"block (s={s}, i={i}): budget row {list(f.alpha)} has a non-positive "
-                        "entry, so its budget set is unbounded"
-                    )
-    T, M, k = len(constraints), len(constraints[0]), constraints[0][0].dim
+    p = _probe_arrays(constraints)
+    return p["A"], _shift(p["a_t"], p["beta"]), p["b"]
+
+
+def check_bounded(budgets):
+    """The budgets (A, S, b), after raising on the first block, in row order, whose budget
+    set is not a bounded polytope: one whose row A_s^i has an entry <= 0."""
+    A = budgets[0]
+    unbounded = A.min(axis=-1) <= 0
+    if unbounded.any():
+        s, i = np.argwhere(unbounded)[0]
+        raise ValueError(
+            f"block (s={s}, i={i}): budget row {A[s, i].tolist()} has a non-positive "
+            "entry, so its budget set is unbounded"
+        )
+    return budgets
+
+
+def _probe_table(P, has_beta, T: int, M: int, k: int) -> dict:
+    """The probe arrays of :class:`RPDataset` from the T·M rows (*alpha, b, a_t, *beta) of P,
+    beta zero-padded where ``has_beta`` is False: views of P, but a contiguous A for einsum."""
+    P = P.reshape(T, M, 2 * k + 2)
+    return {
+        "A": np.ascontiguousarray(P[..., :k]),
+        "b": P[..., k],
+        "a_t": P[..., k + 1],
+        "beta": P[..., k + 2 :],
+        "has_beta": np.array(has_beta, dtype=bool).reshape(T, M),
+    }
+
+
+def _probe_arrays(constraints) -> dict:
+    """:func:`_probe_table` of a T×M grid of probes of one dimension."""
     probes = [f for row in constraints for f in row]
-    A = np.array([f.alpha for f in probes], dtype=float).reshape(T, M, k)
-    # the shift a_t·β, +0 where a_t or β is 0, so budget_values may skip an all-zero S
-    S = np.zeros((T * M, k))
-    for j, f in enumerate(probes):
-        if f.a_t != 0.0 and any(f.beta):
-            S[j] = [f.a_t * c for c in f.beta]
-    b = np.array([f.b for f in probes], dtype=float).reshape(T, M)
-    return A, S.reshape(T, M, k), b
+    k = probes[0].dim
+    zero = (0.0,) * k
+    P = np.fromiter(chain.from_iterable([(*f.alpha, f.b, f.a_t, *(f.beta or zero)) for f in probes]), float)
+    return _probe_table(P, [bool(f.beta) for f in probes], len(constraints), len(constraints[0]), k)
+
+
+def _shift(a_t, beta) -> NDArray[np.float64]:
+    """S = a_t·β, +0 where a_t or β is 0, so budget_values may skip an all-zero S."""
+    if not a_t.any():
+        return np.zeros(beta.shape)
+    with np.errstate(over="ignore"):  # inf, as the product of two floats is
+        S = a_t[..., None] * beta
+    return np.where(((a_t != 0.0) & beta.any(axis=-1))[..., None], S, 0.0)
 
 
 def budget_values(budgets, X) -> NDArray[np.float64]:
@@ -187,10 +222,11 @@ def budget_values(budgets, X) -> NDArray[np.float64]:
     return g
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalStrategy:
     """N uniformly weighted sample points approximating one mixed strategy: an (N, k)
-    int or float array, or a list of points, of finite real numbers."""
+    int or float array, or a list of points, of finite real numbers.  A strategy compares
+    and hashes by identity, as its samples are an array."""
 
     samples: NDArray[np.float64]
 
@@ -235,28 +271,42 @@ def expected_constraint(f: ConstraintFunction, s: EmpiricalStrategy) -> float:
     return float(eval_constraint_many(f, s.samples).mean())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class RPDataset:
-    """Observed constraints and strategies over T periods and M agents.
+    """Observed probes and strategies over T periods and M agents, held as arrays.
 
-    ``gbar[t, s, i]`` caches the expected value of period-t's budget for agent
-    i evaluated on the strategy played in period s.  The grid is decoded once
-    (:func:`affine_budgets`), and one :func:`budget_values` call evaluates
-    every probe of each agent at the samples of all its plays, each play
-    zero-padded to the largest sample count when the counts differ.  The
+    The state is the decoded probe grid, each (T, M, ·): ``A``, ``b``, ``a_t``
+    and ``beta``, zero where ``has_beta`` says that a probe has no direction,
+    so that every block round-trips exactly; and the plays' samples ``X``
+    (M, T, c, k), play (s, i) at ``X[i, s, :n[i, s]]`` zero-padded to the
+    largest count c, with the counts ``n`` (M, T).  ``T``, ``M`` and ``k``
+    read their shapes.  ``RPDataset(constraints, strategies)`` converts the
+    block objects once and keeps them; a dataset that :func:`load_dataset`
+    read builds them only when ``constraints`` or ``strategies`` is first read.
+
+    :meth:`__post_init__`, run once on every construction path, evaluates
+    ``gbar[t, s, i]``, the expected value of period-t's budget for agent i on
+    the strategy played in period s, and rejects a non-finite entry and a
+    play or sample outside its own budget.  One :func:`budget_values` call
+    evaluates every probe of each agent at the samples of all its plays; the
     plays of each sample count are then averaged together, so every entry
-    rounds as its per-entry reference :func:`expected_constraint` does.
+    rounds as its per-entry reference :func:`expected_constraint` does.  All
+    arrays are read-only, and a dataset compares and hashes by identity.
     """
 
-    constraints: tuple[tuple[ConstraintFunction, ...], ...]  # T x M
-    strategies: tuple[tuple[EmpiricalStrategy, ...], ...]  # T x M
-    gbar: NDArray[np.float64] = field(init=False)
+    A: NDArray[np.float64]  # (T, M, k)
+    b: NDArray[np.float64]  # (T, M)
+    a_t: NDArray[np.float64]  # (T, M)
+    beta: NDArray[np.float64]  # (T, M, k)
+    has_beta: NDArray[np.bool_]  # (T, M)
+    X: NDArray[np.float64]  # (M, T, c, k)
+    n: NDArray[np.int_]  # (M, T)
+    S: NDArray[np.float64]  # (T, M, k): the shift a_t·β of affine_budgets
+    gbar: NDArray[np.float64]  # (T, T, M)
 
-    def __post_init__(self):
-        cons = tuple(tuple(row) for row in self.constraints)
-        strats = tuple(tuple(row) for row in self.strategies)
-        object.__setattr__(self, "constraints", cons)
-        object.__setattr__(self, "strategies", strats)
+    def __init__(self, constraints, strategies):
+        cons = tuple(tuple(row) for row in constraints)
+        strats = tuple(tuple(row) for row in strategies)
         T = len(cons)
         if T < 1 or len(strats) != T or not cons[0]:
             raise ValueError("constraints and strategies must be non-empty with equal T")
@@ -272,23 +322,33 @@ class RPDataset:
                     raise DimensionError(f"strategy dim {strats[s][i].dim} != constraint dim {cons[t][i].dim}")
             i, k = next((i, f.dim) for i, f in enumerate(cons[0]) if f.dim != cons[0][0].dim)
             raise DimensionError(f"constraint (0,{i}) has dimension {k}, constraint (0,0) {cons[0][0].dim}")
-        n = np.fromiter(map(len, xs), int, T * M).reshape(M, T)  # n[i, s]: samples of play (s, i)
-        c, k = n.max(), xs[0].shape[1]
-        held = np.arange(c) < n[..., None]  # (M, T, c): which of c slots play (s, i) fills
-        if n.min() == c:  # X[i, s]: the samples of play (s, i)
-            X = np.concatenate(xs).reshape(M, T, c, k)
-        else:  # zero-padded to c
-            X = np.zeros((M, T, c, k))
-            X[held] = np.concatenate(xs)
+        n = np.fromiter(map(len, xs), int, T * M).reshape(M, T)
+        X = _padded(np.concatenate(xs), n, xs[0].shape[1])
+        vars(self).update(_probe_arrays(cons), X=X, n=n, constraints=cons, strategies=strats)
+        self.__post_init__()
+
+    @classmethod
+    def _from_arrays(cls, arrays: dict) -> "RPDataset":
+        """The dataset of the arrays A, b, a_t, beta, has_beta, X and n, with no block objects."""
+        d = cls.__new__(cls)
+        vars(d).update(arrays)
+        d.__post_init__()
+        return d
+
+    def __post_init__(self):
+        A, b, X, n = self.A, self.b, self.X, self.n
+        (T, M, k), c = A.shape, X.shape[2]
+        S = _shift(self.a_t, self.beta)
         # V[t, i, s, j] = g_t^i(X[i, s, j])
-        V = budget_values(affine_budgets(cons), X.reshape(1, M, T * c, k)).reshape(T, M, T, c)
+        V = budget_values((A, S, b), X.reshape(1, M, T * c, k)).reshape(T, M, T, c)
         G = np.empty((T, M, T))  # G[t, i, s] = gbar[t, s, i]
-        for count in {x.shape[0] for x in xs}:
+        for count in set(n.flat):
             # every play's first `count` values, one contiguous row per (probe, play), whose
             # sum rounds as .mean() does; kept for the plays with `count` samples
             mean = V[..., :count].reshape(-1, count).sum(axis=1) / count
             np.copyto(G, mean.reshape(T, M, T), where=n == count)
         gbar = np.ascontiguousarray(G.transpose(0, 2, 1))
+        held = np.arange(c) < n[..., None]  # (M, T, c): which of c slots play (s, i) fills
         at_own = np.diagonal(V, axis1=0, axis2=2).transpose(0, 2, 1)  # at_own[i, t] = V[t, i, t]
         own_max = np.where(held, at_own, -np.inf).max(axis=2).T  # largest g_t^i over play (t, i)
         if not np.isfinite(gbar).all():
@@ -309,20 +369,50 @@ class RPDataset:
                 f"a sample of strategy ({t},{i}) leaves the feasible set "
                 f"(max g = {own_max[t, i]:.3e})"
             )
-        gbar.setflags(write=False)
-        object.__setattr__(self, "gbar", gbar)
+        for a in (A, b, self.a_t, self.beta, self.has_beta, X, n, S, gbar):
+            a.setflags(write=False)
+        vars(self).update(S=S, gbar=gbar)
 
     @property
     def T(self) -> int:
-        return len(self.constraints)
+        return self.A.shape[0]
 
     @property
     def M(self) -> int:
-        return len(self.constraints[0])
+        return self.A.shape[1]
 
     @property
     def k(self) -> int:
-        return self.constraints[0][0].dim
+        return self.A.shape[2]
+
+    @property
+    def budgets(self):
+        """(A, S, b), as :func:`affine_budgets` decodes :attr:`constraints`."""
+        return self.A, self.S, self.b
+
+    @cached_property
+    def constraints(self) -> tuple[tuple[ConstraintFunction, ...], ...]:  # T x M
+        grids = (v.tolist() for v in (self.A, self.b, self.a_t, self.beta, self.has_beta))
+        return tuple(
+            tuple(ConstraintFunction(tuple(a), b, a_t, tuple(beta) if has else ()) for a, b, a_t, beta, has in zip(*row))
+            for row in zip(*grids)
+        )
+
+    @cached_property
+    def strategies(self) -> tuple[tuple[EmpiricalStrategy, ...], ...]:  # T x M
+        X, n = self.X, self.n
+        return tuple(tuple(EmpiricalStrategy(X[i, t, : n[i, t]]) for i in range(self.M)) for t in range(self.T))
+
+
+def _padded(points, n, k: int) -> NDArray[np.float64]:
+    """The points of one play after another, n[j] points for the play of cell j of the count
+    grid n, as a stack (*n.shape, c, k), each play zero-padded to the largest count c."""
+    c = n.max()
+    if n.min() == c:
+        return points.reshape(*n.shape, c, k)
+    X = np.zeros((*n.shape, c, k))
+    X[np.arange(c) < n[..., None]] = points
+    return X
 
 
 @dataclass(frozen=True)
@@ -436,12 +526,17 @@ def save_dataset(d: RPDataset, path) -> None:
 def load_dataset(path) -> RPDataset:
     """Read a :func:`save_dataset` file.
 
-    A malformed file raises ValueError naming the missing key, a header T, M
-    or k that is not a JSON integer (a bool included), a grid that is not a
-    list of rows, or a bad (t, i) block: a kind other than ``"affine"``, a
-    coefficient or sample that is not a JSON number (a bool included), or one
-    that is not finite or too large to be a float, a coefficient vector or a
-    sample list of the wrong shape, or samples of another dimension than k.
+    A well-formed file is read as arrays (:func:`_file_arrays`), every check
+    made in bulk, and its dataset builds no block object until one is read.
+    Only when a bulk check fails are the blocks walked one by one
+    (:func:`_walk`), to raise on the first bad one; a walk that finds none
+    builds the dataset from blocks.  A malformed file raises ValueError
+    naming the missing key, a header T, M or k that is not a JSON integer (a
+    bool included), a grid that is not a list of rows, or a bad (t, i)
+    block: a kind other than ``"affine"``, a coefficient or sample that is
+    not a JSON number (a bool included), or one that is not finite or too
+    large to be a float, a coefficient vector or a sample list of the wrong
+    shape, or samples of another dimension than k.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -454,6 +549,59 @@ def load_dataset(path) -> RPDataset:
     for key in ("constraints", "strategies"):
         if type(doc[key]) is not list or any(type(row) is not list for row in doc[key]):
             raise ValueError(f"dataset file key {key!r} is not a list of rows")
+    arrays = _file_arrays(doc)
+    return _walk(doc) if arrays is None else RPDataset._from_arrays(arrays)
+
+
+def _file_arrays(doc) -> dict | None:
+    """The arrays of :class:`RPDataset` read from a file's lists by one ``np.array`` call, or
+    None unless every bulk check passes: T × M grids that match the header, every probe an
+    ``"affine"`` dict with an ``alpha`` list of k >= 1 values and a ``beta`` list, if any, of
+    0 or k, every play a list of N >= 1 lists of k, and every value a finite int or float
+    (no bool).  :func:`_walk` raises on any other file and builds these arrays from this one."""
+    rows, plays, k = doc["constraints"], doc["strategies"], doc["k"]
+    T, M = len(rows), len(rows[0]) if rows else 0
+    if not (T == doc["T"] == len(plays) and M == doc["M"] >= 1 and k >= 1):
+        return None
+    if {*map(len, rows), *map(len, plays)} != {M}:
+        return None
+    probes, plays = [*chain.from_iterable(rows)], [*chain.from_iterable(plays)]
+    try:
+        if any(o["kind"] != "affine" for o in probes):
+            return None
+        alphas = [o["alpha"] for o in probes]
+        betas = [o.get("beta", []) for o in probes]
+        samples = [o["samples"] for o in plays]
+        points = [*chain.from_iterable(samples)]
+    except (KeyError, TypeError):  # a block that is no dict or lacks a key, samples no list
+        return None
+    if not _LIST.issuperset(map(type, chain(alphas, betas, samples, points))):
+        return None
+    counts = [*map(len, samples)]
+    if 0 in counts or {*map(len, alphas), *map(len, points)} != {k} or not {*map(len, betas)} <= {0, k}:
+        return None
+    zero = [0.0] * k
+    table = [[*a, o.get("b", 0.0), o.get("a_t", 0.0), *(be or zero)] for o, a, be in zip(probes, alphas, betas)]
+    values = [*chain.from_iterable(table), *chain.from_iterable(points)]  # one array's worth
+    if not _PLAIN.issuperset(map(type, values)):
+        return None
+    try:
+        values = np.array(values, dtype=float)
+    except OverflowError:  # an int too large to be a float
+        return None
+    if not np.isfinite(values).all():
+        return None
+    cut = len(table) * (2 * k + 2)
+    P, pts = values[:cut], values[cut:]
+    n = np.array(counts).reshape(T, M)
+    X = _padded(pts.reshape(-1, k), n, k).transpose(1, 0, 2, 3)
+    arrays = _probe_table(P, [*map(bool, betas)], T, M, k)
+    return {**arrays, "X": np.ascontiguousarray(X), "n": np.ascontiguousarray(n.T)}
+
+
+def _walk(doc) -> RPDataset:
+    """The dataset of a file built from blocks: every probe, then every play, in row order,
+    by its constructor, so that the first bad block raises with its (t, i) named."""
     k = doc["k"]
     cons = [
         [_constraint_from_json(o, k, t, i) for i, o in enumerate(row)]
@@ -463,7 +611,7 @@ def load_dataset(path) -> RPDataset:
         [_strategy_from_json(o, k, t, i) for i, o in enumerate(row)]
         for t, row in enumerate(doc["strategies"])
     ]
-    d = RPDataset(tuple(map(tuple, cons)), tuple(map(tuple, strats)))
+    d = RPDataset(cons, strats)
     if d.T != doc["T"] or d.M != doc["M"]:
         raise ValueError("dataset header (T, M) disagrees with grid shapes")
     return d

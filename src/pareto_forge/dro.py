@@ -20,7 +20,7 @@ Key structural fact used throughout: h(ψ, Φ) is a pointwise maximum of terms
 that each touch a single scenario block γ_s^i, so worst-case searches only
 ever need to deviate one block from the samples at a time.
 
-Each budget is read once, by :func:`~pareto_forge.core.affine_budgets`, as
+Each budget is read from the dataset's decoded grid ``d.budgets``, as
 g_t^i(γ) = A_t^i·(γ − S_t^i) − b_t^i with S = a_t·β the probe's shift, and one
 call of the fixed-order evaluator :func:`~pareto_forge.core.budget_values`
 evaluates all of them.
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import RPDataset, _check_ints, _check_reals, affine_budgets, budget_values
+from .core import RPDataset, _check_ints, _check_reals, budget_values, check_bounded
 from .rp import _critical_levels
 
 # slack within which an oracle candidate counts as inside its budget set or ball
@@ -110,16 +110,14 @@ def _read_only(a: NDArray) -> NDArray:
 
 def _dataset_g_bound(d: RPDataset) -> float:
     """Range bound G: |g| is at most max_t,i |g_t^i(0)| + spread over budgets."""
-    vals = [abs(float(c.b)) + abs(float(c.a_t)) + 1.0 for row in d.constraints for c in row]
-    return max(max(vals), float(np.abs(d.gbar).max()) + 1.0)
+    return max(float((np.abs(d.b) + np.abs(d.a_t) + 1.0).max()), float(np.abs(d.gbar).max()) + 1.0)
 
 
 def _samples(d: RPDataset) -> NDArray[np.float64]:
     """(T, M, N, k) sample tensor (requires a common N across blocks)."""
-    Ns = {s.samples.shape[0] for row in d.strategies for s in row}
-    if len(Ns) != 1:
+    if (d.n != d.n[0, 0]).any():
         raise ValueError("dataset blocks disagree on sample count N")
-    return np.array([[s.samples for s in row] for row in d.strategies], dtype=float)
+    return np.ascontiguousarray(d.X.transpose(1, 0, 2, 3))
 
 
 def _cross_values(budgets, pts) -> NDArray[np.float64]:
@@ -148,7 +146,7 @@ def h_value(psi: PsiVector, phi, d: RPDataset) -> float:
     _check_shape("psi", psi.u.shape, (d.T, d.M))
     phi = np.asarray(phi, dtype=float)
     _check_shape("phi", phi.shape, (d.T, d.M, d.k))
-    bt = _block_terms(affine_budgets(d.constraints), psi, phi[:, :, None])  # one-sample scenario
+    bt = _block_terms(d.budgets, psi, phi[:, :, None])  # one-sample scenario
     return float(max(0.0, bt.max()))
 
 
@@ -165,8 +163,8 @@ def wasserstein_ball_check(phi, d: RPDataset, eps: float) -> bool:
 class ScenarioSet:
     """The exchange loop's problem: a dataset's fixed data and the cuts found so far.
 
-    ``ScenarioSet(d)`` decodes d once: the (T, M, N, k) ``samples``, the
-    bounded ``budgets`` (:func:`~pareto_forge.core.affine_budgets`, which
+    ``ScenarioSet(d)`` reads d's arrays once: the (T, M, N, k) ``samples``,
+    the bounded ``budgets`` (:func:`~pareto_forge.core.check_bounded`, which
     raises on the first block whose budget set is unbounded), the range bound
     ``g_bound`` and the samples' oracle ``faces`` (:func:`_face_points`).
 
@@ -180,7 +178,7 @@ class ScenarioSet:
     def __init__(self, d: RPDataset):
         self.samples = _samples(d)
         T, M, self.N, _k = self.samples.shape
-        self.budgets = affine_budgets(d.constraints, bounded=True)
+        self.budgets = check_bounded(d.budgets)
         self.g_bound = _dataset_g_bound(d)
         self.faces = _face_points(self.budgets, self.samples)
         self.G = _read_only(np.empty((0, T, T, M)))

@@ -28,7 +28,7 @@ from numbers import Integral
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import ConstraintFunction, EmpiricalStrategy, RPDataset, affine_budgets
+from .core import ConstraintFunction, RPDataset, _probe_arrays, affine_budgets
 
 TOL_NE = 1e-5
 MAX_OUTER = 500
@@ -354,7 +354,9 @@ def collect_dataset(
     jitter clipped back into the budget interval (jitter=0 gives N identical
     samples, a pure strategy).  If a period's equilibrium does not converge,
     NashConvergenceError names the first such period.  N must be an int >= 1,
-    bools excluded, and jitter a finite number >= 0.
+    bools excluded, and jitter a finite number >= 0.  The dataset is built
+    from the probe and sample arrays, and builds its block objects only when
+    they are read.
     """
     if isinstance(N, bool) or not isinstance(N, Integral) or N < 1:
         raise ValueError(f"N must be an int >= 1, got {N!r}")
@@ -381,5 +383,5 @@ def collect_dataset(
         pts = np.clip(base + noise, lo[..., None, None], hi[..., None, None])
     else:
         pts = np.broadcast_to(base, shape)
-    strategies = tuple(tuple(EmpiricalStrategy(pts[t, i]) for i in range(g.M)) for t in range(T))
-    return RPDataset(tuple(probes), strategies)
+    X = np.ascontiguousarray(pts.transpose(1, 0, 2, 3))
+    return RPDataset._from_arrays({**_probe_arrays(probes), "X": X, "n": np.full((g.M, T), N)})

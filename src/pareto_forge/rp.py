@@ -46,7 +46,7 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import ParetoCertificate, RPDataset, _orthant_point, affine_budgets, budget_values
+from .core import ParetoCertificate, RPDataset, _orthant_point, budget_values
 
 ALPHA_DEFAULT = 1e-3
 # Gap up to which the audit calls a dataset consistent; also the step above
@@ -343,7 +343,7 @@ def reconstruct_utility(cert: ParetoCertificate, d: RPDataset, agent: int, tol: 
         raise ValueError("certificate does not validate against the dataset")
     u = cert.u[:, agent].copy()
     lam = cert.lam[:, agent].copy()
-    budgets = affine_budgets([[row[agent]] for row in d.constraints])  # (T, 1, ·)
+    budgets = [a[:, agent : agent + 1] for a in d.budgets]  # (T, 1, ·)
 
     def utility(gamma) -> float:
         g = budget_values(budgets, _orthant_point(gamma, d.k)[None, :])[:, 0, 0]  # g_s(γ)

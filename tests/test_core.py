@@ -153,6 +153,15 @@ class TestEmpiricalStrategy:
         with pytest.raises(ValueError):
             s.samples[0, 0] = 5.0
 
+    def test_compares_and_hashes_by_identity(self):
+        # a dataclass __eq__ over the samples array raised "The truth value of an array ...
+        # is ambiguous", and its __hash__ "unhashable type"
+        s = EmpiricalStrategy(np.ones((2, 2)))
+        twin = EmpiricalStrategy(s.samples)
+        assert s == s and s != twin
+        assert s in [twin, s] and twin not in [s]
+        assert hash(s) != hash(twin) and len({s, twin, s}) == 2
+
     def test_expected_constraint_is_sample_mean(self):
         f = _affine([1.0, 1.0], 1.0)
         s = EmpiricalStrategy(np.array([[0.0, 0.0], [0.5, 0.5]]))
@@ -178,6 +187,24 @@ class TestRPDataset:
         assert d.gbar[0, 1, 0] == pytest.approx(-0.5)
         assert d.gbar[1, 0, 0] == pytest.approx(-0.5)
         assert d.gbar[1, 1, 0] == pytest.approx(0.0)
+
+    def test_compares_and_hashes_by_identity(self):
+        # as for EmpiricalStrategy: the dataclass __eq__ compared gbar and raised, and its
+        # __hash__ raised "unhashable type"
+        d = self._tiny()
+        twin = RPDataset(d.constraints, d.strategies)
+        assert d == d and d != twin
+        assert d in [twin, d] and twin not in [d]
+        assert len({d, twin, d}) == 2 and {d: 1}[d] == 1
+
+    def test_arrays_are_the_state_and_read_only(self):
+        d = self._tiny()
+        assert (d.A.shape, d.b.shape, d.X.shape, d.n.tolist()) == ((2, 1, 2), (2, 1), (1, 2, 1, 2), [[1, 1]])
+        assert d.budgets[0] is d.A and d.budgets[2] is d.b and not d.S.any()
+        for a in (d.A, d.b, d.a_t, d.beta, d.has_beta, d.X, d.n, d.S, d.gbar):
+            assert not a.flags.writeable
+        with pytest.raises(AttributeError):
+            d.gbar = np.zeros((2, 2, 1))
 
     def test_own_budget_violation_rejected(self):
         cons = ((_affine([1.0], 1.0),),)

@@ -725,7 +725,7 @@ def _reference_cv_all(state, d, samples):
     psi, v_hat = state.psi_hat, state.v_hat
     T, M, N, kdim = samples.shape
     v_n1 = float(v_hat[-1])
-    budgets = affine_budgets(d.constraints, bounded=True)
+    budgets = affine_budgets(d.constraints)
     bt = dro._block_terms(budgets, psi, samples)
     rest = _rest_tensor(bt)
     base_h = np.maximum(bt.reshape(T * M, N).max(axis=0), 0.0)
