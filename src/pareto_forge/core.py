@@ -5,12 +5,12 @@ excite the system; empirical strategies are finite sample clouds standing in
 for mixed strategies.  A dataset holds both over T periods and M agents as
 arrays, the decoded probe grid and the padded sample stack, and caches the
 matrix of expected budget values that every downstream test consumes; it
-builds block objects only when they are read.  :func:`affine_budgets` is the
-one decoder of a grid of probe objects into its budget sets, which a dataset
-holds decoded (``RPDataset.budgets``), and :func:`budget_values` the one
-evaluator of g, in a fixed summation order.  :func:`load_dataset` reads a
-file as arrays, with every check in bulk, and walks the blocks one by one
-only to name the first bad one.
+builds block objects only when they are read; every grid is (T, M, ·).
+:func:`affine_budgets` decodes a grid of probe objects into its budget sets,
+:func:`budget_values` is the one evaluator of g, in a fixed summation order,
+and :func:`cross_values` of every probe at every play.  :func:`load_dataset`
+reads a file as arrays, with every check in bulk, and walks the blocks one by
+one only to name the first bad one; :func:`save_dataset` writes the arrays.
 """
 
 from __future__ import annotations
@@ -146,15 +146,28 @@ def affine_budgets(constraints):
     """A T×M probe grid as (A, S, b), each (T, M, ·): g_t^i(γ) = A_t^i·(γ − S_t^i) − b_t^i.
 
     This is the one reading of a probe's budget set {γ ≥ 0 : g(γ) ≤ 0}: S is
-    the shift a_t·β, and 0 for an unshifted probe.  Raises on an empty grid.
-    Every coefficient is a finite real number, as :class:`ConstraintFunction`
-    checks at construction.  A dataset holds its grid decoded, as
-    ``RPDataset.budgets``; :func:`check_bounded` checks that each set is bounded.
+    the shift a_t·β, and 0 for an unshifted probe.  Raises on an empty or
+    ragged grid and on a probe of another dimension than probe (0,0).  Every
+    coefficient is a finite real number, as :class:`ConstraintFunction` checks
+    at construction.  A dataset holds its grid decoded, as ``RPDataset.budgets``;
+    :func:`check_bounded` checks that each set is bounded.
     """
     if not constraints or not constraints[0]:
         raise ValueError("the probe grid is empty")
+    if any(len(row) != len(constraints[0]) for row in constraints):
+        raise ValueError("ragged T x M grids")
+    _check_dims(constraints)
     p = _probe_arrays(constraints)
     return p["A"], _shift(p["a_t"], p["beta"]), p["b"]
+
+
+def _check_dims(constraints) -> None:
+    """Raise DimensionError on the first probe, in row order, of another dimension than probe (0,0)."""
+    k = constraints[0][0].dim
+    for t, row in enumerate(constraints):
+        for i, f in enumerate(row):
+            if f.dim != k:
+                raise DimensionError(f"constraint ({t},{i}) has dimension {f.dim}, constraint (0,0) {k}")
 
 
 def check_bounded(budgets):
@@ -222,6 +235,14 @@ def budget_values(budgets, X) -> NDArray[np.float64]:
     return g
 
 
+def cross_values(budgets, pts) -> NDArray[np.float64]:
+    """g[t, s, i, j] = g_t^i(pts[s, i, j]) for points pts (T, M, n, k): (T, T, M, n).  One
+    :func:`budget_values` call takes agent i's probes at the T·n points of all its plays."""
+    T, M, n, k = pts.shape
+    g = budget_values(budgets, pts.transpose(1, 0, 2, 3).reshape(1, M, T * n, k))
+    return g.reshape(T, M, T, n).transpose(0, 2, 1, 3)
+
+
 @dataclass(frozen=True, eq=False)
 class EmpiricalStrategy:
     """N uniformly weighted sample points approximating one mixed strategy: an (N, k)
@@ -278,16 +299,16 @@ class RPDataset:
     The state is the decoded probe grid, each (T, M, ·): ``A``, ``b``, ``a_t``
     and ``beta``, zero where ``has_beta`` says that a probe has no direction,
     so that every block round-trips exactly; and the plays' samples ``X``
-    (M, T, c, k), play (s, i) at ``X[i, s, :n[i, s]]`` zero-padded to the
-    largest count c, with the counts ``n`` (M, T).  ``T``, ``M`` and ``k``
-    read their shapes.  ``RPDataset(constraints, strategies)`` converts the
-    block objects once and keeps them; a dataset that :func:`load_dataset`
-    read builds them only when ``constraints`` or ``strategies`` is first read.
+    (T, M, c, k), play (s, i) at ``X[s, i, :n[s, i]]`` zero-padded with +0.0
+    to the largest count c, with the counts ``n`` (T, M).  ``T``, ``M`` and
+    ``k`` read their shapes.  ``RPDataset(constraints, strategies)`` converts
+    the block objects once and keeps them; one built by :meth:`_from_arrays`,
+    as every producer here is, builds them only when first read.
 
     :meth:`__post_init__`, run once on every construction path, evaluates
     ``gbar[t, s, i]``, the expected value of period-t's budget for agent i on
     the strategy played in period s, and rejects a non-finite entry and a
-    play or sample outside its own budget.  One :func:`budget_values` call
+    play or sample outside its own budget.  One :func:`cross_values` call
     evaluates every probe of each agent at the samples of all its plays; the
     plays of each sample count are then averaged together, so every entry
     rounds as its per-entry reference :func:`expected_constraint` does.  All
@@ -299,8 +320,8 @@ class RPDataset:
     a_t: NDArray[np.float64]  # (T, M)
     beta: NDArray[np.float64]  # (T, M, k)
     has_beta: NDArray[np.bool_]  # (T, M)
-    X: NDArray[np.float64]  # (M, T, c, k)
-    n: NDArray[np.int_]  # (M, T)
+    X: NDArray[np.float64]  # (T, M, c, k)
+    n: NDArray[np.int_]  # (T, M)
     S: NDArray[np.float64]  # (T, M, k): the shift a_t·β of affine_budgets
     gbar: NDArray[np.float64]  # (T, T, M)
 
@@ -313,16 +334,15 @@ class RPDataset:
         M = len(cons[0])
         if any(len(row) != M for row in cons) or any(len(row) != M for row in strats):
             raise ValueError("ragged T x M grids")
-        xs = [row[i].samples for i in range(M) for row in strats]  # agent by agent, play by play
+        xs = [s.samples for row in strats for s in row]
         if len({len(f.alpha) for row in cons for f in row} | {x.shape[1] for x in xs}) > 1:
             # the first mismatch in (agent, probe, play) order; else every agent's probes and
             # samples share one dimension, and row 0 has a block of another than block (0,0)'s
             for i, t, s in np.ndindex(M, T, T):
                 if strats[s][i].dim != cons[t][i].dim:
                     raise DimensionError(f"strategy dim {strats[s][i].dim} != constraint dim {cons[t][i].dim}")
-            i, k = next((i, f.dim) for i, f in enumerate(cons[0]) if f.dim != cons[0][0].dim)
-            raise DimensionError(f"constraint (0,{i}) has dimension {k}, constraint (0,0) {cons[0][0].dim}")
-        n = np.fromiter(map(len, xs), int, T * M).reshape(M, T)
+            _check_dims(cons)
+        n = np.fromiter(map(len, xs), int, T * M).reshape(T, M)
         X = _padded(np.concatenate(xs), n, xs[0].shape[1])
         vars(self).update(_probe_arrays(cons), X=X, n=n, constraints=cons, strategies=strats)
         self.__post_init__()
@@ -337,20 +357,18 @@ class RPDataset:
 
     def __post_init__(self):
         A, b, X, n = self.A, self.b, self.X, self.n
-        (T, M, k), c = A.shape, X.shape[2]
+        T, M, c = X.shape[:3]
         S = _shift(self.a_t, self.beta)
-        # V[t, i, s, j] = g_t^i(X[i, s, j])
-        V = budget_values((A, S, b), X.reshape(1, M, T * c, k)).reshape(T, M, T, c)
-        G = np.empty((T, M, T))  # G[t, i, s] = gbar[t, s, i]
+        V = cross_values((A, S, b), X)  # V[t, s, i, j] = g_t^i(X[s, i, j])
+        gbar = np.empty((T, T, M))
         for count in set(n.flat):
             # every play's first `count` values, one contiguous row per (probe, play), whose
             # sum rounds as .mean() does; kept for the plays with `count` samples
             mean = V[..., :count].reshape(-1, count).sum(axis=1) / count
-            np.copyto(G, mean.reshape(T, M, T), where=n == count)
-        gbar = np.ascontiguousarray(G.transpose(0, 2, 1))
-        held = np.arange(c) < n[..., None]  # (M, T, c): which of c slots play (s, i) fills
-        at_own = np.diagonal(V, axis1=0, axis2=2).transpose(0, 2, 1)  # at_own[i, t] = V[t, i, t]
-        own_max = np.where(held, at_own, -np.inf).max(axis=2).T  # largest g_t^i over play (t, i)
+            np.copyto(gbar, mean.reshape(T, T, M), where=n == count)
+        held = np.arange(c) < n[..., None]  # (T, M, c): which of c slots play (s, i) fills
+        at_own = V[np.arange(T), np.arange(T)]  # at_own[t] = V[t, t]
+        own_max = np.where(held, at_own, -np.inf).max(axis=2)  # largest g_t^i over play (t, i)
         if not np.isfinite(gbar).all():
             t, s, i = np.argwhere(~np.isfinite(gbar))[0]
             raise ValueError(
@@ -401,7 +419,7 @@ class RPDataset:
     @cached_property
     def strategies(self) -> tuple[tuple[EmpiricalStrategy, ...], ...]:  # T x M
         X, n = self.X, self.n
-        return tuple(tuple(EmpiricalStrategy(X[i, t, : n[i, t]]) for i in range(self.M)) for t in range(self.T))
+        return tuple(tuple(EmpiricalStrategy(X[t, i, : n[t, i]]) for i in range(self.M)) for t in range(self.T))
 
 
 def _padded(points, n, k: int) -> NDArray[np.float64]:
@@ -454,16 +472,6 @@ class ParetoCertificate:
 # --- dataset file format ----------------------------------------------------
 
 
-def _constraint_to_json(f: ConstraintFunction) -> dict:
-    return {
-        "kind": "affine",
-        "alpha": list(f.alpha),
-        "b": f.b,
-        "a_t": f.a_t,
-        "beta": list(f.beta),
-    }
-
-
 def _at_block(err: ValueError, subject: str, t: int, i: int) -> ValueError:
     """A constructor's error with the block (t, i) named: after its subject when it starts
     with it ("strategy (t,i) has a non-finite sample"), else before it ("strategy (t,i):
@@ -509,15 +517,14 @@ def _strategy_from_json(obj, dim: int, t: int, i: int) -> EmpiricalStrategy:
 
 
 def save_dataset(d: RPDataset, path) -> None:
-    doc = {
-        "T": d.T,
-        "M": d.M,
-        "k": d.k,
-        "constraints": [[_constraint_to_json(f) for f in row] for row in d.constraints],
-        "strategies": [
-            [{"samples": s.samples.tolist()} for s in row] for row in d.strategies
-        ],
-    }
+    """Write d's arrays, play (s, i) as ``X[s, i, :n[s, i]]`` and ``beta`` [] where not ``has_beta``."""
+    grids = (v.tolist() for v in (d.A, d.b, d.a_t, d.beta, d.has_beta))
+    cons = [
+        [{"kind": "affine", "alpha": a, "b": b, "a_t": a_t, "beta": beta if has else []} for a, b, a_t, beta, has in zip(*row)]
+        for row in zip(*grids)
+    ]
+    plays = [[{"samples": x[:m]} for x, m in zip(*row)] for row in zip(d.X.tolist(), d.n.tolist())]
+    doc = {"T": d.T, "M": d.M, "k": d.k, "constraints": cons, "strategies": plays}
     with open(path, "w") as fh:
         # json.dumps takes the C encoder, json.dump always the pure-Python one; same bytes
         fh.write(json.dumps(doc))
@@ -594,9 +601,8 @@ def _file_arrays(doc) -> dict | None:
     cut = len(table) * (2 * k + 2)
     P, pts = values[:cut], values[cut:]
     n = np.array(counts).reshape(T, M)
-    X = _padded(pts.reshape(-1, k), n, k).transpose(1, 0, 2, 3)
     arrays = _probe_table(P, [*map(bool, betas)], T, M, k)
-    return {**arrays, "X": np.ascontiguousarray(X), "n": np.ascontiguousarray(n.T)}
+    return {**arrays, "X": _padded(pts.reshape(-1, k), n, k), "n": n}
 
 
 def _walk(doc) -> RPDataset:

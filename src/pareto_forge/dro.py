@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import RPDataset, _check_ints, _check_reals, budget_values, check_bounded
+from .core import RPDataset, _check_ints, _check_reals, budget_values, check_bounded, cross_values
 from .rp import _critical_levels
 
 # slack within which an oracle candidate counts as inside its budget set or ball
@@ -114,17 +114,10 @@ def _dataset_g_bound(d: RPDataset) -> float:
 
 
 def _samples(d: RPDataset) -> NDArray[np.float64]:
-    """(T, M, N, k) sample tensor (requires a common N across blocks)."""
+    """The (T, M, N, k) samples ``d.X``, unpadded: raises unless every block has N samples."""
     if (d.n != d.n[0, 0]).any():
         raise ValueError("dataset blocks disagree on sample count N")
-    return np.ascontiguousarray(d.X.transpose(1, 0, 2, 3))
-
-
-def _cross_values(budgets, pts) -> NDArray[np.float64]:
-    """g[t, s, i, n] = g_t^i(pts[s, i, n]) for points pts (T, M, n, k) per block."""
-    T, M, n, k = pts.shape
-    g = budget_values(budgets, pts.transpose(1, 0, 2, 3).reshape(1, M, T * n, k))
-    return g.reshape(T, M, T, n).transpose(0, 2, 1, 3)
+    return d.X
 
 
 def _block_terms(budgets, psi: PsiVector, pts) -> NDArray[np.float64]:
@@ -134,7 +127,7 @@ def _block_terms(budgets, psi: PsiVector, pts) -> NDArray[np.float64]:
     """
     u, lam = psi.u, psi.lam
     c = (u[None, :, :] - u[:, None, :]) / lam[:, None, :]  # c[t, s, i]
-    return (c[..., None] - _cross_values(budgets, pts)).max(axis=0)
+    return (c[..., None] - cross_values(budgets, pts)).max(axis=0)
 
 
 def h_value(psi: PsiVector, phi, d: RPDataset) -> float:
@@ -163,7 +156,7 @@ def wasserstein_ball_check(phi, d: RPDataset, eps: float) -> bool:
 class ScenarioSet:
     """The exchange loop's problem: a dataset's fixed data and the cuts found so far.
 
-    ``ScenarioSet(d)`` reads d's arrays once: the (T, M, N, k) ``samples``,
+    ``ScenarioSet(d)`` reads d's arrays once: the (T, M, N, k) ``samples`` ``d.X``,
     the bounded ``budgets`` (:func:`~pareto_forge.core.check_bounded`, which
     raises on the first block whose budget set is unbounded), the range bound
     ``g_bound`` and the samples' oracle ``faces`` (:func:`_face_points`).
@@ -196,7 +189,7 @@ class ScenarioSet:
         ks = np.asarray(ks, dtype=np.intp)
         phis = np.asarray(phis, dtype=float)  # (J, T, M, k)
         gaps = np.linalg.norm(phis - self.samples[:, :, ks].transpose(2, 0, 1, 3), axis=-1)
-        G = _cross_values(self.budgets, phis.transpose(1, 2, 0, 3)).transpose(3, 0, 1, 2)  # (J, T, T, M)
+        G = cross_values(self.budgets, phis.transpose(1, 2, 0, 3)).transpose(3, 0, 1, 2)  # (J, T, T, M)
         self.G = _read_only(np.concatenate([self.G, G]))
         self.dist = _read_only(np.concatenate([self.dist, gaps.reshape(len(ks), -1).sum(axis=1)]))
         self.k = _read_only(np.concatenate([self.k, ks]))

@@ -7,9 +7,8 @@ by the relaxation method driven by the Nikaido-Isoda function, every play of
 the stack a lane of one loop; ``collect_dataset`` plays the game under a
 sequence of budget probes, all periods in one stacked solve, and records the
 observed strategies in the revealed-preference dataset format.  Every budget
-is an interval: ``probe_bounds`` reads it from the scalar probe by
-:func:`~pareto_forge.core.affine_budgets`, and a probe of dimension above 1
-is rejected.
+is an interval: ``probe_bounds`` reads it from the decoded scalar probe,
+and a probe of dimension above 1 is rejected.
 
 The flagship instance is a three-agent river-pollution game with a
 seven-dimensional mechanism parameter θ (demand slope plus per-agent cost
@@ -28,7 +27,7 @@ from numbers import Integral
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import ConstraintFunction, RPDataset, _probe_arrays, affine_budgets
+from .core import ConstraintFunction, RPDataset, _probe_arrays, _shift
 
 TOL_NE = 1e-5
 MAX_OUTER = 500
@@ -64,11 +63,16 @@ def probe_bounds(
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Budget intervals [lo, hi] of a table of scalar affine probes, as two (T, M) arrays.
 
-    Probe (t, i) reads, by :func:`~pareto_forge.core.affine_budgets`, as
-    α·(x − S) − b ≤ 0 on x ≥ 0, so hi = (b + α·S)/α where α > 0 and +inf
+    Probe (t, i) reads, decoded as by :func:`~pareto_forge.core.affine_budgets`,
+    as α·(x − S) − b ≤ 0 on x ≥ 0, so hi = (b + α·S)/α where α > 0 and +inf
     otherwise, floored at 0.  Stacked play needs interval budgets, so a probe
     of dimension above 1 is rejected.
     """
+    return _intervals(_interval_probes(probes, M))
+
+
+def _interval_probes(probes, M: int) -> dict:
+    """The probe arrays of a non-empty table of scalar probes for M agents; raises on another."""
     for t, row in enumerate(probes):
         if len(row) != M:
             raise ValueError(f"period {t} probes do not cover all {M} agents")
@@ -78,9 +82,15 @@ def probe_bounds(
                     f"play needs interval budgets: the period {t} probe of agent {i} "
                     f"has dimension {p.dim}"
                 )
-    A, S, b = affine_budgets(probes)
-    alpha = A[..., 0]
-    rhs = b + alpha * S[..., 0]
+    if not probes or not M:
+        raise ValueError("the probe grid is empty")
+    return _probe_arrays(probes)
+
+
+def _intervals(p: dict) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """:func:`probe_bounds` of the decoded probe arrays p."""
+    alpha = p["A"][..., 0]
+    rhs = p["b"] + alpha * _shift(p["a_t"], p["beta"])[..., 0]
     hi = np.maximum(np.where(alpha > 0, rhs / np.where(alpha > 0, alpha, 1.0), np.inf), 0.0)
     return np.zeros_like(hi), hi
 
@@ -355,8 +365,8 @@ def collect_dataset(
     samples, a pure strategy).  If a period's equilibrium does not converge,
     NashConvergenceError names the first such period.  N must be an int >= 1,
     bools excluded, and jitter a finite number >= 0.  The dataset is built
-    from the probe and sample arrays, and builds its block objects only when
-    they are read.
+    from the probe and sample arrays, decoded once, and builds its block
+    objects only when they are read.
     """
     if isinstance(N, bool) or not isinstance(N, Integral) or N < 1:
         raise ValueError(f"N must be an int >= 1, got {N!r}")
@@ -364,7 +374,8 @@ def collect_dataset(
     if not (math.isfinite(jitter) and jitter >= 0):
         raise ValueError(f"jitter must be a finite number >= 0, got {jitter}")
     T = len(probes)
-    lo, hi = probe_bounds(probes, g.M)
+    p = _interval_probes(probes, g.M)
+    lo, hi = _intervals(p)
     x0 = np.clip(0.5 * (lo + np.where(np.isfinite(hi), hi, lo + 1.0)), lo, hi)
     res = relaxation_nash(g, lo, hi, x0)
     if not res.converged:
@@ -383,5 +394,4 @@ def collect_dataset(
         pts = np.clip(base + noise, lo[..., None, None], hi[..., None, None])
     else:
         pts = np.broadcast_to(base, shape)
-    X = np.ascontiguousarray(pts.transpose(1, 0, 2, 3))
-    return RPDataset._from_arrays({**_probe_arrays(probes), "X": X, "n": np.full((g.M, T), N)})
+    return RPDataset._from_arrays({**p, "X": np.ascontiguousarray(pts), "n": np.full((T, g.M), N)})

@@ -18,11 +18,7 @@ import math
 
 import numpy as np
 
-from .core import ConstraintFunction, EmpiricalStrategy, RPDataset
-
-
-def _affine(alpha, b) -> ConstraintFunction:
-    return ConstraintFunction(tuple(float(a) for a in np.atleast_1d(alpha)), float(b))
+from .core import RPDataset
 
 
 def cobb_douglas_demand(expo, alpha, b):
@@ -36,8 +32,8 @@ def cobb_douglas_demand(expo, alpha, b):
     return expo * b / (alpha * expo.sum(axis=-1, keepdims=True))
 
 
-def _consistent_rows(T: int, M: int, k: int, seed: int):
-    """Rows (constraints, strategies) of :func:`consistent_dataset`, as T lists of M."""
+def _consistent_grids(T: int, M: int, k: int, seed: int):
+    """The grids alpha (T, M, k), b (T, M) and X (T, M, 1, k) of :func:`consistent_dataset`."""
     for name, n in (("T", T), ("M", M), ("k", k)):
         if n < 1:
             raise ValueError(f"{name} must be >= 1, got {n}")
@@ -46,13 +42,15 @@ def _consistent_rows(T: int, M: int, k: int, seed: int):
     expos = u[: M * k].reshape(M, k)
     blocks = u[M * k :].reshape(T, M, k + 1)
     alpha, b = blocks[..., :k], blocks[..., k]
-    X = cobb_douglas_demand(expos, alpha, b[..., None])
-    cons = [
-        [ConstraintFunction(tuple(a), bi) for a, bi in zip(row_a, row_b)]
-        for row_a, row_b in zip(alpha.tolist(), b.tolist())
-    ]
-    strats = [[EmpiricalStrategy(x[None, :]) for x in row] for row in X]
-    return cons, strats
+    return alpha, b, cobb_douglas_demand(expos, alpha, b[..., None])[:, :, None]
+
+
+def _dataset(alpha, b, X) -> RPDataset:
+    """The dataset of unshifted probes alpha (T, M, k), b (T, M) and plays X (T, M, N, k)."""
+    T, M, N, k = X.shape
+    zero = np.zeros((T, M))
+    probes = {"A": np.ascontiguousarray(alpha), "b": b, "a_t": zero, "beta": np.zeros((T, M, k)), "has_beta": zero != 0}
+    return RPDataset._from_arrays({**probes, "X": X, "n": np.full((T, M), N)})
 
 
 def consistent_dataset(T: int, M: int, k: int, seed: int = 0) -> RPDataset:
@@ -68,27 +66,18 @@ def consistent_dataset(T: int, M: int, k: int, seed: int = 0) -> RPDataset:
     prices and its income b.  Any change to this order changes every
     dataset built from a seed.
     """
-    return RPDataset(*_consistent_rows(T, M, k, seed))
+    return _dataset(*_consistent_grids(T, M, k, seed))
 
 
-def _reversal_pair(k: int, rng) -> tuple[list[ConstraintFunction], list[EmpiricalStrategy]]:
-    """Two budget-exhausting observations forming a strict preference cycle."""
+def _reversal_pair(k: int, rng):
+    """Two budget-exhausting observations forming a strict preference cycle: alpha, b and x."""
     scale = rng.uniform(0.5, 2.0)
     depth = rng.uniform(0.2, 0.8)  # cross-budget slack, drives the gap size
-    a1 = np.full(k, 0.1)
-    a2 = np.full(k, 0.1)
-    a1[0], a1[1] = 2.0, 1.0
-    a2[0], a2[1] = 1.0, 2.0
-    x1 = np.zeros(k)
-    x2 = np.zeros(k)
-    x1[0] = scale * (1 - depth) / 2.0  # cheap under budget 2: costs scale*(1-depth)
-    x2[1] = scale * (1 - depth) / 2.0
-    b1 = float(a1 @ x1)
-    b2 = float(a2 @ x2)
-    return (
-        [_affine(a1, b1), _affine(a2, b2)],
-        [EmpiricalStrategy(x1[None, :]), EmpiricalStrategy(x2[None, :])],
-    )
+    alpha = np.full((2, k), 0.1)
+    alpha[:, :2] = [[2.0, 1.0], [1.0, 2.0]]
+    x = np.zeros((2, k))
+    x[0, 0] = x[1, 1] = scale * (1 - depth) / 2.0  # each cheap under the other budget: costs scale*(1-depth)
+    return alpha, np.array([alpha[0] @ x[0], alpha[1] @ x[1]]), x
 
 
 def violating_dataset(T: int, M: int, k: int, seed: int = 0) -> RPDataset:
@@ -101,11 +90,9 @@ def violating_dataset(T: int, M: int, k: int, seed: int = 0) -> RPDataset:
         raise ValueError("need T >= 2 to embed a violation")
     if k < 2:
         raise ValueError("budget reversals require k >= 2")
-    cons, strats = _consistent_rows(T, M, k, seed)
-    pair_c, pair_s = _reversal_pair(k, np.random.default_rng(seed + 1))
-    cons[0][0], cons[1][0] = pair_c
-    strats[0][0], strats[1][0] = pair_s
-    return RPDataset(cons, strats)
+    alpha, b, X = _consistent_grids(T, M, k, seed)
+    alpha[:2, 0], b[:2, 0], X[:2, 0, 0] = _reversal_pair(k, np.random.default_rng(seed + 1))
+    return _dataset(alpha, b, X)
 
 
 # --- finite-sample robust-estimation instance --------------------------------
@@ -140,12 +127,16 @@ def dro_instance(
     Agent utilities cycle through x1+x2, x1+x2^(1/4), x1^(1/4)+x2; each
     strategy is the budget-constrained optimum plus a small uniform jitter,
     projected back into the budget, giving N distinct samples per strategy.
+    T, M and N below 1 are rejected before any draw.
 
     The random stream is part of the contract: ``default_rng(seed)`` draws
     ``T*M*(2 + 2*N)`` uniforms, for each period t and each agent i in turn
     the budget's 2 prices on [0.1, 1.1), then the N×2 jitter on
     [−jitter, jitter).
     """
+    for name, n in (("T", T), ("M", M), ("N", N)):
+        if n < 1:
+            raise ValueError(f"{name} must be >= 1, got {n}")
     jitter = float(jitter)
     if not (math.isfinite(jitter) and jitter >= 0):
         raise ValueError(f"jitter must be a finite number >= 0, got {jitter}")
@@ -161,6 +152,4 @@ def dro_instance(
     load = np.matmul(pts, alpha[..., None])[..., 0]  # (T, M, N), as each block's pts @ alpha
     over = load > 1.0
     pts[over] /= load[over][:, None]
-    cons = tuple(tuple(_affine(a, 1.0) for a in row) for row in alpha)
-    strats = tuple(tuple(EmpiricalStrategy(p) for p in row) for row in pts)
-    return RPDataset(cons, strats)
+    return _dataset(alpha, np.ones((T, M)), pts)

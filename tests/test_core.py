@@ -199,7 +199,7 @@ class TestRPDataset:
 
     def test_arrays_are_the_state_and_read_only(self):
         d = self._tiny()
-        assert (d.A.shape, d.b.shape, d.X.shape, d.n.tolist()) == ((2, 1, 2), (2, 1), (1, 2, 1, 2), [[1, 1]])
+        assert (d.A.shape, d.b.shape, d.X.shape, d.n.tolist()) == ((2, 1, 2), (2, 1), (2, 1, 1, 2), [[1], [1]])
         assert d.budgets[0] is d.A and d.budgets[2] is d.b and not d.S.any()
         for a in (d.A, d.b, d.a_t, d.beta, d.has_beta, d.X, d.n, d.S, d.gbar):
             assert not a.flags.writeable
@@ -466,6 +466,41 @@ class TestBudgetMatrix:
         rebuilt = RPDataset(d.constraints, d.strategies)
         assert calls == {"expected_constraint": 0, "eval_constraint_many": 0, "budget_values": 1}
         assert np.array_equal(rebuilt.gbar, d.gbar)
+
+
+class TestAffineBudgets:
+    """affine_budgets checks a probe grid before it decodes it."""
+
+    def test_a_probe_of_another_dimension_is_named(self):
+        # the second probe's b was read as a coordinate: A [[1, 2], [7, 9], [4, 6]], b [5, 0, 8]
+        grid = ((_affine([1.0, 2.0], 5.0), _affine([7.0], 9.0), _affine([3.0, 4.0, 6.0], 8.0)),)
+        with pytest.raises(DimensionError, match=r"^constraint \(0,1\) has dimension 1, constraint \(0,0\) 2$"):
+            affine_budgets(grid)
+
+    def test_the_first_other_dimension_in_row_order_is_named(self):
+        f, g = _affine([1.0, 1.0], 1.0), _affine([1.0, 1.0, 1.0], 1.0)
+        with pytest.raises(DimensionError, match=r"^constraint \(1,0\) has dimension 3, constraint \(0,0\) 2$"):
+            affine_budgets(((f, f), (g, g)))
+
+    def test_a_ragged_grid_is_rejected(self):
+        f = _affine([1.0], 1.0)
+        for grid in (((f, f), (f,)), ((f,), (f, f))):
+            with pytest.raises(ValueError, match=r"^ragged T x M grids$"):
+                affine_budgets(grid)
+
+    def test_an_empty_grid_is_rejected(self):
+        for grid in ((), ((),)):
+            with pytest.raises(ValueError, match=r"^the probe grid is empty$"):
+                affine_budgets(grid)
+
+    def test_a_dataset_built_from_blocks_does_not_check_its_grid_twice(self, monkeypatch):
+        # RPDataset checks its grid itself, so it decodes without affine_budgets' checks
+        calls = []
+        monkeypatch.setattr(core, "affine_budgets", lambda *a: calls.append(a))
+        monkeypatch.setattr(core, "_check_dims", lambda *a: calls.append(a))
+        d = violating_dataset(4, 2, 3, seed=0)
+        RPDataset(d.constraints, d.strategies)
+        assert calls == []
 
 
 class TestParetoCertificate:

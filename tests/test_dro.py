@@ -15,6 +15,7 @@ from pareto_forge.core import (
     RPDataset,
     affine_budgets,
     budget_values,
+    cross_values,
     eval_constraint_many,
 )
 from pareto_forge.dro import (
@@ -73,7 +74,7 @@ def _restack(d, cuts):
     phis = np.stack([phi for per_k in cuts for phi in per_k])  # (J, T, M, k)
     kidx = np.repeat(np.arange(len(cuts)), [len(per_k) for per_k in cuts])
     gaps = np.linalg.norm(phis - samples[:, :, kidx].transpose(2, 0, 1, 3), axis=-1)
-    G = dro._cross_values(affine_budgets(d.constraints), phis.transpose(1, 2, 0, 3))  # (T, T, M, J)
+    G = cross_values(affine_budgets(d.constraints), phis.transpose(1, 2, 0, 3))  # (T, T, M, J)
     dists = gaps.reshape(len(phis), -1).sum(axis=1)
     return np.ascontiguousarray(G.transpose(3, 0, 1, 2)), dists, kidx
 
@@ -1020,7 +1021,7 @@ class TestAffineEvaluator:
         pts[rng.random(pts.shape) < 0.2] = 0.0
         own = budget_values(budgets, pts)  # probe (t, i) at the n points of block (t, i)
         shared = budget_values(budgets, pts[0, 0])  # every probe at the points of block (0, 0)
-        cross = dro._cross_values(budgets, pts)  # probe (t, i) at the T·n points of agent i
+        cross = cross_values(budgets, pts)  # probe (t, i) at the T·n points of agent i
         for t in range(T):
             for i in range(M):
                 f = cons[t][i]

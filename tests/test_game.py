@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pareto_forge import game
+from pareto_forge import core, game
 from pareto_forge.core import ConstraintFunction
 from pareto_forge.game import (
     MAX_OUTER,
@@ -161,6 +161,26 @@ class TestProbeFeasibleSet:
         assert lo.tobytes() == np.zeros((T, M)).tobytes()
         assert hi.tobytes() == np.concatenate([np.concatenate(row) for row in ref]).tobytes()
 
+
+    def test_probes_are_decoded_once_and_checked_once(self, monkeypatch):
+        # collect_dataset decoded its grid twice, once for the intervals and once for the dataset
+        g = RiverPollutionGame(np.full(7, 0.5))
+        probes = river_probes(g, T=4, seed=0)
+        decoded = []
+        table = core._probe_table
+        monkeypatch.setattr(core, "_probe_table", lambda *a: decoded.append(1) or table(*a))
+        monkeypatch.setattr(core, "_check_dims", lambda *a: pytest.fail("checked a second time"))
+        lo, hi = probe_bounds(probes, g.M)
+        assert len(decoded) == 1
+        d = collect_dataset(g, probes)
+        assert len(decoded) == 2
+        assert np.array_equal(d.A[..., 0], [[p.alpha[0] for p in row] for row in probes])
+        assert np.all(d.X[..., 0, 0] <= hi)
+
+    def test_an_empty_table_keeps_its_message(self):
+        for probes, M in (((), 3), (((),), 0)):
+            with pytest.raises(ValueError, match=r"^the probe grid is empty$"):
+                probe_bounds(probes, M)
 
 class TestRiverPollutionGame:
     def test_payoff_hand_value(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,14 +12,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pareto_forge import synthetic
-from pareto_forge.core import EmpiricalStrategy, RPDataset, save_dataset
-from pareto_forge.synthetic import (
-    _affine,
-    _reversal_pair,
-    consistent_dataset,
-    dro_instance,
-    violating_dataset,
-)
+from pareto_forge.core import ConstraintFunction, EmpiricalStrategy, RPDataset, save_dataset
+from pareto_forge.synthetic import consistent_dataset, dro_instance, violating_dataset
+
+# --- the block-built reference ----------------------------------------------------
+# The generators build their datasets from arrays; the references below build every
+# block object, one draw and one constructor per (t, i), as the generators once did.
+
+
+def _affine(alpha, b) -> ConstraintFunction:
+    return ConstraintFunction(tuple(float(a) for a in np.atleast_1d(alpha)), float(b))
+
+
+def _reversal_pair(k: int, rng) -> tuple[list[ConstraintFunction], list[EmpiricalStrategy]]:
+    """Two budget-exhausting observations forming a strict preference cycle."""
+    scale = rng.uniform(0.5, 2.0)
+    depth = rng.uniform(0.2, 0.8)  # cross-budget slack, drives the gap size
+    a1 = np.full(k, 0.1)
+    a2 = np.full(k, 0.1)
+    a1[0], a1[1] = 2.0, 1.0
+    a2[0], a2[1] = 1.0, 2.0
+    x1 = np.zeros(k)
+    x2 = np.zeros(k)
+    x1[0] = scale * (1 - depth) / 2.0  # cheap under budget 2: costs scale*(1-depth)
+    x2[1] = scale * (1 - depth) / 2.0
+    b1 = float(a1 @ x1)
+    b2 = float(a2 @ x2)
+    return (
+        [_affine(a1, b1), _affine(a2, b2)],
+        [EmpiricalStrategy(x1[None, :]), EmpiricalStrategy(x2[None, :])],
+    )
 
 
 def _consistent_rows_serial(T, M, k, seed):
@@ -100,6 +123,37 @@ def test_whole_grid_draw_matches_the_per_block_loop(generator, T, M, k, seed):
         T, k = max(T, 2), max(k, 2)
     _assert_same_dataset(generator(T, M, k, seed=seed), _serial_dataset(generator, T, M, k, seed))
 
+
+def _count_constructions(monkeypatch) -> Counter:
+    counts: Counter = Counter()
+    for cls in (ConstraintFunction, EmpiricalStrategy, RPDataset):
+        post = cls.__post_init__
+
+        def counted(self, _post=post, _name=cls.__name__):
+            counts[_name] += 1
+            return _post(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "generate",
+    [
+        lambda: consistent_dataset(8, 3, 3, seed=0),
+        lambda: violating_dataset(8, 3, 3, seed=0),
+        lambda: dro_instance(5, 3, 5, 0.05, seed=0),
+    ],
+    ids=["consistent", "violating", "dro"],
+)
+def test_a_generator_and_its_file_build_one_dataset_and_no_block(tmp_path, monkeypatch, generate):
+    # each built 2·T·M block objects for RPDataset to decode, and save_dataset built them again
+    counts = _count_constructions(monkeypatch)
+    d = generate()
+    assert counts == {"RPDataset": 1}
+    save_dataset(d, tmp_path / "d.json")
+    assert counts == {"RPDataset": 1}
+    assert "constraints" not in vars(d) and "strategies" not in vars(d)
 
 def test_demand_of_a_grid_rounds_as_one_call_per_row():
     rng = np.random.default_rng(3)
@@ -240,6 +294,16 @@ def test_dro_instance_rejects_a_jitter_that_is_not_a_finite_non_negative_number(
     with pytest.raises(ValueError, match="jitter must be a finite number >= 0"):
         dro_instance(3, 2, 2, jitter, seed=0)
 
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [((0, 3, 5), "T must be >= 1, got 0"), ((5, -1, 5), "M must be >= 1, got -1"), ((5, 3, 0), "N must be >= 1, got 0")],
+)
+def test_dro_instance_rejects_sizes_below_one_before_any_draw(monkeypatch, sizes, message):
+    # from arrays, T = 0 would build an empty dataset and N = 0 fail on numpy's reshape error
+    monkeypatch.setattr(synthetic.np.random, "default_rng", _no_draw)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        dro_instance(*sizes)
 
 # sha256 of save_dataset(dro_instance(5, 3, 5, 0.05, seed=s)), the benchmark's dro
 # instance: any drift in the stream, the projection or the file format fails here
